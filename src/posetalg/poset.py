@@ -117,7 +117,9 @@ def make_poset(elements, cover_pairs=(), labels=None, declared_order=None):
 
     The transitive closure is computed internally; when ``labels`` omits an
     element, its covers are auto-labelled by first appearance in
-    ``declared_order`` (defaulting to ``cover_pairs`` order), then id.
+    ``declared_order`` (defaulting to ``cover_pairs`` order), then id.  A
+    ``labels`` entry for an unknown element or for an element without lower
+    covers raises PosetError.
     """
     elements = tuple(sorted(elements))
     if len(set(elements)) != len(elements):
@@ -139,6 +141,11 @@ def make_poset(elements, cover_pairs=(), labels=None, declared_order=None):
                         return i
                 return len(declared)
             out_labels[p] = tuple(sorted(covers, key=lambda q: (first_pos(q), q)))
+    stray = labels.keys() - out_labels.keys()
+    if stray:
+        p = min(stray)
+        reason = "has no lower covers" if p in strict else "is not an element"
+        raise PosetError(f"label entry for {p!r}, which {reason}")
     return LabelledPoset(elements, strict, out_labels)
 
 

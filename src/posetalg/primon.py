@@ -8,8 +8,9 @@ regular primes carry coefficient one.  The natural tuple of counting maps
 (one per prime, values in Z+ together with infinity) is an embedding and is
 used as a cross-check on equality throughout the tests.
 
-Brute-force verifiers (refinement, separativity, a bounded congruence
-oracle) live here too; every search bound is an explicit parameter.
+Verifiers (refinement by checked construction with a complete search as
+fallback, separativity, a bounded congruence oracle) live here too; every
+search bound is an explicit parameter.
 """
 
 from __future__ import annotations
@@ -303,11 +304,11 @@ def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):
 
 
 # ---------------------------------------------------------------------------
-# brute-force verifiers
+# verifiers
 
 
 class _VecOps:
-    """Coefficient-vector arithmetic for the brute-force checkers.
+    """Coefficient-vector arithmetic for the verifiers.
 
     Reduction works on tuples aligned with the prime list, with absorber
     bitmasks; the absorber reach is the path closure, which coincides with
@@ -387,48 +388,142 @@ class _VecOps:
         return out
 
 
-def check_refinement(m: PrimitiveMonoid, size_bound: int):
-    """Search all x1+x2 = y1+y2 over elements of size <= size_bound for a
-    missing 2x2 refinement; returns None (ok) or the first counterexample.
-
-    Row and column swaps act on refinement matrices, so only ordered
-    representatives of each equality are searched; a coordinatewise greedy
-    attempt handles the bulk, and the complete search per sum group uses a
-    decomposition table over the capped candidate pool.
-    """
-    ops = _VecOps(m)
-    elems = [ops.to_vec(e) for e in m.elements(size_bound)]
-    n = len(m.primes)
+def _uncertified(ops: _VecOps, size_bound: int):
+    """Yield, per sum group in sorted order, the equalities x1 + x2 = y1 + y2
+    over elements of size <= size_bound whose constructed refinement fails
+    its ``add`` check (see ``check_refinement``); settled groups are skipped."""
+    n = len(ops.primes)
+    elems = []
+    phi = {}  # reduced vector -> dense phi vector, aligned with ops.primes
+    for e in ops.m.elements(size_bound):
+        v = ops.to_vec(e)
+        elems.append(v)
+        values = dict(ops.m.phi(e).values)
+        phi[v] = tuple(values[p] for p in ops.primes)
     by_sum = {}
     for x1, x2 in itertools.product(elems, repeat=2):
         if x1 <= x2:
             by_sum.setdefault(ops.add(x1, x2), []).append((x1, x2))
 
-    def greedy(x1, x2, y1, y2):
-        z11 = ops.reduce(tuple(map(min, x1, y1)))
-        z12 = ops.reduce(tuple(max(a - b, 0) for a, b in zip(x1, z11)))
-        z21 = ops.reduce(tuple(max(a - b, 0) for a, b in zip(y1, z11)))
-        # z22 must solve both remaining equations; absorbed coordinates are
-        # flexible, so take the larger deficit
-        z22 = ops.reduce(
-            tuple(max(a - b, c - d, 0) for a, b, c, d in zip(x2, z21, y2, z12))
-        )
-        return (
-            ops.add(z11, z12) == x1
-            and ops.add(z21, z22) == x2
-            and ops.add(z11, z21) == y1
-            and ops.add(z12, z22) == y2
-        )
+    # top down: a prime has more absorbers than any prime above it
+    walk = [
+        (h, 1 << h, ops.absorbers[h], ops.regular[h])
+        for h in sorted(range(n), key=lambda h: bin(ops.absorbers[h]).count("1"))
+    ]
 
+    def construct(x1, x2, y1, y2):
+        """The refinement matrix as reduced vectors z11, z12, z21, z22."""
+        p1, p2, q1, q2 = phi[x1], phi[x2], phi[y1], phi[y2]
+        z11, z12, z21, z22 = [0] * n, [0] * n, [0] * n, [0] * n
+        nz11 = nz12 = nz21 = nz22 = 0  # primes where each entry is nonzero
+        for h, bit, up, regular in walk:
+            a1, a2, b1, b2 = p1[h], p2[h], q1[h], q2[h]
+            f11, f12, f21, f22 = nz11 & up, nz12 & up, nz21 & up, nz22 & up
+            if regular:
+                r1, r2 = f11 or f12, f21 or f22  # row holds an infinite entry
+                c1, c2 = f11 or f21, f12 or f22  # column likewise
+                if not f11 and a1 == b1 == INF and not (r1 and c1):
+                    z11[h] = 1
+                    f11 = r1 = c1 = True
+                if not f12 and a1 == b2 == INF and not (r1 and c2):
+                    z12[h] = 1
+                    f12 = r1 = c2 = True
+                if not f21 and a2 == b1 == INF and not (r2 and c1):
+                    z21[h] = 1
+                    f21 = r2 = c1 = True
+                if not f22 and a2 == b2 == INF and not (r2 and c2):
+                    z22[h] = 1
+                    f22 = True
+            else:
+                if not f11:
+                    v = a1 if a1 < b1 else b1
+                    if 0 < v < INF:
+                        z11[h] = f11 = v
+                        a1 -= v
+                        b1 -= v
+                if not f12:
+                    v = a1 if a1 < b2 else b2
+                    if 0 < v < INF:
+                        z12[h] = f12 = v
+                        b2 -= v
+                if not f21:
+                    v = a2 if a2 < b1 else b1
+                    if 0 < v < INF:
+                        z21[h] = f21 = v
+                        a2 -= v
+                if not f22:
+                    v = a2 if a2 < b2 else b2
+                    if 0 < v < INF:
+                        z22[h] = f22 = v
+            # from here f_ij means "z_ij is nonzero at h"
+            if f11:
+                nz11 |= bit
+            if f12:
+                nz12 |= bit
+            if f21:
+                nz21 |= bit
+            if f22:
+                nz22 |= bit
+        return tuple(z11), tuple(z12), tuple(z21), tuple(z22)
+
+    add = ops.add
     for s in sorted(by_sum):
         pairs = by_sum[s]
         todo = []
         for i, (x1, x2) in enumerate(pairs):
             for y1, y2 in pairs[i + 1 :]:
-                if not (greedy(x1, x2, y1, y2) or greedy(y1, y2, x1, x2)):
+                z11, z12, z21, z22 = construct(x1, x2, y1, y2)
+                if (
+                    add(z11, z12) != x1
+                    or add(z21, z22) != x2
+                    or add(z11, z21) != y1
+                    or add(z12, z22) != y2
+                ):
                     todo.append((x1, x2, y1, y2))
-        if not todo:
-            continue
+        if todo:
+            yield todo
+
+
+def check_refinement(m: PrimitiveMonoid, size_bound: int):
+    """Check every x1 + x2 = y1 + y2 over elements of size <= size_bound for
+    a 2x2 refinement; returns None (ok) or the first counterexample.
+
+    Each equality gets a refinement matrix (z_ij) by construction, in phi
+    coordinates, and the matrix counts only once ``add`` confirms its four
+    sums z_i1 + z_i2 = x_i and z_1j + z_2j = y_j: the checked matrix is the
+    certificate, so no verdict rests on phi being an embedding.  The primes
+    are walked from the top down (a prime has more absorbers than any prime
+    above it), and at prime h:
+
+    - z_ij is forced to infinity iff it is nonzero at some prime above h;
+    - at a regular h an unforced entry is infinite only where its row and
+      its column are both infinite and one of them still lacks an infinite
+      entry, else 0;
+    - at a free h the unforced entries solve the finite 2x2 transport
+      problem by the north-west-corner rule: in the order z11, z12, z21,
+      z22 each takes min(rest of its row, rest of its column), or 0 when
+      both are infinite.
+
+    On a valid prime pair every step is solvable.  Forcing agrees with the
+    sums: if z_ij is nonzero at some g > h, so are x_i and y_j, hence both
+    are infinite at h.  At a free h an infinite x_i is nonzero at some
+    g > h, so one entry of row i is nonzero at g and forced at h; columns
+    likewise.  The unforced entries then only have to meet the finite rows
+    and columns; since x1 + x2 = y1 + y2 at h, an infinite row implies an
+    infinite column, and in each case the corner rule meets them.  Every
+    entry is infinite at h whenever it is nonzero above h, and at a free h
+    only then, so it lies in the image of phi: its reduced element keeps
+    the unforced nonzero values, with coefficient 1 at regular primes.
+
+    A sum group with an equality the construction does not settle (only
+    possible on a relation that is not a valid pair) goes to the complete
+    search, a decomposition table over a capped candidate pool; it finds
+    the genuine counterexamples.  Row and column swaps act on refinement
+    matrices, so only ordered representatives of each equality are checked.
+    """
+    ops = _VecOps(m)
+    n = len(m.primes)
+    for todo in _uncertified(ops, size_bound):
         members = {v for quad in todo for v in quad}
         caps = [max([1] + [v[i] for v in members]) for i in range(n)]
         mask = 0
@@ -461,14 +556,21 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
 
 
 def check_separative(m: PrimitiveMonoid, bound: int):
-    """a+a = a+b = b+b implies a = b; None if ok, else the witness (a, b)."""
+    """a+a = a+b = b+b implies a = b; None if ok, else the witness (a, b).
+
+    A witness pair shares a+a = b+b, so b is only sought among the elements
+    with the same double as a, in element order: the first witness is the
+    one a scan over all ordered pairs would return.
+    """
     elems = m.elements(bound)
-    for a, b in itertools.product(elems, repeat=2):
-        if a == b:
-            continue
-        aa, ab, bb = m.add(a, a), m.add(a, b), m.add(b, b)
-        if aa == ab == bb:
-            return (a, b)
+    doubles = [m.add(a, a) for a in elems]
+    by_double = {}
+    for b, bb in zip(elems, doubles):
+        by_double.setdefault(bb, []).append(b)
+    for a, aa in zip(elems, doubles):
+        for b in by_double[aa]:
+            if b != a and m.add(a, b) == aa:
+                return (a, b)
     return None
 
 

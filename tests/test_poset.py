@@ -67,6 +67,16 @@ def test_parse_errors():
         parse_poset("covers a<b")
 
 
+def test_label_entry_for_unknown_element_rejected():
+    with pytest.raises(PosetError, match="'zz', which is not an element"):
+        parse_poset("elems a b; covers a<b; labels zz:[a]")
+
+
+def test_label_entry_without_lower_covers_rejected():
+    with pytest.raises(PosetError, match="no lower covers"):
+        parse_poset("elems a b; covers a<b; labels a:[b]")
+
+
 def test_parse_comments_and_autolabels():
     p = parse_poset("# heading\nelems p b a;\ncovers b<p a<p  # covers\n")
     # auto-labels follow declaration order of the cover pairs

@@ -3,8 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posetalg.poset import enumerate_posets, fig2_poset, make_poset
+from posetalg.poset import enumerate_posets, fig2_poset, make_poset, transitive_closure
 from posetalg.primon import (
     INF,
     MonElem,
@@ -12,6 +14,8 @@ from posetalg.primon import (
     PrimePair,
     PrimitiveMonoid,
     ZERO,
+    _uncertified,
+    _VecOps,
     apw_graph_shape,
     check_refinement,
     check_separative,
@@ -272,10 +276,54 @@ def test_refinement_counterexample_on_corrupted_rel():
     # non-transitive: b < a < c without b < c (frozen by offline search; the
     # failure is genuine, i.e. survives an unrestricted matrix search)
     m = PrimitiveMonoid(unchecked_pair(["a", "b", "c"], {("a", "c"), ("b", "a")}))
+    assert list(_uncertified(_VecOps(m), 2)), "the construction must leave it to the search"
     ce = check_refinement(m, 2)
     assert ce is not None
     x1, x2, y1, y2 = ce
     assert m.add(x1, x2) == m.add(y1, y2)
+    pool = m.elements(4)
+    assert not any(
+        m.add(z11, z12) == x1 and m.add(z21, z22) == x2
+        and m.add(z11, z21) == y1 and m.add(z12, z22) == y2
+        for z11, z12, z21, z22 in itertools.product(pool, repeat=4)
+        if m.add(z11, z12) == x1
+    )
+
+
+def test_refinement_construction_certifies_catalogue():
+    # every equality x1 + x2 = y1 + y2 of size <= 3 on <= 4 primes is
+    # settled by the constructed matrix, with no fallback to the search
+    equalities = 0
+    for m in small_catalogue(4):
+        assert not list(_uncertified(_VecOps(m), 3)), m.pair
+        els = m.elements(3)
+        groups = {}
+        for i, x in enumerate(els):
+            for y in els[i:]:
+                s = m.add(x, y)
+                groups[s] = groups.get(s, 0) + 1
+        equalities += sum(g * (g - 1) // 2 for g in groups.values())
+    assert equalities == 65038
+
+
+@st.composite
+def random_prime_pairs(draw):
+    """A random strict order on up to 6 primes plus a random regular subset."""
+    n = draw(st.integers(0, 6))
+    ids = draw(st.permutations([f"g{i}" for i in range(n)]))
+    covers = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    below = transitive_closure(ids, covers)
+    regular = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    rel = {(q, p) for p in ids for q in below[p]} | {(r, r) for r in regular}
+    return PrimePair(tuple(ids), frozenset(rel))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_prime_pairs())
+def test_refinement_construction_on_random_pairs(pair):
+    m = PrimitiveMonoid(pair)
+    assert not list(_uncertified(_VecOps(m), 2))
+    assert check_refinement(m, 2) is None
 
 
 def test_separativity():
@@ -291,6 +339,24 @@ def test_separativity():
     assert check_separative(mixed, 3) is None
     trivial = from_pair(PrimePair((), frozenset()))
     assert check_strongly_separative(trivial, 3) is None
+
+
+def _separative_bruteforce(m, bound):
+    elems = m.elements(bound)
+    for a, b in itertools.product(elems, repeat=2):
+        if a != b and m.add(a, a) == m.add(a, b) == m.add(b, b):
+            return (a, b)
+    return None
+
+
+def test_separative_matches_bruteforce():
+    # a regular prime listed three times gives the distinct elements a,
+    # a + a and a + a + a with one double, so a has two witnesses; the
+    # first one must be the scan's
+    corrupted = PrimitiveMonoid(unchecked_pair(["a", "a", "a", "b"], {("a", "a")}))
+    assert _separative_bruteforce(corrupted, 3) is not None
+    for m in small_catalogue(3) + [corrupted]:
+        assert check_separative(m, 3) == _separative_bruteforce(m, 3)
 
 
 def test_strongly_separative_iff_all_free():
