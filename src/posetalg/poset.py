@@ -437,28 +437,139 @@ def poset_iso(p1: LabelledPoset, p2: LabelledPoset):
     return relation_iso(p1.elements, rel1, p2.elements, rel2)
 
 
+# ---------------------------------------------------------------------------
+# the catalogue: orderly generation
+#
+# A strict order on the indices 0..n-1 that is natural (i < j whenever i is
+# below j) is stored as a relation mask: bit k stands for the k-th pair of
+# [(i, j) for i < j] in row-major order, so the pairs (i, *) of a higher
+# row i sit above those of every lower row.  ``above[x]`` is the bitmask of
+# the indices strictly above x.  Each isomorphism class is represented by
+# its least relation mask over all natural labellings.
+
+
+def _natural_relation(n, mask):
+    """The set of index pairs (i, j), i < j, whose bits are set in mask.
+
+    The catalogue's cover labels follow this set's iteration order, which
+    int-tuple hashing fixes given the order of insertion, so the expression
+    must build it pair by pair in bit order.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+    return {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+
+
+def _above_masks(n, rel):
+    above = [0] * n
+    for i, j in rel:
+        above[i] |= 1 << j
+    return above
+
+
+def _canonical_mask(n, above):
+    """The least relation mask of the poset over its natural labellings.
+
+    The poset lives on 0..n-1 under any labelling.  Labels are handed out
+    from n-1 down; the element labelled i must be maximal among those left,
+    and its row (the labels above it) fills the mask bits of row i, which
+    outweigh every row below.  So the least mask takes, label by label, the
+    least row any surviving partial labelling can offer, and keeps every
+    partial labelling that offers it.  Partial labellings that agree on the
+    labelled set and on the labels above each unlabelled element have the
+    same futures, and are kept once.
+    """
+    below = [[x for x in range(n) if above[x] >> y & 1] for y in range(n)]
+    states = {(0, (0,) * n)}  # (labelled set, labels above each element)
+    mask = 0
+    for label in range(n - 1, -1, -1):
+        best, survivors = None, set()
+        for done, rows in states:
+            for y in range(n):
+                if done >> y & 1 or above[y] & ~done:
+                    continue
+                row = rows[y]
+                if best is None or row < best:
+                    best, survivors = row, set()
+                if row == best:
+                    new = list(rows)
+                    new[y] = 0
+                    for x in below[y]:
+                        new[x] |= 1 << label
+                    survivors.add((done | 1 << y, tuple(new)))
+        states = survivors
+        # row ``label`` starts at bit label * (2n - label - 1) / 2 and
+        # holds the pairs (label, j) for j = label + 1 .. n - 1
+        mask |= best >> (label + 1) << (label * (2 * n - label - 1) // 2)
+    return mask
+
+
+def _order_masks(max_n):
+    """``levels[n]``, n = 0..max_n: the canonical relation masks of the
+    posets on n points, ascending.
+
+    Removing a maximal element leaves a poset on n-1 points and a down-set
+    below it, so each n-point class arises from a canonical (n-1)-point
+    representative by adding one new maximal element above one down-set.
+    """
+    levels = [[0]]
+    for n in range(1, max_n + 1):
+        found = set()
+        for mask in levels[-1]:
+            above = _above_masks(n - 1, _natural_relation(n - 1, mask))
+            below = [sum(1 << x for x in range(n - 1) if above[x] >> y & 1) for y in range(n - 1)]
+            top = 1 << (n - 1)
+            for down in range(top):
+                if any(down >> y & 1 and below[y] & ~down for y in range(n - 1)):
+                    continue
+                grown = [a | top if down >> x & 1 else a for x, a in enumerate(above)]
+                found.add(_canonical_mask(n, grown + [0]))
+        levels.append(sorted(found))
+    return levels
+
+
+def _automorphisms(n, rel):
+    """Every automorphism of the strict order rel on 0..n-1, as a tuple of
+    images."""
+    above = _above_masks(n, rel)
+    out, image = [], []
+
+    def extend(x):
+        if x == n:
+            out.append(tuple(image))
+            return
+        for y in range(n):
+            if y in image:
+                continue
+            if all(
+                (above[z] >> x & 1) == (above[w] >> y & 1) and (above[x] >> z & 1) == (above[y] >> w & 1)
+                for z, w in enumerate(image)
+            ):
+                image.append(y)
+                extend(x + 1)
+                image.pop()
+
+    extend(0)
+    return out
+
+
 def enumerate_posets(n: int) -> list[LabelledPoset]:
     """All posets on n elements up to isomorphism (elements x0..x{n-1}).
 
-    Every finite poset has a linear extension, so it suffices to enumerate
-    transitively closed strict relations inside the natural order of the
-    index set and deduplicate by canonical form under permutations.
+    Each class comes out once, as its representative with the least
+    relation mask over all natural labellings: bit k of the mask is set
+    when x{i} < x{j} for the k-th index pair i < j in row-major order.
+    The posets are in ascending mask order.  The relation handed to
+    ``make_poset`` is the set of the mask's index pairs, so the covers of
+    each element are labelled in that set's iteration order.  This is the
+    output of the old search over every relation and all n! relabellings,
+    which the tests keep as an oracle; the classes are now grown one point
+    at a time (see ``_order_masks``).
     """
     ids = [f"x{i}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
-    seen = set()
-    out = []
-    perms = list(itertools.permutations(range(n)))
-    for mask in range(1 << len(pairs)):
-        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
-        if any((a, c) not in rel for a, b in rel for b2, c in rel if b2 == b):
-            continue
-        canon = min(tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(make_poset(ids, [(ids[a], ids[b]) for a, b in rel]))
-    return out
+    return [
+        make_poset(ids, [(ids[a], ids[b]) for a, b in _natural_relation(n, mask)])
+        for mask in _order_masks(n)[n]
+    ]
 
 
 # ---------------------------------------------------------------------------

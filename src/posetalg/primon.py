@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .poset import LabelledPoset, relation_iso
+from .poset import LabelledPoset, _automorphisms, _natural_relation, _order_masks, relation_iso
 
 INF = float("inf")
 
@@ -575,13 +575,26 @@ def check_separative(m: PrimitiveMonoid, bound: int):
 
 
 def check_strongly_separative(m: PrimitiveMonoid, bound: int):
-    """a+a = a+b implies a = b; None if ok, else the witness (a, b)."""
+    """a+a = a+b implies a = b; None if ok, else the witness (a, b).
+
+    A free prime p that survives in a + b has coefficient a_p + b_p there,
+    so a + b = a + a forces b_p = (a + a)_p - a_p at every free prime p of
+    a + a.  For each a, b is only sought among the elements that meet this,
+    in element order: the first witness is the one a scan over all ordered
+    pairs would return.
+    """
     elems = m.elements(bound)
-    for a, b in itertools.product(elems, repeat=2):
-        if a == b:
-            continue
-        if m.add(a, a) == m.add(a, b):
-            return (a, b)
+    by_free = {}  # free primes -> {their coefficients: elements}
+    for a in elems:
+        aa = m.add(a, a)
+        free = tuple(p for p, _ in aa.coeffs if p not in m.regular)
+        if free not in by_free:
+            groups = by_free[free] = {}
+            for b in elems:
+                groups.setdefault(tuple(b.coeff(p) for p in free), []).append(b)
+        for b in by_free[free].get(tuple(aa.coeff(p) - a.coeff(p) for p in free), ()):
+            if b != a and m.add(a, b) == aa:
+                return (a, b)
     return None
 
 
@@ -710,30 +723,27 @@ def monoid_iso(m1: PrimitiveMonoid, m2: PrimitiveMonoid):
 def enumerate_prime_pairs(max_primes: int) -> list[PrimePair]:
     """All prime pairs with <= max_primes primes up to isomorphism.
 
-    A pair is a strict poset plus an arbitrary subset of regular primes;
-    deduplication is by canonical form of the full relation (diagonal
-    included) under permutations.
+    A pair is a strict poset on primes g0..g{n-1} plus a subset of regular
+    primes.  Its strict part is the poset ``enumerate_posets(n)`` gives for
+    its class (least relation mask over the natural labellings); its
+    regular subset, as a bitmask over the indices, is the least of its
+    orbit under the automorphisms of that poset.  The pairs come out by
+    number of primes, then in poset order, then by regular-subset mask.
     """
     out = []
-    for n in range(max_primes + 1):
+    for n, masks in enumerate(_order_masks(max_primes)):
         ids = [f"g{i}" for i in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
-        perms = list(itertools.permutations(range(n)))
-        seen = set()
-        for mask in range(1 << len(pairs)):
-            rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
-            if any((a, c) not in rel for a, b in rel for b2, c in rel if b2 == b):
-                continue
+        for mask in masks:
+            rel = _natural_relation(n, mask)
+            autos = _automorphisms(n, rel)
+            seen = set()
+            # ascending, so each orbit is first met at its least mask
             for regmask in range(1 << n):
-                reg = {i for i in range(n) if regmask >> i & 1}
-                full = rel | {(i, i) for i in reg}
-                canon = min(tuple(sorted((p[a], p[b]) for a, b in full)) for p in perms)
-                if canon in seen:
+                if regmask in seen:
                     continue
-                seen.add(canon)
-                out.append(
-                    PrimePair(tuple(ids), frozenset((ids[a], ids[b]) for a, b in full))
-                )
+                seen.update(sum(1 << g[i] for i in range(n) if regmask >> i & 1) for g in autos)
+                full = rel | {(i, i) for i in range(n) if regmask >> i & 1}
+                out.append(PrimePair(tuple(ids), frozenset((ids[a], ids[b]) for a, b in full)))
     return out
 
 

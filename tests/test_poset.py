@@ -1,10 +1,16 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetalg.poset import (
     LowerSet,
     PosetError,
+    _above_masks,
+    _canonical_mask,
+    _natural_relation,
     boundary,
     depth,
     down_set,
@@ -262,7 +268,54 @@ def test_poset_pair_iso():
 
 
 def test_enumerate_posets_counts():
-    assert [len(enumerate_posets(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
+    # OEIS A000112
+    assert [len(enumerate_posets(n)) for n in range(8)] == [1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+def _brute_force_posets(n):
+    """The catalogue by definition: every transitively closed relation
+    inside the natural order, in mask order, keeping the first of each
+    class under all n! relabellings (the enumerator before orderly
+    generation)."""
+    ids = [f"x{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+    seen = set()
+    out = []
+    perms = list(itertools.permutations(range(n)))
+    for mask in range(1 << len(pairs)):
+        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+        if any((a, c) not in rel for a, b in rel for b2, c in rel if b2 == b):
+            continue
+        canon = min(tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        out.append(make_poset(ids, [(ids[a], ids[b]) for a, b in rel]))
+    return out
+
+
+def test_enumerate_posets_matches_brute_force():
+    # LabelledPoset equality compares the ids, the order and the label
+    # tuples, and list equality the order of the catalogue
+    for n in range(6):
+        assert enumerate_posets(n) == _brute_force_posets(n)
+
+
+@functools.cache
+def _six_point_posets():
+    return enumerate_posets(6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 317), st.permutations(range(6)))
+def test_canonical_mask_undoes_relabelling(index, perm):
+    # a poset on 6 points, beyond the reach of the brute force, relabelled
+    # at random: its canonical mask rebuilds the same representative
+    poset = _six_point_posets()[index]
+    ids = poset.elements
+    rel = {(perm[ids.index(q)], perm[ids.index(p)]) for p in ids for q in poset.strict[p]}
+    mask = _canonical_mask(6, _above_masks(6, rel))
+    assert make_poset(ids, [(ids[a], ids[b]) for a, b in _natural_relation(6, mask)]) == poset
 
 
 def test_labelled_invariance_of_monoid_level_outputs():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import enumerate_posets, fig2_poset, make_poset, transitive_closure
+from posetalg.poset import (
+    _above_masks,
+    _automorphisms,
+    _canonical_mask,
+    _natural_relation,
+    enumerate_posets,
+    fig2_poset,
+    make_poset,
+    relation_iso,
+    transitive_closure,
+)
 from posetalg.primon import (
     INF,
     MonElem,
@@ -359,6 +370,26 @@ def test_separative_matches_bruteforce():
         assert check_separative(m, 3) == _separative_bruteforce(m, 3)
 
 
+def _strongly_separative_bruteforce(m, bound):
+    elems = m.elements(bound)
+    for a, b in itertools.product(elems, repeat=2):
+        if a != b and m.add(a, a) == m.add(a, b):
+            return (a, b)
+    return None
+
+
+def test_strongly_separative_matches_bruteforce():
+    mixed = from_pair(intro_mixed_pair())
+    assert _strongly_separative_bruteforce(mixed, 4) is not None
+    # a free prime listed twice: the first witness pairs the element
+    # (a, 1), (a, 1) with 2a, whose coefficient at a is (a + a)_a - a_a
+    doubled = PrimitiveMonoid(unchecked_pair(["a", "a", "b"], set()))
+    assert _strongly_separative_bruteforce(doubled, 3) is not None
+    cases = [(m, 3) for m in small_catalogue(3)] + [(mixed, 4), (doubled, 3)]
+    for m, bound in cases:
+        assert check_strongly_separative(m, bound) == _strongly_separative_bruteforce(m, bound)
+
+
 def test_strongly_separative_iff_all_free():
     for m in small_catalogue(3):
         all_free = all(m.is_free(p) for p in m.primes)
@@ -433,3 +464,76 @@ def test_json_round_trip():
     assert '"q"' in text and '"inf"' in text
     back = pair_from_json(json.dumps({"primes": blob["primes"], "rel": blob["rel"]}))
     assert back == m.pair
+
+
+# -- catalogue --------------------------------------------------------------------
+
+
+def _brute_force_prime_pairs(max_primes):
+    """The catalogue by definition: every strict order inside the natural
+    order times every regular subset, in (mask, subset) order, keeping the
+    first of each class under all n! relabellings (the enumerator before
+    orderly generation)."""
+    out = []
+    for n in range(max_primes + 1):
+        ids = [f"g{i}" for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+        perms = list(itertools.permutations(range(n)))
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+            if any((a, c) not in rel for a, b in rel for b2, c in rel if b2 == b):
+                continue
+            for regmask in range(1 << n):
+                reg = {i for i in range(n) if regmask >> i & 1}
+                full = rel | {(i, i) for i in reg}
+                canon = min(tuple(sorted((p[a], p[b]) for a, b in full)) for p in perms)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                out.append(PrimePair(tuple(ids), frozenset((ids[a], ids[b]) for a, b in full)))
+    return out
+
+
+def test_enumerate_prime_pairs_matches_brute_force():
+    assert enumerate_prime_pairs(4) == _brute_force_prime_pairs(4)
+
+
+def test_enumerate_prime_pairs_counts():
+    counts = [0] * 6
+    for pair in enumerate_prime_pairs(5):
+        counts[len(pair.primes)] += 1
+    assert counts == [1, 2, 7, 32, 192, 1490]
+
+
+@functools.cache
+def _six_prime_pairs():
+    return [pair for pair in enumerate_prime_pairs(6) if len(pair.primes) == 6]
+
+
+def _canonical_pair(n, rel):
+    """The catalogue's representative of the pair on 0..n-1 with relation rel:
+    the canonical strict order, and the least image of the regular subset
+    under its automorphisms."""
+    strict = {(a, b) for a, b in rel if a != b}
+    canon = _natural_relation(n, _canonical_mask(n, _above_masks(n, strict)))
+    iso = relation_iso(range(n), strict, range(n), canon)
+    regmask = sum(1 << iso[a] for a, b in rel if a == b)
+    regmask = min(
+        sum(1 << g[i] for i in range(n) if regmask >> i & 1)
+        for g in _automorphisms(n, canon)
+    )
+    ids = [f"g{i}" for i in range(n)]
+    full = canon | {(i, i) for i in range(n) if regmask >> i & 1}
+    return PrimePair(tuple(ids), frozenset((ids[a], ids[b]) for a, b in full))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.permutations(range(6)))
+def test_canonical_pair_undoes_relabelling(index, perm):
+    # a pair on 6 primes, beyond the reach of the brute force, relabelled at
+    # random: its canonical form is the same representative
+    pairs = _six_prime_pairs()
+    pair = pairs[index % len(pairs)]
+    rel = {(perm[int(q[1:])], perm[int(p[1:])]) for q, p in pair.rel}
+    assert _canonical_pair(6, rel) == pair
