@@ -35,7 +35,7 @@ from .graphmon import (
     hereditary_saturated,
     parse_quiver,
 )
-from .leavitt import generator, one
+from .leavitt import _lemma26_exhaustive, generator, one
 from .ratfunc import Poly, RatFunc
 from . import toeplitz as tp
 
@@ -150,7 +150,7 @@ def cmd_verify_algebra(args):
             if tp.act_word(space, top_word, v) != tp.act_element(space, x, v):
                 mismatches += 1
                 break
-    lemma26 = _lemma26_exhaustive(poset, space)
+    lemma26 = _lemma26_exhaustive(poset)
     # the one-sided inverse stays one-sided: alpha.alphabar must differ
     # from the vertex idempotent at every arrow
     strict = []
@@ -179,34 +179,6 @@ def cmd_verify_algebra(args):
     ok = rel_ok and mismatches == 0 and lemma26 and one_sided_ok
     _emit(args, _report("verify-algebra", [args.poset], payload, ok=ok))
     return 0 if ok else 1
-
-
-def _lemma26_exhaustive(poset, space, span=2):
-    """Sandwiches betabar . monomial . beta: a scalar multiple of the lower
-    idempotent on the same cover, zero across different covers."""
-    import itertools
-
-    for p in poset.elements:
-        covers = lower_covers(poset, p)
-        if not covers:
-            continue
-        for exps in itertools.product(range(-span, span + 1), repeat=len(covers)):
-            m = one(poset)
-            for q, e in zip(covers, exps):
-                kind = "alpha" if e > 0 else "alphabar"
-                for _ in range(abs(e)):
-                    m = m * generator(poset, kind, p, q)
-            for q in covers:
-                for q2 in covers:
-                    res = generator(poset, "betabar", p, q) * m * generator(poset, "beta", p, q2)
-                    if q != q2:
-                        if not res.is_zero():
-                            return False
-                    else:
-                        for key in res.terms:
-                            if key.left or key.right or key.powers or key.mid != q:
-                                return False
-    return True
 
 
 def cmd_graphmon(args):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .poset import PosetError, Quiver
-from .primon import congruence_oracle
+from .primon import _bounded_words, congruence_oracle
 
 
 @dataclass(frozen=True)
@@ -138,24 +138,13 @@ def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
     chain_oracle = congruence_oracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
     gens_g = [f"v{i}" for i in range(r + 1)]
     gens_c = [f"p{i}" for i in range(r + 1)]
-    words = list(_words(r + 1, bound))
+    words = list(_bounded_words(r + 1, bound))
     for w1, w2 in itertools.combinations(words, 2):
         g_eq = graph_oracle.equal(dict(zip(gens_g, w1)), dict(zip(gens_g, w2)))
         c_eq = chain_oracle.equal(dict(zip(gens_c, w1)), dict(zip(gens_c, w2)))
         if g_eq != c_eq:
             return (w1, w2, g_eq, c_eq)
     return None
-
-
-def _words(k, bound):
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + k - 1), k - 1):
-            word = []
-            prev = -1
-            for c in list(cuts) + [total + k - 1]:
-                word.append(c - prev - 1)
-                prev = c
-            yield tuple(word)
 
 
 def detect_Er(quiver: Quiver):

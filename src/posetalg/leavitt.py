@@ -21,6 +21,7 @@ terminates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -365,10 +366,7 @@ def grade(x: AlgElement) -> dict:
     bottom vertex); the components sum back to x."""
     out = {}
     for key, coeff in x.terms.items():
-        g1 = (key.left[0][0],) + tuple(s[1] for s in key.left) if key.left else (key.mid,)
-        g2 = tuple(s[0] for s in reversed(key.right)) + (key.mid,)
-        comp = out.setdefault((g1, g2), {})
-        comp[key] = coeff
+        out.setdefault(key.paths(), {})[key] = coeff
     return {pair: AlgElement(x.poset, terms) for pair, terms in out.items()}
 
 
@@ -404,11 +402,7 @@ def injectivity_probe(x: AlgElement):
     if x.is_zero():
         raise AlgebraError("probe needs a nonzero element")
     P = x.poset
-    pairs = set()
-    for key in x.terms:
-        g1 = (key.left[0][0],) + tuple(s[1] for s in key.left) if key.left else (key.mid,)
-        g2 = tuple(s[0] for s in reversed(key.right)) + (key.mid,)
-        pairs.add((g1, g2))
+    pairs = {key.paths() for key in x.terms}
 
     def extends(shorter, longer):
         return len(longer) >= len(shorter) and longer[: len(shorter)] == shorter
@@ -459,6 +453,32 @@ def injectivity_probe(x: AlgElement):
     if not any(k.left == () and k.right == () and k.mid == p for k in corner.terms):
         raise AlgebraError("probe failed to isolate the trivial path pair")
     return p, z1, z2, cur
+
+
+def _lemma26_exhaustive(poset: LabelledPoset, span=2) -> bool:
+    """Sandwiches betabar . monomial . beta: a scalar multiple of the lower
+    idempotent on the same cover, zero across different covers."""
+    for p in poset.elements:
+        covers = lower_covers(poset, p)
+        if not covers:
+            continue
+        for exps in itertools.product(range(-span, span + 1), repeat=len(covers)):
+            m = one(poset)
+            for q, e in zip(covers, exps):
+                kind = "alpha" if e > 0 else "alphabar"
+                for _ in range(abs(e)):
+                    m = m * generator(poset, kind, p, q)
+            for q in covers:
+                for q2 in covers:
+                    res = generator(poset, "betabar", p, q) * m * generator(poset, "beta", p, q2)
+                    if q != q2:
+                        if not res.is_zero():
+                            return False
+                    else:
+                        for key in res.terms:
+                            if key.left or key.right or key.powers or key.mid != q:
+                                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

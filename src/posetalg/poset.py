@@ -291,7 +291,7 @@ def height(poset: LabelledPoset, p: str) -> int:
 def depth(poset: LabelledPoset, p: str) -> int:
     """Length of the longest chain above p (0 for maximal elements)."""
     poset.check(p)
-    uppers = [q for q in poset.elements if p in poset.strict[q] and p in compute_lower_covers(poset.strict, q)]
+    uppers = [q for q in poset.elements if p in poset.labels.get(q, ())]
     return 0 if not uppers else 1 + max(depth(poset, q) for q in uppers)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .poset import LabelledPoset, _automorphisms, _natural_relation, _order_masks, relation_iso
@@ -97,34 +98,55 @@ ZERO = MonElem(())
 
 @dataclass(frozen=True)
 class PhiTuple:
-    """Value of the counting-map tuple; entries are ints or INF."""
+    """Value of the counting-map tuple; entries are ints or INF, by prime name.
+
+    Tuples of one monoid are aligned, so ``add`` and ``leq`` work entry by
+    entry."""
 
     values: tuple[tuple[str, int | float], ...]
 
     def __getitem__(self, p):
-        return dict(self.values)[p]
+        for q, v in self.values:
+            if q == p:
+                return v
+        raise KeyError(p)
 
     def add(self, other):
-        d1, d2 = dict(self.values), dict(other.values)
-        return PhiTuple(tuple(sorted((p, d1[p] + d2[p]) for p in d1)))
+        return PhiTuple(tuple((p, v + w) for (p, v), (_, w) in zip(self.values, other.values)))
 
     def leq(self, other):
-        d2 = dict(other.values)
-        return all(v <= d2[p] for p, v in self.values)
+        return all(v <= w for (_, v), (_, w) in zip(self.values, other.values))
 
 
 class PrimitiveMonoid:
-    """The abelian monoid presented by a PrimePair."""
+    """The abelian monoid presented by a PrimePair.
+
+    Elements live in one dense core: coefficient vectors over the primes
+    sorted by name (repeated names in a corrupted pair stay adjacent, and a
+    name read from a word or a MonElem goes to its first index), reduced
+    with one absorber bitmask per prime.  ``_elem`` is the only way from a
+    vector to the public MonElem, so every element lists its primes by name.
+    """
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
         self.primes = pair.primes
+        above = {q: set() for q in pair.primes}
+        for q, p in pair.rel:
+            if q != p:
+                above[q].add(p)
         # strictly_above[q] = primes p != q absorbing q
-        self.strictly_above = {
-            q: frozenset(p for q2, p in pair.rel if q2 == q and p != q) for q in pair.primes
-        }
+        self.strictly_above = {q: frozenset(ps) for q, ps in above.items()}
         self.regular = frozenset(q for q in pair.primes if (q, q) in pair.rel)
-        self._add_cache = {}
+        self._names = tuple(sorted(pair.primes))
+        self._bits = tuple(1 << i for i in range(len(self._names)))
+        self._index = {}
+        named = {}  # prime name -> the bits of its indices
+        for i, p in enumerate(self._names):
+            self._index.setdefault(p, i)
+            named[p] = named.get(p, 0) | 1 << i
+        self._absorbers = tuple(sum(named[q] for q in self.strictly_above[p]) for p in self._names)
+        self._regular_mask = sum(named[p] for p in self.regular)
 
     def __repr__(self):
         return f"PrimitiveMonoid({len(self.primes)} primes)"
@@ -140,33 +162,69 @@ class PrimitiveMonoid:
     def is_regular(self, p) -> bool:
         return not self.is_free(p)
 
+    # -- the dense core ----------------------------------------------------
+
+    def _vec(self, x: MonElem) -> tuple:
+        """The coefficient vector of an element, summed by prime name."""
+        vec = [0] * len(self._names)
+        for p, n in x.coeffs:
+            try:
+                vec[self._index[p]] += n
+            except KeyError:
+                self.check_prime(p)
+        return tuple(vec)
+
+    def _support(self, vec) -> int:
+        support = 0
+        for bit, c in zip(self._bits, vec):
+            if c:
+                support |= bit
+        return support
+
+    def _reduced(self, vec) -> tuple:
+        """Canonical form: absorbed coordinates to 0, regular ones to 1."""
+        support = self._support(vec)
+        regular = self._regular_mask
+        return tuple(
+            [
+                0 if not c or up & support else (1 if bit & regular else c)
+                for bit, up, c in zip(self._bits, self._absorbers, vec)
+            ]
+        )
+
+    def _add_vec(self, u, v) -> tuple:
+        return self._reduced(tuple(map(operator.add, u, v)))
+
+    def _phi_vec(self, vec) -> tuple:
+        """The counting maps of a vector, one per index."""
+        support = self._support(vec)
+        infinite = self._regular_mask & support
+        return tuple(
+            [
+                INF if up & support or bit & infinite else c
+                for bit, up, c in zip(self._bits, self._absorbers, vec)
+            ]
+        )
+
+    def _elem(self, vec) -> MonElem:
+        return MonElem(tuple([(p, c) for p, c in zip(self._names, vec) if c]))
+
     # -- elements ----------------------------------------------------------
 
     def reduce(self, word: dict) -> MonElem:
         """Canonical form: drop absorbed primes, clip regular coefficients."""
-        for p in word:
+        vec = [0] * len(self._names)
+        for p, n in word.items():
             self.check_prime(p)
-        support = {p for p, n in word.items() if n > 0}
-        survivors = {p for p in support if not (self.strictly_above[p] & support)}
-        coeffs = []
-        for p in sorted(survivors):
-            n = 1 if p in self.regular else word[p]
-            coeffs.append((p, n))
-        return MonElem(tuple(coeffs))
+            if n > 0:
+                vec[self._index[p]] = n
+        return self._elem(self._reduced(vec))
 
     def gen(self, p) -> MonElem:
         return self.reduce({p: 1})
 
     def add(self, x: MonElem, y: MonElem) -> MonElem:
-        key = (x.coeffs, y.coeffs)
-        hit = self._add_cache.get(key)
-        if hit is None:
-            merged = x.as_dict()
-            for p, n in y.coeffs:
-                merged[p] = merged.get(p, 0) + n
-            hit = self.reduce(merged)
-            self._add_cache[key] = hit
-        return hit
+        return self._elem(self._add_vec(self._vec(x), self._vec(y)))
 
     def equal(self, x: MonElem, y: MonElem) -> bool:
         return x.coeffs == y.coeffs
@@ -192,18 +250,8 @@ class PrimitiveMonoid:
         return False
 
     def phi(self, x: MonElem) -> PhiTuple:
-        """The counting-map tuple of a reduced element."""
-        supp = set(x.support())
-        vals = []
-        for g in self.primes:
-            absorbed = any(q in self.strictly_above[g] for q in supp)
-            if absorbed or (g in supp and g in self.regular):
-                vals.append((g, INF))
-            elif g in supp:
-                vals.append((g, x.coeff(g)))
-            else:
-                vals.append((g, 0))
-        return PhiTuple(tuple(sorted(vals)))
+        """The counting-map tuple of an element."""
+        return PhiTuple(tuple(zip(self._names, self._phi_vec(self._vec(x)))))
 
     def phi_bruteforce(self, g, x: MonElem, nmax=6, zbound=3):
         """sup{n <= nmax : n*g <= x} computed by the definition (test oracle)."""
@@ -218,22 +266,16 @@ class PrimitiveMonoid:
     # -- enumeration -------------------------------------------------------
 
     def elements(self, max_size: int):
-        """All reduced elements with total coefficient size <= max_size."""
-        supports = []
-        for k in range(len(self.primes) + 1):
-            for combo in itertools.combinations(self.primes, k):
-                s = set(combo)
-                if all(not (self.strictly_above[p] & s) for p in combo):
-                    supports.append(combo)
+        """All reduced elements with total coefficient size <= max_size, by
+        size and then coefficients (a repeated prime name gives repeats)."""
         out = []
-        for supp in supports:
-            ranges = []
-            for p in supp:
-                hi = 1 if p in self.regular else max_size
-                ranges.append(range(1, hi + 1))
-            for coeffs in itertools.product(*ranges):
-                if sum(coeffs) <= max_size:
-                    out.append(MonElem(tuple(zip(supp, coeffs))))
+        for support in range(1 << len(self._names)):
+            slots = [i for i, bit in enumerate(self._bits) if bit & support]
+            if any(self._absorbers[i] & support for i in slots):
+                continue
+            names = [self._names[i] for i in slots]
+            ranges = [range(1, 2 if self._bits[i] & self._regular_mask else max_size + 1) for i in slots]
+            out += (MonElem(tuple(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
         out.sort(key=lambda e: (e.size(), e.coeffs))
         return out
 
@@ -307,108 +349,33 @@ def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):
 # verifiers
 
 
-class _VecOps:
-    """Coefficient-vector arithmetic for the verifiers.
-
-    Reduction works on tuples aligned with the prime list, with absorber
-    bitmasks; the absorber reach is the path closure, which coincides with
-    the lower closure on valid pairs but stays sound on deliberately
-    corrupted (non-transitive) relations.
-    """
-
-    def __init__(self, m: PrimitiveMonoid):
-        self.m = m
-        self.primes = m.primes
-        n = len(m.primes)
-        idx = {p: i for i, p in enumerate(m.primes)}
-        self.absorbers = [0] * n
-        for i, p in enumerate(m.primes):
-            for q in m.strictly_above[p]:
-                self.absorbers[i] |= 1 << idx[q]
-        self.regular = [p in m.regular for p in m.primes]
-        # reach[i] = bitmask of primes with an absorption path into prime i
-        self.reach = []
-        for i in range(n):
-            mask = 1 << i
-            frontier = [i]
-            while frontier:
-                j = frontier.pop()
-                for k in range(n):
-                    if not mask >> k & 1 and self.absorbers[k] >> j & 1:
-                        mask |= 1 << k
-                        frontier.append(k)
-            self.reach.append(mask)
-        self._add_cache = {}
-
-    def reduce(self, vec):
-        mask = 0
-        for i, c in enumerate(vec):
-            if c:
-                mask |= 1 << i
-        return tuple(
-            (1 if self.regular[i] else c) if c and not (self.absorbers[i] & mask) else 0
-            for i, c in enumerate(vec)
-        )
-
-    def add(self, u, v):
-        key = (u, v)
-        hit = self._add_cache.get(key)
-        if hit is None:
-            hit = self.reduce(tuple(a + b for a, b in zip(u, v)))
-            self._add_cache[key] = hit
-        return hit
-
-    def to_vec(self, elem: MonElem):
-        d = elem.as_dict()
-        return tuple(d.get(p, 0) for p in self.primes)
-
-    def to_elem(self, vec):
-        return MonElem(tuple((p, c) for p, c in zip(self.primes, vec) if c))
-
-    def support_reach(self, vec):
-        mask = 0
-        for i, c in enumerate(vec):
-            if c:
-                mask |= self.reach[i]
-        return mask
-
-    def candidates(self, caps, allowed_mask):
-        """Reduced vectors supported inside the mask, coefficients capped
-        (absorbed coordinates never need more than one copy)."""
-        slots = [i for i in range(len(self.primes)) if allowed_mask >> i & 1]
-        ranges = [range((1 if self.regular[i] else caps[i]) + 1) for i in slots]
-        out = []
-        for combo in itertools.product(*ranges):
-            vec = [0] * len(self.primes)
-            for i, c in zip(slots, combo):
-                vec[i] = c
-            vec = tuple(vec)
-            if self.reduce(vec) == vec:
-                out.append(vec)
-        return out
-
-
-def _uncertified(ops: _VecOps, size_bound: int):
+def _uncertified(m: PrimitiveMonoid, size_bound: int):
     """Yield, per sum group in sorted order, the equalities x1 + x2 = y1 + y2
     over elements of size <= size_bound whose constructed refinement fails
-    its ``add`` check (see ``check_refinement``); settled groups are skipped."""
-    n = len(ops.primes)
-    elems = []
-    phi = {}  # reduced vector -> dense phi vector, aligned with ops.primes
-    for e in ops.m.elements(size_bound):
-        v = ops.to_vec(e)
-        elems.append(v)
-        values = dict(ops.m.phi(e).values)
-        phi[v] = tuple(values[p] for p in ops.primes)
+    its ``add`` check (see ``check_refinement``); settled groups are skipped.
+
+    Sums are memoised for the life of the generator only."""
+    n = len(m.primes)
+    memo = {}
+
+    def add(u, v):
+        hit = memo.get((u, v))
+        if hit is None:
+            hit = memo[u, v] = m._add_vec(u, v)
+        return hit
+
+    elems = [m._reduced(m._vec(e)) for e in m.elements(size_bound)]
+    phi = {v: m._phi_vec(v) for v in elems}  # aligned with the core's indices
     by_sum = {}
     for x1, x2 in itertools.product(elems, repeat=2):
         if x1 <= x2:
-            by_sum.setdefault(ops.add(x1, x2), []).append((x1, x2))
+            by_sum.setdefault(add(x1, x2), []).append((x1, x2))
 
     # top down: a prime has more absorbers than any prime above it
+    up = m._absorbers
     walk = [
-        (h, 1 << h, ops.absorbers[h], ops.regular[h])
-        for h in sorted(range(n), key=lambda h: bin(ops.absorbers[h]).count("1"))
+        (h, 1 << h, up[h], m._regular_mask >> h & 1)
+        for h in sorted(range(n), key=lambda h: bin(up[h]).count("1"))
     ]
 
     def construct(x1, x2, y1, y2):
@@ -466,7 +433,6 @@ def _uncertified(ops: _VecOps, size_bound: int):
                 nz22 |= bit
         return tuple(z11), tuple(z12), tuple(z21), tuple(z22)
 
-    add = ops.add
     for s in sorted(by_sum):
         pairs = by_sum[s]
         todo = []
@@ -521,37 +487,57 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
     the genuine counterexamples.  Row and column swaps act on refinement
     matrices, so only ordered representatives of each equality are checked.
     """
-    ops = _VecOps(m)
     n = len(m.primes)
-    for todo in _uncertified(ops, size_bound):
+    add = m._add_vec
+    for todo in _uncertified(m, size_bound):
+        # reach[i]: primes with an absorption path into prime i, the path
+        # closure; it is the lower closure on a valid pair and stays sound
+        # on a corrupted (non-transitive) relation
+        reach = []
+        for i in range(n):
+            mask, frontier = 1 << i, [i]
+            while frontier:
+                j = frontier.pop()
+                for k in range(n):
+                    if not mask >> k & 1 and m._absorbers[k] >> j & 1:
+                        mask |= 1 << k
+                        frontier.append(k)
+            reach.append(mask)
         members = {v for quad in todo for v in quad}
-        caps = [max([1] + [v[i] for v in members]) for i in range(n)]
         mask = 0
         for v in members:
-            mask |= ops.support_reach(v)
-        pool = ops.candidates(caps, mask)
+            for i, c in enumerate(v):
+                if c:
+                    mask |= reach[i]
+        # candidates: reduced vectors inside the members' reach, coefficients
+        # capped (absorbed coordinates never need more than one copy)
+        caps = [max([1] + [v[i] for v in members]) for i in range(n)]
+        slots = [i for i in range(n) if mask >> i & 1]
+        ranges = [range((1 if m._regular_mask >> i & 1 else caps[i]) + 1) for i in slots]
+        pool = []
+        for combo in itertools.product(*ranges):
+            vec = [0] * n
+            for i, c in zip(slots, combo):
+                vec[i] = c
+            vec = tuple(vec)
+            if m._reduced(vec) == vec:
+                pool.append(vec)
         decomp = {}
         complete = {}
         for u in pool:
             for v in pool:
-                t = ops.add(u, v)
+                t = add(u, v)
                 if t in members:
                     decomp.setdefault(t, []).append((u, v))
                     complete.setdefault((t, u), []).append(v)
         for x1, x2, y1, y2 in todo:
-            found = False
-            for z11, z12 in decomp.get(x1, ()):
-                for z21 in complete.get((y1, z11), ()):
-                    for z22 in complete.get((y2, z12), ()):
-                        if ops.add(z21, z22) == x2:
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
-                return tuple(ops.to_elem(v) for v in (x1, x2, y1, y2))
+            if not any(
+                add(z21, z22) == x2
+                for z11, z12 in decomp.get(x1, ())
+                for z21 in complete.get((y1, z11), ())
+                for z22 in complete.get((y2, z12), ())
+            ):
+                return tuple(m._elem(v) for v in (x1, x2, y1, y2))
     return None
 
 
@@ -563,13 +549,14 @@ def check_separative(m: PrimitiveMonoid, bound: int):
     one a scan over all ordered pairs would return.
     """
     elems = m.elements(bound)
-    doubles = [m.add(a, a) for a in elems]
+    vecs = [m._vec(a) for a in elems]
+    doubles = [m._add_vec(v, v) for v in vecs]
     by_double = {}
-    for b, bb in zip(elems, doubles):
-        by_double.setdefault(bb, []).append(b)
-    for a, aa in zip(elems, doubles):
-        for b in by_double[aa]:
-            if b != a and m.add(a, b) == aa:
+    for b, vb, bb in zip(elems, vecs, doubles):
+        by_double.setdefault(bb, []).append((b, vb))
+    for a, va, aa in zip(elems, vecs, doubles):
+        for b, vb in by_double[aa]:
+            if b != a and m._add_vec(va, vb) == aa:
                 return (a, b)
     return None
 
@@ -584,16 +571,17 @@ def check_strongly_separative(m: PrimitiveMonoid, bound: int):
     pairs would return.
     """
     elems = m.elements(bound)
-    by_free = {}  # free primes -> {their coefficients: elements}
-    for a in elems:
-        aa = m.add(a, a)
-        free = tuple(p for p, _ in aa.coeffs if p not in m.regular)
+    vecs = [m._vec(a) for a in elems]
+    by_free = {}  # free indices -> {their coefficients: elements}
+    for a, va in zip(elems, vecs):
+        aa = m._add_vec(va, va)
+        free = tuple(i for i, c in enumerate(aa) if c and not m._regular_mask >> i & 1)
         if free not in by_free:
             groups = by_free[free] = {}
-            for b in elems:
-                groups.setdefault(tuple(b.coeff(p) for p in free), []).append(b)
-        for b in by_free[free].get(tuple(aa.coeff(p) - a.coeff(p) for p in free), ()):
-            if b != a and m.add(a, b) == aa:
+            for b, vb in zip(elems, vecs):
+                groups.setdefault(tuple(vb[i] for i in free), []).append((b, vb))
+        for b, vb in by_free[free].get(tuple(aa[i] - va[i] for i in free), ()):
+            if b != a and m._add_vec(va, vb) == aa:
                 return (a, b)
     return None
 
@@ -623,6 +611,17 @@ def apw_graph_shape(m: PrimitiveMonoid) -> bool:
 # bounded congruence oracle
 
 
+def _bounded_words(k, bound):
+    """All exponent vectors of length k and total degree <= bound, in
+    lexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for head in range(bound + 1):
+        for rest in _bounded_words(k - 1, bound - head):
+            yield (head,) + rest
+
+
 class CongruenceOracle:
     """Equality decider for a commutative-monoid presentation, restricted to
     words of total degree <= bound.
@@ -640,7 +639,7 @@ class CongruenceOracle:
         rels = []
         for u, v in relations:
             rels.append((self._vec(u, index), self._vec(v, index)))
-        words = [w for w in self._all_words(len(self.generators), bound)]
+        words = list(_bounded_words(len(self.generators), bound))
         parent = {w: w for w in words}
 
         def find(w):
@@ -671,15 +670,6 @@ class CongruenceOracle:
             vec[index[g]] += n
         return tuple(vec)
 
-    @staticmethod
-    def _all_words(k, bound):
-        if k == 0:
-            yield ()
-            return
-        for head in range(bound + 1):
-            for rest in CongruenceOracle._all_words(k - 1, bound - head):
-                yield (head,) + rest
-
     def _as_vec(self, word):
         vec = self._vec(dict(word), self._index)
         if sum(vec) > self.bound:
@@ -691,7 +681,7 @@ class CongruenceOracle:
 
     def classes(self):
         buckets = {}
-        for w in self._all_words(len(self.generators), self.bound):
+        for w in _bounded_words(len(self.generators), self.bound):
             buckets.setdefault(self._find(w), []).append(w)
         return sorted(buckets.values())
 

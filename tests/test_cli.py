@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from posetalg.cli import main
 FIG2_DSL = "elems p a b; covers a<p b<p; labels p:[a,b]\n"
 SINGLETON_DSL = "elems x\n"
 E1_DSL = "vertices v0 v1; arrows a1:v1->v1 b1:v1->v0\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -136,3 +138,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "pipeline" in proc.stdout
+
+
+def test_reports_match_golden(tmp_path, monkeypatch, capsys):
+    # relative input names keep the reports' "inputs" field fixed
+    (tmp_path / "fig2.poset").write_text(FIG2_DSL)
+    (tmp_path / "e1.quiver").write_text(E1_DSL)
+    monkeypatch.chdir(tmp_path)
+    cases = {
+        "info_fig2": ["info", "fig2.poset"],
+        "pipeline_fig2": ["pipeline", "fig2.poset"],
+        "verify_algebra_fig2": ["verify-algebra", "fig2.poset", "--samples", "10", "--seed", "7"],
+        "graphmon_e1": ["graphmon", "e1.quiver"],
+    }
+    for name, argv in cases.items():
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
