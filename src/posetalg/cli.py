@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .poset import (
-    LowerSet,
     lower_covers,
     lower_sets,
     is_forest,
@@ -259,7 +258,6 @@ def main(argv=None):
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--format", choices=["json", "dot"], default=None)
         p.add_argument("--out", default=None)
 
     common(sub.add_parser("info", help="monoid and lattice summary"))
@@ -272,7 +270,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     config = _load_config(args.config)
-    defaults = {"bound": 4, "depth": 6, "seed": 0, "samples": 50, "format": "json"}
+    defaults = {"bound": 4, "depth": 6, "seed": 0, "samples": 50}
     for key, fallback in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, config.get(key, fallback))

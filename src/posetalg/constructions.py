@@ -16,11 +16,10 @@ shared lower parts recovers the monoid of the whole poset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poset import (
     LabelledPoset,
-    LowerSet,
     PosetError,
     compute_lower_covers,
     depth,
@@ -275,10 +274,18 @@ class MappedPoset:
 
 @dataclass
 class Unfolding:
+    """The unfolding of the down-set of ``top``.
+
+    ``stages[i]`` lists the chain groups of stage i, one per partial poset:
+    each group is a sorted tuple of maximal chains, read downward from
+    ``top``.  Only the last stage's single group is materialized, as
+    ``result``.
+    """
+
     base: LabelledPoset
     top: str
     result: MappedPoset  # the unfolded tree with its surjection onto the down-set
-    stages: list  # stages[i] = list of MappedPoset, one per partial poset
+    stages: list
 
 
 def _chain_signature(base, sig):
@@ -303,17 +310,16 @@ def _materialize(base, chains) -> MappedPoset:
     for b, sigs in by_base.items():
         for k, sig in enumerate(sigs):
             names[sig] = b if len(sigs) == 1 else f"{b}~{k}"
+    kids = {}
+    for sig in prefixes:
+        if len(sig) > 1:
+            kids.setdefault(sig[:-1], []).append(sig)
     covers = []
     labels = {}
-    for sig in prefixes:
-        kids = sorted(
-            (s for s in prefixes if len(s) == len(sig) + 1 and s[: len(sig)] == sig),
-            key=lambda s: base.label_index(sig[-1], s[-1]),
-        )
-        for kid in kids:
-            covers.append((names[kid], names[sig]))
-        if kids:
-            labels[names[sig]] = tuple(names[k] for k in kids)
+    for sig, ks in kids.items():
+        ks.sort(key=lambda s: base.label_index(sig[-1], s[-1]))
+        covers += [(names[k], names[sig]) for k in ks]
+        labels[names[sig]] = tuple(names[k] for k in ks)
     poset = make_poset([names[s] for s in prefixes], covers, labels)
     return MappedPoset(poset, {names[s]: s[-1] for s in prefixes})
 
@@ -321,11 +327,13 @@ def _materialize(base, chains) -> MappedPoset:
 def build_F(base: LabelledPoset, top: str) -> Unfolding:
     """Unfold the down-set of a maximal element into its path tree.
 
-    Stage 0 holds one singleton poset per maximal chain; stage i merges the
-    posets whose designated top chains (the common descending prefix, r-i+1
+    Stage 0 holds one chain group per maximal chain; stage i merges the
+    groups whose designated top chains (the common descending prefix, r-i+1
     elements) agree, taking the disjoint union of everything below.  The
-    final stage is a single poset in which every upper interval is a chain.
+    final stage is one group, whose poset (every upper interval a chain) is
+    the result.  Fiber copies are named ``b~k``, so no base id may hold ``~``.
     """
+    _reject_reserved(base, "~")
     base.check(top)
     if top not in base.maximal():
         raise PosetError(f"{top!r} is not maximal")
@@ -335,7 +343,7 @@ def build_F(base: LabelledPoset, top: str) -> Unfolding:
         key=lambda s: _chain_signature(base, s),
     )
     groups = [(sig,) for sig in chains]
-    stages = [[_materialize(base, g) for g in groups]]
+    stages = [groups]
     for i in range(1, r + 1):
         klen = r - i + 1
         buckets = {}
@@ -352,10 +360,16 @@ def build_F(base: LabelledPoset, top: str) -> Unfolding:
             tuple(sorted(itertools.chain.from_iterable(gs)))
             for _, gs in sorted(buckets.items(), key=lambda kv: str(kv[0]))
         ]
-        stages.append([_materialize(base, g) for g in groups])
-    if len(groups) != 1:
-        raise PosetError("unfolding did not converge to a single poset")
-    return Unfolding(base, top, stages[-1][0], stages)
+        stages.append(groups)
+    return Unfolding(base, top, _materialize(base, chains), stages)
+
+
+def _reject_reserved(base, chars):
+    """Raise PosetError on the first base id that contains one of chars."""
+    for e in base.elements:
+        for c in chars:
+            if c in e:
+                raise PosetError(f"element id {e!r} contains the reserved character {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -513,49 +527,29 @@ class Assembly:
 
 def assemble(base: LabelledPoset) -> Assembly:
     """Product of the reconstructed down-set monoids of the maximal
-    elements, glued along shared lower parts by crowned pushouts."""
-    maxima = sorted(base.maximal())
-    recs = {}
-    parts = []
-    for m in maxima:
-        rec = reconstruct_down(base, m)
-        recs[m] = rec
-        last = rec.stages[-1]
-        tagged = _tag_poset(last.poset, f"@{m}")
-        parts.append(MappedPoset(tagged, {f"{e}@{m}": last.psi[e] for e in last.poset.elements}))
-    if not parts:
-        empty = make_poset([])
-        return Assembly(base, from_poset(empty), empty, {}, recs, 0)
+    elements, glued along shared lower parts by crowned pushouts.
 
-    elements = [e for part in parts for e in part.poset.elements]
-    covers = [
-        (q, p)
-        for part in parts
-        for p in part.poset.elements
-        for q in lower_covers(part.poset, p)
-    ]
-    labels = {}
-    for part in parts:
-        labels.update(part.poset.labels)
-    poset = make_poset(elements, covers, labels)
-    psi = {}
-    for part in parts:
-        psi.update(part.psi)
+    The copy of e in the reconstruction of the maximal element m is named
+    ``e@m``, so no base id may contain ``~`` or ``@``.
+    """
+    _reject_reserved(base, "~@")
+    recs = {m: reconstruct_down(base, m) for m in sorted(base.maximal())}
+    parts, covers, labels, psi = [], [], {}, {}
+    for m, rec in recs.items():
+        last = rec.stages[-1]
+        tag = {e: f"{e}@{m}" for e in last.poset.elements}
+        parts.append(set(tag.values()))
+        for p, kids in last.poset.labels.items():
+            covers += [(tag[q], tag[p]) for q in kids]
+            labels[tag[p]] = tuple(tag[q] for q in kids)
+        psi.update((tag[e], last.psi[e]) for e in tag)
+    poset = make_poset(set().union(*parts), covers, labels)
 
     gluings = 0
-    covered = set(parts[0].poset.elements)
-    for part in parts[1:]:
-        fresh = {e for e in part.poset.elements}
+    covered = set()
+    for fresh in parts:
         before = len(poset.elements)
         poset, psi, _, covered = _glue_overlap(poset, psi, covered, fresh)
         if len(poset.elements) != before:
             gluings += 1
     return Assembly(base, from_poset(poset), poset, psi, recs, gluings)
-
-
-def _tag_poset(poset: LabelledPoset, suffix: str) -> LabelledPoset:
-    covers = [(f"{q}{suffix}", f"{p}{suffix}") for p in poset.elements for q in lower_covers(poset, p)]
-    labels = {
-        f"{p}{suffix}": tuple(f"{q}{suffix}" for q in poset.labels[p]) for p in poset.labels
-    }
-    return make_poset([f"{e}{suffix}" for e in poset.elements], covers, labels)

@@ -40,9 +40,7 @@ def graph_monoid(quiver: Quiver, bound: int = 4):
             rhs[r] = rhs.get(r, 0) + 1
         rels.append((v, tuple(sorted(rhs.items()))))
     pres = GraphMonoidPresentation(quiver, tuple(rels))
-    oracle = congruence_oracle(
-        quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound
-    )
+    oracle = congruence_oracle(quiver.vertices, pres.relation_pairs(), bound)
     return pres, oracle
 
 

@@ -22,12 +22,11 @@ terminates.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset import LabelledPoset, PosetError, lower_covers
+from .poset import LabelledPoset, lower_covers
 from .ratfunc import Poly, poly_str, t_poly
 
 # Step = (upper vertex, lower cover, exponent >= 0)

@@ -109,32 +109,32 @@ class LabelledPoset:
 def compute_lower_covers(strict, p):
     """{q : q < p and the interval [q, p] is {q, p}}."""
     below = strict[p]
-    return {q for q in below if not any(q in strict[r] for r in below if r != q)}
+    return below - set().union(*(strict[r] for r in below))
 
 
-def make_poset(elements, cover_pairs=(), labels=None, declared_order=None):
+def make_poset(elements, cover_pairs=(), labels=None):
     """Build a LabelledPoset from strict-relation pairs (q, p) meaning q < p.
 
     The transitive closure is computed internally; when ``labels`` omits an
     element, its covers are auto-labelled by first appearance in
-    ``declared_order`` (defaulting to ``cover_pairs`` order), then id.  A
-    ``labels`` entry for an unknown element or for an element without lower
-    covers raises PosetError.
+    ``cover_pairs``, then id.  A ``labels`` entry for an unknown element or
+    for an element without lower covers raises PosetError.  Given labels
+    are checked against the covers once, by ``LabelledPoset``.
     """
     elements = tuple(sorted(elements))
     if len(set(elements)) != len(elements):
         raise PosetError("duplicate element ids")
     strict = {e: frozenset(v) for e, v in transitive_closure(elements, cover_pairs).items()}
-    declared = list(declared_order if declared_order is not None else cover_pairs)
+    declared = list(cover_pairs)
     labels = dict(labels or {})
     out_labels = {}
     for p in elements:
-        covers = compute_lower_covers(strict, p)
-        if not covers:
+        if not strict[p]:
             continue
         if p in labels:
             out_labels[p] = tuple(labels[p])
         else:
+            covers = compute_lower_covers(strict, p)
             def first_pos(q, p=p):
                 for i, (a, b) in enumerate(declared):
                     if (a, b) == (q, p):
@@ -291,8 +291,11 @@ def height(poset: LabelledPoset, p: str) -> int:
 def depth(poset: LabelledPoset, p: str) -> int:
     """Length of the longest chain above p (0 for maximal elements)."""
     poset.check(p)
-    uppers = [q for q in poset.elements if p in poset.labels.get(q, ())]
-    return 0 if not uppers else 1 + max(depth(poset, q) for q in uppers)
+    above, n = {q for q in poset.elements if p in poset.strict[q]}, 0
+    while above:  # drop the minimal layer of the elements above p
+        above = {q for q in above if not poset.strict[q].isdisjoint(above)}
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------

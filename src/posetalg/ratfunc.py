@@ -299,9 +299,6 @@ class RatFunc:
     def subst_monomials(self, mapping):
         return RatFunc(self.num.subst_monomials(mapping), self.den.subst_monomials(mapping))
 
-    def depends_on(self, v):
-        return v in self.num.variables() or v in self.den.variables()
-
     def __repr__(self):
         if self.den.is_const() and self.den.const_value() == 1:
             return poly_str(self.num)

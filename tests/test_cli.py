@@ -10,6 +10,8 @@ from posetalg.cli import main
 FIG2_DSL = "elems p a b; covers a<p b<p; labels p:[a,b]\n"
 SINGLETON_DSL = "elems x\n"
 E1_DSL = "vertices v0 v1; arrows a1:v1->v1 b1:v1->v0\n"
+DIAMOND_DSL = "elems b q1 q2 p; covers b<q1 b<q2 q1<p q2<p\n"
+W_DSL = "elems b p1 p2; covers b<p1 b<p2\n"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -144,10 +146,15 @@ def test_reports_match_golden(tmp_path, monkeypatch, capsys):
     # relative input names keep the reports' "inputs" field fixed
     (tmp_path / "fig2.poset").write_text(FIG2_DSL)
     (tmp_path / "e1.quiver").write_text(E1_DSL)
+    # the diamond unfolds b into fibre copies b~0, b~1; the W glues in assemble
+    (tmp_path / "diamond.poset").write_text(DIAMOND_DSL)
+    (tmp_path / "w.poset").write_text(W_DSL)
     monkeypatch.chdir(tmp_path)
     cases = {
         "info_fig2": ["info", "fig2.poset"],
         "pipeline_fig2": ["pipeline", "fig2.poset"],
+        "pipeline_diamond": ["pipeline", "diamond.poset"],
+        "pipeline_w": ["pipeline", "w.poset"],
         "verify_algebra_fig2": ["verify-algebra", "fig2.poset", "--samples", "10", "--seed", "7"],
         "graphmon_e1": ["graphmon", "e1.quiver"],
     }

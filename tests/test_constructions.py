@@ -10,6 +10,7 @@ from posetalg.poset import (
     lower_covers,
     make_poset,
     maximal_chains,
+    parse_poset,
     poset_iso,
 )
 from posetalg.primon import (
@@ -292,6 +293,14 @@ def test_build_F_requires_maximal():
         build_F(fig2_poset(), "a")
 
 
+def test_build_F_rejects_tilde_in_ids():
+    # the fiber copies of b would be named b~0, b~1 and collide with b~0
+    base = parse_poset("elems b b~0 q1 q2 p; covers b<q1 b<q2 q1<p q2<p b~0<q1")
+    for build in (lambda: build_F(base, "p"), lambda: assemble(base)):
+        with pytest.raises(PosetError, match="'b~0'"):
+            build()
+
+
 def test_build_F_postconditions_on_catalogue():
     for poset in enumerate_posets(5):
         for top in poset.maximal():
@@ -403,6 +412,13 @@ def test_assemble_antichain_is_product():
 def test_assemble_w_glues_once():
     asm = assemble(w_poset())
     assert asm.gluings == 1
+
+
+def test_assemble_rejects_at_in_ids():
+    # a tagged under the maximal b@c and a@b tagged under c both give a@b@c
+    base = make_poset(["a", "b@c", "a@b", "c"], [("a", "b@c"), ("a@b", "c")])
+    with pytest.raises(PosetError, match="'a@b'"):
+        assemble(base)
 
 
 def test_assemble_empty():

@@ -312,12 +312,13 @@ def test_refinement_counterexample_on_corrupted_rel():
     assert ce is not None
     x1, x2, y1, y2 = ce
     assert m.add(x1, x2) == m.add(y1, y2)
-    pool = m.elements(4)
+    # the rows that sum to x1 and to x2 first, then the columns
+    pairs = list(itertools.product(m.elements(4), repeat=2))
+    rows1 = [(z11, z12) for z11, z12 in pairs if m.add(z11, z12) == x1]
+    rows2 = [(z21, z22) for z21, z22 in pairs if m.add(z21, z22) == x2]
     assert not any(
-        m.add(z11, z12) == x1 and m.add(z21, z22) == x2
-        and m.add(z11, z21) == y1 and m.add(z12, z22) == y2
-        for z11, z12, z21, z22 in itertools.product(pool, repeat=4)
-        if m.add(z11, z12) == x1
+        m.add(z11, z21) == y1 and m.add(z12, z22) == y2
+        for (z11, z12), (z21, z22) in itertools.product(rows1, rows2)
     )
 
 
