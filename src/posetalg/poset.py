@@ -124,8 +124,11 @@ def make_poset(elements, cover_pairs=(), labels=None):
     elements = tuple(sorted(elements))
     if len(set(elements)) != len(elements):
         raise PosetError("duplicate element ids")
+    cover_pairs = list(cover_pairs)  # read twice: a generator would run dry
     strict = {e: frozenset(v) for e, v in transitive_closure(elements, cover_pairs).items()}
-    declared = list(cover_pairs)
+    first = {}
+    for i, (a, b) in enumerate(cover_pairs):
+        first.setdefault((a, b), i)
     labels = dict(labels or {})
     out_labels = {}
     for p in elements:
@@ -135,12 +138,7 @@ def make_poset(elements, cover_pairs=(), labels=None):
             out_labels[p] = tuple(labels[p])
         else:
             covers = compute_lower_covers(strict, p)
-            def first_pos(q, p=p):
-                for i, (a, b) in enumerate(declared):
-                    if (a, b) == (q, p):
-                        return i
-                return len(declared)
-            out_labels[p] = tuple(sorted(covers, key=lambda q: (first_pos(q), q)))
+            out_labels[p] = tuple(sorted(covers, key=lambda q: (first.get((q, p), len(cover_pairs)), q)))
     stray = labels.keys() - out_labels.keys()
     if stray:
         p = min(stray)
@@ -317,9 +315,6 @@ class Quiver:
 
     def out_arrows(self, v):
         return tuple(a for a in self.arrows if a[1] == v)
-
-    def in_arrows(self, v):
-        return tuple(a for a in self.arrows if a[2] == v)
 
     def source(self, name):
         return next(a[1] for a in self.arrows if a[0] == name)

@@ -229,39 +229,9 @@ class PrimitiveMonoid:
     def equal(self, x: MonElem, y: MonElem) -> bool:
         return x.coeffs == y.coeffs
 
-    def leq(self, x: MonElem, y: MonElem, bound: int | None = None) -> bool:
-        """Algebraic pre-order: some z with x + z = y, found by bounded search.
-
-        z ranges over elements supported below y's support with per-prime
-        coefficient at most (max coefficient of y) + 1, which suffices for
-        free primes (absorbed coordinates never need more than one copy).
-        """
-        if bound is None:
-            bound = max([n for _, n in y.coeffs], default=0) + 1
-        prime_pool = set()
-        for p, _ in y.coeffs:
-            prime_pool.add(p)
-            prime_pool |= {q for q in self.primes if p in self.strictly_above[q] or (q == p)}
-        pool = sorted(prime_pool)
-        for combo in itertools.product(range(bound + 1), repeat=len(pool)):
-            z = dict(zip(pool, combo))
-            if self.add(x, self.reduce(z)) == y:
-                return True
-        return False
-
     def phi(self, x: MonElem) -> PhiTuple:
         """The counting-map tuple of an element."""
         return PhiTuple(tuple(zip(self._names, self._phi_vec(self._vec(x)))))
-
-    def phi_bruteforce(self, g, x: MonElem, nmax=6, zbound=3):
-        """sup{n <= nmax : n*g <= x} computed by the definition (test oracle)."""
-        best = 0
-        for n in range(1, nmax + 1):
-            if self.leq(self.reduce({g: n}), x, bound=zbound):
-                best = n
-            else:
-                return best
-        return INF
 
     # -- enumeration -------------------------------------------------------
 

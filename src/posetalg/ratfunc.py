@@ -1,20 +1,58 @@
 """Sparse multivariate Laurent polynomials and rational functions over Q.
 
 Variables are hashable tuples such as ("t", 3), ("z", "p", 1) or
-("x", "a"); exponents may be negative (Laurent).  Rational functions keep a
-separate denominator only when it is genuinely multi-term: a monomial
-denominator is folded into the numerator.  Equality is decided by
-cross-multiplication, never by gcd computation, which is only a size
-optimization here and is deliberately skipped.
+("x", "a"); exponents may be negative (Laurent).  A coefficient is an
+``int`` whenever it is integral and a ``Fraction`` only otherwise, so
+integer work stays in ``int`` arithmetic.
+
+A rational function is held as content * P / D: a rational content and two
+primitive integer-coefficient Laurent polynomials P and D whose leading
+coefficient (that of the least monomial) is positive.  D is either 1 or has
+several terms: a monomial denominator is folded into P.  By Gauss's lemma a
+product of primitive polynomials is primitive, so products multiply the
+contents once and the primitive parts in ints, with no gcd; sums take one
+integer gcd of the coefficients.  Equality is decided by cross
+multiplication, never by polynomial gcd, which is only a size optimization
+here and is deliberately skipped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _coerce(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _q(c):
+    """An int or Fraction c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _settle(terms):
+    """Turn the integral Fraction coefficients of a fresh dict into ints."""
+    for mono, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[mono] = c.numerator
+    return terms
+
+
+def _poly(terms):
+    """A Poly around a canonical term dict, taken as it is."""
+    p = Poly.__new__(Poly)
+    p.terms = terms
+    return p
 
 
 class Poly:
-    """Canonical sparse polynomial: {monomial: nonzero Fraction}."""
+    """Canonical sparse polynomial: {monomial: nonzero int or Fraction}."""
 
     __slots__ = ("terms",)
 
@@ -22,7 +60,7 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in dict(terms).items():
-                c = Fraction(c)
+                c = _coerce(c)
                 if c:
                     self.terms[mono] = c
 
@@ -30,14 +68,16 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
-        return cls({(): c} if c else {})
+        c = _coerce(c)
+        if c == 1:
+            return _ONE
+        return _poly({(): c} if c else {})
 
     @classmethod
     def var(cls, v, exp=1, coeff=1):
         if exp == 0:
             return cls.const(coeff)
-        return cls({((v, exp),): Fraction(coeff)})
+        return cls({((v, exp),): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -50,7 +90,7 @@ class Poly:
     def const_value(self):
         if not self.is_const():
             raise ValueError("not a constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def variables(self):
         return {v for mono in self.terms for v, _ in mono}
@@ -67,52 +107,31 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Poly()
-        res.terms = out
-        return res
+        return _poly(_settle(_lincomb(1, self.terms, 1, other.terms)))
 
     def __neg__(self):
-        res = Poly()
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return _poly(_settle(_lincomb(1, self.terms, -1, other.terms)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        res = Poly()
-        res.terms = out
-        return res
+        return _poly(_settle(_mul(self.terms, other.terms)))
 
     def scale(self, c):
-        c = Fraction(c)
-        res = Poly()
-        if c:
-            res.terms = {m: cc * c for m, cc in self.terms.items()}
-        return res
+        c = _coerce(c)
+        if c == 1:
+            return self
+        if not c:
+            return Poly()
+        return _poly(_settle({m: cc * c for m, cc in self.terms.items()}))
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
-        out = Poly.const(1)
+        out = _ONE
         for _ in range(n):
             out = out * self
         return out
@@ -126,55 +145,50 @@ class Poly:
         """
         out = {}
         for mono, c in self.terms.items():
-            acc = ()
+            d = {}
             for v, e in mono:
                 if v in mapping:
-                    w, k = mapping[v]
-                    acc = _mono_mul(acc, ((w, k * e),))
-                else:
-                    acc = _mono_mul(acc, ((v, e),))
-            s = out.get(acc, Fraction(0)) + c
+                    v, k = mapping[v]
+                    e *= k
+                d[v] = d.get(v, 0) + e
+            acc = tuple(sorted(kv for kv in d.items() if kv[1]))
+            s = out.get(acc, 0) + c
             if s:
                 out[acc] = s
             else:
-                out.pop(acc, None)
-        res = Poly()
-        res.terms = out
-        return res
+                del out[acc]
+        return _poly(_settle(out))
 
     def degree_span(self, v):
         """(min, max) exponent of v across terms ((0, 0) if absent)."""
-        lo, hi = 0, 0
-        seen = False
-        for mono in self.terms:
-            e = dict(mono).get(v, 0)
-            if not seen:
-                lo = hi = e
-                seen = True
-            else:
-                lo, hi = min(lo, e), max(hi, e)
-        return (lo, hi)
+        exps = [mono_exponent(mono, v) for mono in self.terms]
+        return (min(exps), max(exps)) if exps else (0, 0)
 
     def split_by(self, v):
         """{exponent of v: coefficient Poly without v}."""
         out = {}
         for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.pop(v, 0)
-            rest = tuple(sorted(d.items()))
-            bucket = out.setdefault(e, Poly())
-            s = bucket.terms.get(rest, Fraction(0)) + c
-            if s:
-                bucket.terms[rest] = s
-            else:
-                bucket.terms.pop(rest, None)
-        return {e: p for e, p in out.items() if p.terms}
+            e = mono_exponent(mono, v)
+            rest = tuple(kv for kv in mono if kv[0] != v) if e else mono
+            out.setdefault(e, {})[rest] = c
+        return {e: _poly(terms) for e, terms in out.items()}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+_ONE = _poly({(): 1})
+
+
+def mono_exponent(mono, v):
+    """The exponent of v in a monomial (0 if absent)."""
+    for w, e in mono:
+        if w == v:
+            return e
+    return 0
 
 
 def _mono_mul(m1, m2):
@@ -184,8 +198,67 @@ def _mono_mul(m1, m2):
         if s:
             d[v] = s
         else:
-            d.pop(v, None)
+            del d[v]
     return tuple(sorted(d.items()))
+
+
+def _mul(t1, t2):
+    """Product of two term dicts."""
+    out = {}
+    get = out.get
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            mono = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+            s = get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
+
+
+def _lincomb(k1, t1, k2, t2):
+    """k1 * t1 + k2 * t2 for two term dicts and scalars k1, k2."""
+    out = dict(t1) if k1 == 1 else {m: k1 * c for m, c in t1.items()}
+    get = out.get
+    for mono, c in t2.items():
+        s = get(mono, 0) + (c if k2 == 1 else k2 * c)
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+    return out
+
+
+def _is_one(terms):
+    """Whether a primitive term dict of positive leading coefficient is 1."""
+    return len(terms) == 1 and () in terms
+
+
+def _lead_sign(terms):
+    return -1 if terms[min(terms)] < 0 else 1
+
+
+def _primitive(terms):
+    """(content, primitive Poly) of a nonzero int term dict, the content
+    signed so that the primitive part has a positive leading coefficient."""
+    g = gcd(*terms.values()) * _lead_sign(terms)
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+    return g, (_ONE if _is_one(terms) else _poly(terms))
+
+
+def _split(terms):
+    """(content, primitive Poly) of a nonzero term dict of int or Fraction
+    coefficients."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den != 1:
+        terms = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g, prim = _primitive(terms)
+    return (g if den == 1 else _q(Fraction(g, den))), prim
 
 
 def poly_str(p: Poly, varname=None) -> str:
@@ -221,34 +294,31 @@ def t_poly(i, exp=1) -> Poly:
 
 
 class RatFunc:
-    """Fraction of two Polys; monomial denominators are folded away."""
+    """content * prim / den, with prim and den primitive integer Laurent
+    polynomials of positive leading coefficient and den either 1 or
+    multi-term.  ``num`` is content * prim; zero has content 0."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("content", "prim", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        den = Poly.const(1) if den is None else den
-        if den.is_zero():
+        if den is not None and den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Poly.const(1)
-        elif len(den.terms) == 1:
-            # fold the monomial denominator into the (Laurent) numerator
-            (mono, c), = den.terms.items()
-            inv = tuple((v, -e) for v, e in mono)
-            num = Poly({_mono_mul(m, inv): cc / c for m, cc in num.terms.items()})
-            den = Poly.const(1)
+            content, num, den = 0, _ZERO, _ONE
         else:
-            # normalize the leading denominator coefficient to one
-            lead = den.sorted_terms()[0][1]
-            num = num.scale(Fraction(1) / lead)
-            den = den.scale(Fraction(1) / lead)
-            if num == den:
-                num = den = Poly.const(1)
-        self.num, self.den = num, den
+            content, num = _split(num.terms)
+            if den is None:
+                den = _ONE
+            else:
+                cd, den = _split(den.terms)
+                if cd != 1:
+                    content = _q(Fraction(content) / cd)
+        _init(self, content, num, den)
 
     @classmethod
     def const(cls, c):
-        return cls(Poly.const(c))
+        c = _coerce(c)
+        return _rat(c, _ONE, _ONE) if c else _rat(0, _ZERO, _ONE)
 
     @classmethod
     def of(cls, x):
@@ -258,48 +328,146 @@ class RatFunc:
             return cls(x)
         return cls.const(x)
 
+    @property
+    def num(self) -> Poly:
+        c = self.content
+        if c == 1:
+            return self.prim
+        return _poly({m: _q(x * c) for m, x in self.prim.terms.items()})
+
+    def with_prim(self, terms) -> RatFunc:
+        """content * terms / den for an int term dict, which need not be
+        primitive."""
+        if not terms or not self.content:
+            return _rat(0, _ZERO, _ONE)
+        g, prim = _primitive(terms)
+        return _rat(_q(self.content * g), prim, self.den)
+
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.content
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.content)
 
     def __eq__(self, other):
-        if not isinstance(other, RatFunc):
+        if type(other) is not RatFunc:
             other = RatFunc.of(other)
-        return (self.num * other.den) == (other.num * self.den)
+        c1, c2 = self.content, other.content
+        if c1 != c2 and c1 != -c2:
+            return False
+        d1, d2 = self.den.terms, other.den.terms
+        if d1 == d2:
+            return c1 == c2 and self.prim.terms == other.prim.terms
+        # c1 P1 D2 = c2 P2 D1 with both products primitive
+        x = _mul(self.prim.terms, d2)
+        y = _mul(other.prim.terms, d1)
+        return x == y if c1 == c2 else x == {m: -c for m, c in y.items()}
 
     def __hash__(self):
         raise TypeError("RatFunc is unhashable (equality is cross-multiplied)")
 
     def __add__(self, other):
-        other = RatFunc.of(other)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if type(other) is not RatFunc:
+            other = RatFunc.of(other)
+        c1, c2 = self.content, other.content
+        if not c2:
+            return self
+        if not c1:
+            return other
+        # c1, c2 = h * (k1, k2) / den with coprime ints k1, k2
+        den = lcm(c1.denominator, c2.denominator)
+        k1 = c1.numerator * (den // c1.denominator)
+        k2 = c2.numerator * (den // c2.denominator)
+        h = gcd(k1, k2)
+        k1, k2 = k1 // h, k2 // h
+        p1, p2 = self.prim.terms, other.prim.terms
+        if self.den.terms == other.den.terms:
+            d = self.den
+        elif self.den is _ONE:
+            p1, d = _mul(p1, other.den.terms), other.den
+        elif other.den is _ONE:
+            p2, d = _mul(p2, self.den.terms), self.den
+        else:
+            p1, p2 = _mul(p1, other.den.terms), _mul(p2, self.den.terms)
+            sign, d = _product(self.den, other.den)
+            h *= sign
+        s = _lincomb(k1, p1, k2, p2)
+        if not s:
+            return _rat(0, _ZERO, _ONE)
+        g, prim = _primitive(s)
+        return _rat(h * g if den == 1 else _q(Fraction(h * g, den)), prim, d)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _rat(-self.content, self.prim, self.den)
 
     def __sub__(self, other):
         return self + (-RatFunc.of(other))
 
     def __mul__(self, other):
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if type(other) is not RatFunc:
+            other = RatFunc.of(other)
+        content = _q(self.content * other.content)
+        if not content:
+            return _rat(0, _ZERO, _ONE)
+        sp, p = _product(self.prim, other.prim)
+        sd, d = _product(self.den, other.den)
+        return _rat(content if sp == sd else -content, p, d)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return RatFunc(self.den, self.num)
+        return _rat(_q(1 / Fraction(self.content)), self.den, self.prim)
 
     def __truediv__(self, other):
         return self * RatFunc.of(other).inverse()
 
     def subst_monomials(self, mapping):
-        return RatFunc(self.num.subst_monomials(mapping), self.den.subst_monomials(mapping))
+        if not self.content:
+            return self
+        cn, p = _split(self.prim.subst_monomials(mapping).terms)
+        cd, d = _split(self.den.subst_monomials(mapping).terms)
+        return _rat(_q(Fraction(self.content * cn) / cd), p, d)
 
     def __repr__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den is _ONE:
             return poly_str(self.num)
         return f"({poly_str(self.num)})/({poly_str(self.den)})"
+
+
+_ZERO = _poly({})
+
+
+def _product(a, b):
+    """(sign, product) of two primitive Polys of positive leading
+    coefficient: by Gauss's lemma the product is primitive, so only its
+    sign is split off."""
+    if a is _ONE:
+        return 1, b
+    if b is _ONE:
+        return 1, a
+    t = _mul(a.terms, b.terms)
+    sign = _lead_sign(t)
+    if sign < 0:
+        t = {m: -c for m, c in t.items()}
+    return sign, (_ONE if _is_one(t) else _poly(t))  # Laurent monomials can cancel
+
+
+def _init(r, content, p, d):
+    """Set r to content * p / d for primitive int Polys of positive leading
+    coefficient, folding a monomial d into p; 1 is always the shared _ONE."""
+    if len(d.terms) == 1:
+        ((mono, _),) = d.terms.items()
+        if mono:
+            inv = tuple((v, -e) for v, e in mono)
+            p = {_mono_mul(m, inv): c for m, c in p.terms.items()}
+            p = _ONE if _is_one(p) else _poly(p)
+        d = _ONE
+    elif content == 1 and p.terms == d.terms:
+        p = d = _ONE
+    r.content, r.prim, r.den = content, p, d
+
+
+def _rat(content, p, d):
+    r = RatFunc.__new__(RatFunc)
+    _init(r, content, p, d)
+    return r

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poset import LabelledPoset, lower_covers
-from .ratfunc import Poly, RatFunc, t_poly
+from .ratfunc import Poly, RatFunc, mono_exponent, t_poly
 from .leavitt import AlgElement, AlgebraError, sigma_j_index
 
 
@@ -93,6 +93,15 @@ class RepVector:
             if not c.is_zero():
                 self.coeffs[path] = c
 
+    @classmethod
+    def _trusted(cls, space, coeffs):
+        """A vector from paths of ``space`` and RatFunc coefficients that
+        are known valid; zero coefficients are dropped."""
+        vec = cls.__new__(cls)
+        vec.space = space
+        vec.coeffs = {path: c for path, c in coeffs.items() if c.content}
+        return vec
+
     def is_zero(self):
         return not self.coeffs
 
@@ -108,6 +117,8 @@ class RepVector:
         for p, c in other.coeffs.items():
             s = out.get(p)
             out[p] = c if s is None else s + c
+        if other.space is self.space:
+            return RepVector._trusted(self.space, out)
         return RepVector(self.space, out)
 
     def __sub__(self, other):
@@ -115,7 +126,7 @@ class RepVector:
 
     def scale(self, c):
         c = RatFunc.of(c)
-        return RepVector(self.space, {p: cc * c for p, cc in self.coeffs.items()})
+        return RepVector._trusted(self.space, {p: cc * c for p, cc in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -132,26 +143,30 @@ def leaf_vector(space, path, coeff=1) -> RepVector:
 # generator actions
 
 
-def _const_part(coeff: RatFunc, var) -> RatFunc:
+def _slot_exponents(coeff: RatFunc, var):
+    """(monomial, coefficient, exponent of var) over the primitive numerator,
+    after checking that coeff is polynomial in var."""
     if coeff.den.degree_span(var) != (0, 0):
         raise RepError(f"denominator depends on the polynomial slot {var}")
-    buckets = coeff.num.split_by(var)
-    if buckets and min(buckets) < 0:
+    out = [(mono, c, mono_exponent(mono, var)) for mono, c in coeff.prim.terms.items()]
+    if any(e < 0 for _, _, e in out):
         raise RepError(f"negative power of the polynomial slot {var}")
-    part = buckets.get(0)
-    return RatFunc.const(0) if part is None else RatFunc(part, coeff.den)
+    return out
+
+
+def _const_part(coeff: RatFunc, var) -> RatFunc:
+    return coeff.with_prim({mono: c for mono, c, e in _slot_exponents(coeff, var) if e == 0})
 
 
 def _drop_shift(coeff: RatFunc, var, times=1) -> RatFunc:
-    if coeff.den.degree_span(var) != (0, 0):
-        raise RepError(f"denominator depends on the polynomial slot {var}")
-    out = Poly()
-    for d, part in coeff.num.split_by(var).items():
-        if d < 0:
-            raise RepError(f"negative power of the polynomial slot {var}")
-        if d >= times:
-            out = out + part * Poly.var(var, d - times) if d > times else out + part
-    return RatFunc(out, coeff.den)
+    """Drop the terms of slot degree below times and lower the rest by times."""
+    out = {}
+    for mono, c, d in _slot_exponents(coeff, var):
+        if d > times:
+            out[tuple((v, e - times) if v == var else (v, e) for v, e in mono)] = c
+        elif d == times:
+            out[tuple(kv for kv in mono if kv[0] != var)] = c
+    return coeff.with_prim(out)
 
 
 def _step_subst(poset, p, j):
@@ -167,7 +182,7 @@ def _step_subst(poset, p, j):
 def _apply_step(coeff: RatFunc, poset, p, j):
     mapping, k = _step_subst(poset, p, j)
     tshift = {}
-    for v in coeff.num.variables() | coeff.den.variables():
+    for v in coeff.prim.variables() | coeff.den.variables():
         if v[0] == "t":
             tshift[v] = (("t", v[1] + k - 1), 1)
     return coeff.subst_monomials({**mapping, **tshift})
@@ -185,7 +200,7 @@ def _apply_step_inverse(coeff: RatFunc, poset, p, j):
         return i + 1
 
     mapping = {}
-    for v in coeff.num.variables() | coeff.den.variables():
+    for v in coeff.prim.variables() | coeff.den.variables():
         if v[0] == "t":
             i = v[1]
             if i <= k - 1:
@@ -203,56 +218,52 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
         raise RepError("vector belongs to a different space (context mismatch)")
     P = space.poset
     kind = gen[0]
+    # every path below is a path of vec, or one moved along a lower cover
+    # of the space's poset, so the result skips the public checks
     out = {}
 
     def put(path, c):
-        if not c.is_zero():
-            prev = out.get(path)
-            out[path] = c if prev is None else prev + c
+        prev = out.get(path)
+        out[path] = c if prev is None else prev + c
 
     if kind == "scalar":
         val = RatFunc.of(gen[1])
-        for path, c in vec.coeffs.items():
-            put(path, c * val)
-        return RepVector(space, out)
+        return RepVector._trusted(space, {path: c * val for path, c in vec.coeffs.items()})
 
     if kind == "e":
         p = gen[1]
         P.check(p)
-        for path, c in vec.coeffs.items():
-            if path[0][0] == p:
-                put(path, c)
-        return RepVector(space, out)
+        return RepVector._trusted(space, {path: c for path, c in vec.coeffs.items() if path[0][0] == p})
 
     p, q = gen[1], gen[2]
     if q not in lower_covers(P, p):
         raise RepError(f"{q!r} is not a lower cover of {p!r}")
     slot = P.label_index(p, q)
+    z = zvar(p, slot)
+    if kind == "alphabar":
+        zpow = RatFunc(Poly.var(z))
+    elif kind == "alpha":
+        zpow = RatFunc(Poly.var(z, -1))
+    elif kind not in ("epq", "beta", "betabar"):
+        raise RepError(f"unknown generator {gen!r}")
 
     for path, c in vec.coeffs.items():
         root, j0 = path[0]
         if kind == "epq":
             if root == p and j0 == slot:
-                put(path, _const_part(c, zvar(p, slot)))
+                put(path, _const_part(c, z))
         elif kind == "alphabar":
             if root == p:
-                put(path, c * RatFunc(Poly.var(zvar(p, slot))))
+                put(path, c * zpow)
         elif kind == "alpha":
             if root == p:
-                if j0 != slot:
-                    put(path, c * RatFunc(Poly.const(1), Poly.var(zvar(p, slot))))
-                else:
-                    put(path, _drop_shift(c, zvar(p, slot)))
+                put(path, c * zpow if j0 != slot else _drop_shift(c, z))
         elif kind == "beta":
             if root == p and j0 == slot:
-                c0 = _const_part(c, zvar(p, slot))
-                put(path[1:], _apply_step(c0, P, p, slot))
-        elif kind == "betabar":
-            if root == q:
-                put(((p, slot),) + path, _apply_step_inverse(c, P, p, slot))
-        else:
-            raise RepError(f"unknown generator {gen!r}")
-    return RepVector(space, out)
+                put(path[1:], _apply_step(_const_part(c, z), P, p, slot))
+        elif root == q:  # betabar
+            put(((p, slot),) + path, _apply_step_inverse(c, P, p, slot))
+    return RepVector._trusted(space, out)
 
 
 def act_word(space, word, vec):
@@ -265,7 +276,8 @@ def act_expr(space, expr, vec):
     """expr is a list of (scalar coefficient, word); the actions add up."""
     total = RepVector(space)
     for coeff, word in expr:
-        total = total + act_word(space, word, vec).scale(coeff)
+        out = act_word(space, word, vec)
+        total = total + (out if coeff == 1 else out.scale(coeff))
     return total
 
 
@@ -604,7 +616,7 @@ def _above_window(space, f: SigmaPoly, diff: RepVector, depth):
             return False
         covers = lower_covers(P, p)
         cutoff = depth - f.degree_at(("x", covers[j - 1]))
-        if min(c.num.split_by(zvar(p, j))) <= cutoff:
+        if min(c.prim.split_by(zvar(p, j))) <= cutoff:
             return False
     return True
 

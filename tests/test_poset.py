@@ -89,6 +89,13 @@ def test_parse_comments_and_autolabels():
     assert lower_covers(p, "p") == ("b", "a")
 
 
+def test_autolabels_same_from_list_and_generator():
+    pairs = [(q, "p") for q in ["b", "a"]]
+    from_list = make_poset(["a", "b", "p"], pairs)
+    from_gen = make_poset(["a", "b", "p"], (pair for pair in pairs))
+    assert from_list.labels == from_gen.labels == {"p": ("b", "a")}
+
+
 def test_transitive_closure_of_redundant_input():
     p = make_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     assert lower_covers(p, "c") == ("b",)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetalg.poset import enumerate_posets, fig2_poset, lower_covers, make_poset
 from posetalg.ratfunc import Poly, RatFunc, t_poly
@@ -179,6 +181,42 @@ def test_act_element_matches_word_action():
         ]
         for v in samples:
             assert act_word(SPACE, top, v) == act_element(SPACE, x, v)
+
+
+def _word_strategy(poset):
+    gens = [("e", p) for p in poset.elements] + [("t", 1), ("t", 2), ("scalar", Fraction(-2, 3))]
+    for p in poset.elements:
+        for q in lower_covers(poset, p):
+            gens += [(k, p, q) for k in ("epq", "alpha", "alphabar", "beta", "betabar")]
+    return st.lists(st.sampled_from(gens), min_size=2, max_size=5)
+
+
+@pytest.mark.parametrize("poset", [FIG2, diamond()], ids=["fig2", "diamond"])
+def test_act_word_matches_act_element_of_the_product(poset):
+    space = build_space(poset)
+    samples = sample_vectors(space, 2)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_word_strategy(poset))
+    def check(word):
+        x = one(poset)
+        for g_ in word:
+            x = x * generator(poset, *g_)
+        top = [("scalar", RatFunc(t_poly(g_[1]))) if g_[0] == "t" else g_ for g_ in word]
+        for v in samples:
+            assert act_word(space, top, v) == act_element(space, x, v)
+
+    check()
+
+
+def test_act_and_repvector_reject_foreign_vectors():
+    other = build_space(chain(1))
+    foreign = leaf_vector(other, (("c1", 1), ("c0", 0)))
+    for gen in [("e", "p"), ("alpha", "p", "a"), ("scalar", 2)]:
+        with pytest.raises(RepError):
+            act(SPACE, gen, foreign)
+    with pytest.raises(RepError):  # p's first branch runs through a, not b
+        RepVector(SPACE, {(("p", 1), ("b", 0)): 1})
 
 
 def test_act_element_rejects_foreign_poset():
