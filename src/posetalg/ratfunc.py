@@ -346,6 +346,9 @@ class RatFunc:
     def is_zero(self):
         return not self.content
 
+    def variables(self):
+        return self.prim.variables() | self.den.variables()
+
     def __bool__(self):
         return bool(self.content)
 
@@ -424,8 +427,14 @@ class RatFunc:
     def subst_monomials(self, mapping):
         if not self.content:
             return self
-        cn, p = _split(self.prim.subst_monomials(mapping).terms)
-        cd, d = _split(self.den.subst_monomials(mapping).terms)
+        d = self.den.subst_monomials(mapping).terms
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        p = self.prim.subst_monomials(mapping).terms
+        if not p:  # colliding monomials cancelled
+            return _rat(0, _ZERO, _ONE)
+        cn, p = _split(p)
+        cd, d = _split(d)
         return _rat(_q(Fraction(self.content * cn) / cd), p, d)
 
     def __repr__(self):
@@ -460,6 +469,8 @@ def _init(r, content, p, d):
         if mono:
             inv = tuple((v, -e) for v, e in mono)
             p = {_mono_mul(m, inv): c for m, c in p.terms.items()}
+            if _lead_sign(p) < 0:  # the least monomial can change
+                content, p = -content, {m: -c for m, c in p.items()}
             p = _ONE if _is_one(p) else _poly(p)
         d = _ONE
     elif content == 1 and p.terms == d.terms:

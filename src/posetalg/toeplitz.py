@@ -99,7 +99,7 @@ class RepVector:
         are known valid; zero coefficients are dropped."""
         vec = cls.__new__(cls)
         vec.space = space
-        vec.coeffs = {path: c for path, c in coeffs.items() if c.content}
+        vec.coeffs = {path: c for path, c in coeffs.items() if c}
         return vec
 
     def is_zero(self):
@@ -182,7 +182,7 @@ def _step_subst(poset, p, j):
 def _apply_step(coeff: RatFunc, poset, p, j):
     mapping, k = _step_subst(poset, p, j)
     tshift = {}
-    for v in coeff.prim.variables() | coeff.den.variables():
+    for v in coeff.variables():
         if v[0] == "t":
             tshift[v] = (("t", v[1] + k - 1), 1)
     return coeff.subst_monomials({**mapping, **tshift})
@@ -200,7 +200,7 @@ def _apply_step_inverse(coeff: RatFunc, poset, p, j):
         return i + 1
 
     mapping = {}
-    for v in coeff.prim.variables() | coeff.den.variables():
+    for v in coeff.variables():
         if v[0] == "t":
             i = v[1]
             if i <= k - 1:
@@ -616,7 +616,7 @@ def _above_window(space, f: SigmaPoly, diff: RepVector, depth):
             return False
         covers = lower_covers(P, p)
         cutoff = depth - f.degree_at(("x", covers[j - 1]))
-        if min(c.prim.split_by(zvar(p, j))) <= cutoff:
+        if c.num.degree_span(zvar(p, j))[0] <= cutoff:
             return False
     return True
 

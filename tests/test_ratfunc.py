@@ -80,6 +80,22 @@ def test_ratfunc_same_nontrivial_num_den_is_one():
     assert RatFunc(d, d).num == Poly.const(1)
 
 
+def test_ratfunc_folded_monomial_keeps_equality():
+    # dividing by X reorders the terms: X*Y - X^2 leads with X*Y, Y - X with X
+    x, y = Poly.var(("t", 1)), Poly.var(("t", 2))
+    assert RatFunc(x * y - x * x, x) == RatFunc(y - x)
+    assert RatFunc(x, x * y - x * x).inverse() == RatFunc(y - x)
+    assert RatFunc(y - x) / RatFunc(x * y - x * x, x) == RatFunc.const(1)
+
+
+def test_ratfunc_collapsing_substitution():
+    r = RatFunc(Poly.var(X) - Poly.var(Y))
+    assert r.subst_monomials({Y: (X, 1)}) == RatFunc.const(0)
+    s = RatFunc(Poly.const(1), Poly.var(X) - Poly.var(Y))
+    with pytest.raises(ZeroDivisionError):
+        s.subst_monomials({Y: (X, 1)})
+
+
 def test_ratfunc_unhashable():
     with pytest.raises(TypeError):
         hash(RatFunc.const(1))

@@ -1,8 +1,9 @@
 """RatFunc against sympy as an independent oracle (test-only dependency).
 
-Random expressions built with + - * / over Laurent monomials in three
-variables, with integer and rational coefficients, are evaluated twice: by
-the integer kernel and by sympy.  The kernel must call two expressions equal
+Random expressions built with + - * / and inverses, over Laurent monomials
+and sums of them divided by a monomial, in three variables with integer and
+rational coefficients, are evaluated twice: by the integer kernel and by
+sympy.  The kernel must call two expressions equal
 exactly when ``sympy.cancel`` reduces their difference to zero, and its
 content * P / D form must be the expression itself.
 """
@@ -39,19 +40,38 @@ coefficients = st.one_of(
 
 
 @st.composite
-def monomials(draw):
+def monomial_polys(draw, coeffs=coefficients):
     """One Laurent monomial term in two or three of the variables."""
     nvars = draw(st.integers(2, 3))
-    coeff = draw(coefficients)
+    coeff = draw(coeffs)
     exps = draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
     mono = tuple(sorted((VARS[i], e) for i, e in enumerate(exps) if e))
-    poly = Poly({mono: coeff})
+    return Poly({mono: coeff})
+
+
+@st.composite
+def monomials(draw):
+    poly = draw(monomial_polys())
     return RatFunc(poly), to_sympy(poly)
 
 
+@st.composite
+def over_monomials(draw):
+    """A sum of one to three terms over a monomial denominator, which the
+    kernel folds into its numerator."""
+    terms = draw(st.lists(monomial_polys(), min_size=1, max_size=3))
+    num = sum(terms, Poly())
+    den = draw(monomial_polys(st.sampled_from([1, -2, Fraction(3, 2)])))
+    return RatFunc(num, den), to_sympy(num) / to_sympy(den)
+
+
 def combine(children):
-    """One + - * / node over two subexpressions; a division by zero keeps
-    the dividend."""
+    """One + - * / node over two subexpressions, or the inverse of one; a
+    division by zero keeps the dividend and zero is its own inverse."""
+
+    def invert(a):
+        ra, sa = a
+        return a if ra.is_zero() else (ra.inverse(), 1 / sa)
 
     def apply(op, a, b):
         (ra, sa), (rb, sb) = a, b
@@ -65,10 +85,13 @@ def combine(children):
             return ra, sa
         return ra / rb, sa / sb
 
-    return st.builds(apply, st.sampled_from("+-*/"), children, children)
+    return st.one_of(
+        st.builds(apply, st.sampled_from("+-*/"), children, children),
+        st.builds(invert, children),
+    )
 
 
-expressions = st.recursive(monomials(), combine, max_leaves=5)
+expressions = st.recursive(st.one_of(monomials(), over_monomials()), combine, max_leaves=5)
 
 
 def check_form(r: RatFunc, s):
