@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from .poset import (
     LabelledPoset,
     PosetError,
+    _depths,
     compute_lower_covers,
-    depth,
-    down_set,
     height,
     lower_covers,
     make_poset,
@@ -35,6 +34,7 @@ from .primon import (
     OrderIdeal,
     PrimePair,
     PrimitiveMonoid,
+    _rel_image,
     congruence_oracle,
     from_poset,
     monoid_iso,
@@ -58,9 +58,7 @@ def _check_ideal_iso(m_src, src_primes, m_dst, dst_primes, phi):
         raise MonoidError("ideal map is not a bijection between the prime sets")
     if len(set(phi.values())) != len(phi):
         raise MonoidError("ideal map is not injective")
-    src_rel = {(a, b) for a, b in m_src.pair.rel if a in set(src_primes) and b in set(src_primes)}
-    dst_rel = {(a, b) for a, b in m_dst.pair.rel if a in set(dst_primes) and b in set(dst_primes)}
-    if {(phi[a], phi[b]) for a, b in src_rel} != dst_rel:
+    if _rel_image(m_src.pair.rel, phi) != _rel_image(m_dst.pair.rel, {p: p for p in dst_primes}):
         raise MonoidError("ideal map does not preserve the relation")
 
 
@@ -81,21 +79,20 @@ class CrownedPushout:
 def crowned_pushout(m: PrimitiveMonoid, ideal: OrderIdeal, ideal2: OrderIdeal, phi: dict) -> CrownedPushout:
     """Coequalizer identifying ideal with ideal2 through phi.
 
-    The result lives on the primes of m minus ideal2's, with the inherited
-    relation plus (x, y) whenever x is an ideal prime, y is outside both,
-    and (phi[x], y) holds in m; freeness of surviving primes is untouched.
+    The result lives on the primes of m minus ideal2's.  Its relation is the
+    image of m's under the projection, which sends phi[x] to x and fixes the
+    rest: as the ideals are lower, disjoint and related by phi, that is the
+    inherited relation plus (x, y) whenever x is an ideal prime, y is outside
+    both and (phi[x], y) holds in m.  Freeness of surviving primes is untouched.
     """
     pi_set, pi2_set = ideal.prime_set, ideal2.prime_set
     if pi_set & pi2_set:
         raise MonoidError("crowned pushout needs disjoint ideals")
     _check_ideal_iso(m, pi_set, m, pi2_set, phi)
     survivors = tuple(p for p in m.primes if p not in pi2_set)
-    outside = set(survivors) - pi_set
-    rel = {(q, p) for q, p in m.pair.rel if q in set(survivors) and p in set(survivors)}
-    rel |= {(x, y) for x in pi_set for y in outside if (phi[x], y) in m.pair.rel}
-    q_mon = PrimitiveMonoid(PrimePair(survivors, frozenset(rel)))
     inv = {v: k for k, v in phi.items()}
     pmap = {p: inv.get(p, p) for p in m.primes}
+    q_mon = PrimitiveMonoid(PrimePair(survivors, _rel_image(m.pair.rel, pmap)))
     return CrownedPushout(q_mon, pmap, OrderIdeal(q_mon, frozenset(pi_set)))
 
 
@@ -152,17 +149,18 @@ def amalgam_pushout(m: PrimitiveMonoid, n: PrimitiveMonoid, ideal: OrderIdeal, p
     _check_ideal_iso(m, ideal.prime_set, n, image, phi)
     OrderIdeal(n, image)  # validates the image is an order-ideal of n
 
-    primes = tuple(sorted([f"{p}@1" for p in m.primes] + [f"{p}@2" for p in n.primes]))
-    rel = {(f"{a}@1", f"{b}@1") for a, b in m.pair.rel} | {(f"{a}@2", f"{b}@2") for a, b in n.pair.rel}
-    prod = PrimitiveMonoid(PrimePair(primes, frozenset(rel)))
-    left = OrderIdeal(prod, frozenset(f"{p}@1" for p in ideal.prime_set))
-    right = OrderIdeal(prod, frozenset(f"{p}@2" for p in image))
-    tagged_phi = {f"{p}@1": f"{phi[p]}@2" for p in ideal.prime_set}
+    inj1 = {p: f"{p}@1" for p in m.primes}
+    tag2 = {q: f"{q}@2" for q in n.primes}
+    primes = tuple(sorted([*inj1.values(), *tag2.values()]))
+    rel = _rel_image(m.pair.rel, inj1) | _rel_image(n.pair.rel, tag2)
+    prod = PrimitiveMonoid(PrimePair(primes, rel))
+    left = OrderIdeal(prod, frozenset(inj1[p] for p in ideal.prime_set))
+    right = OrderIdeal(prod, frozenset(tag2[q] for q in image))
+    tagged_phi = {inj1[p]: tag2[phi[p]] for p in ideal.prime_set}
     pushed = crowned_pushout(prod, left, right, tagged_phi)
 
-    inj1 = {p: f"{p}@1" for p in m.primes}
     inv = {v: k for k, v in phi.items()}
-    inj2 = {q: (f"{inv[q]}@1" if q in image else f"{q}@2") for q in n.primes}
+    inj2 = {q: (inj1[inv[q]] if q in image else tag2[q]) for q in n.primes}
     return AmalgamPushout(pushed.monoid, inj1, inj2, pushed.ideal)
 
 
@@ -209,35 +207,21 @@ def pullback_primitive(m1, n1: OrderIdeal, m2, n2: OrderIdeal, iso: dict | None 
         if iso is None:
             raise MonoidError("the ideal quotients are not isomorphic")
     else:
-        if {(iso[a], iso[b]) for a, b in s1.pair.rel} != set(s2.pair.rel) or set(
-            iso
-        ) != set(s1.primes):
+        if set(iso) != set(s1.primes) or _rel_image(s1.pair.rel, iso) != s2.pair.rel:
             raise MonoidError("supplied quotient isomorphism is invalid")
 
-    primes = (
-        [f"{p}@s" for p in s1.primes]
-        + [f"{p}@1" for p in sorted(n1.prime_set)]
-        + [f"{p}@2" for p in sorted(n2.prime_set)]
-    )
-    rel = {(f"{a}@s", f"{b}@s") for a, b in s1.pair.rel}
-    rel |= {(f"{a}@1", f"{b}@1") for a, b in m1.pair.rel if a in n1.prime_set and b in n1.prime_set}
-    rel |= {(f"{a}@2", f"{b}@2") for a, b in m2.pair.rel if a in n2.prime_set and b in n2.prime_set}
-    rel |= {
-        (np, f"{s}@s")
-        for np in [f"{p}@1" for p in n1.prime_set] + [f"{p}@2" for p in n2.prime_set]
-        for s in s1.primes
-    }
-    pb = PrimitiveMonoid(PrimePair(tuple(sorted(primes)), frozenset(rel)))
+    tag_s = {p: f"{p}@s" for p in s1.primes}
+    tag1 = {p: f"{p}@1" for p in n1.prime_set}
+    tag2 = {p: f"{p}@2" for p in n2.prime_set}
+    below = [*tag1.values(), *tag2.values()]
+    rel = _rel_image(s1.pair.rel, tag_s) | _rel_image(m1.pair.rel, tag1) | _rel_image(m2.pair.rel, tag2)
+    rel |= {(q, p) for q in below for p in tag_s.values()}
+    pb = PrimitiveMonoid(PrimePair(tuple(sorted([*tag_s.values(), *below])), rel))
 
-    proj1 = {f"{p}@s": p for p in s1.primes}
-    proj1 |= {f"{p}@1": p for p in n1.prime_set}
-    proj1 |= {f"{p}@2": None for p in n2.prime_set}
-    proj2 = {f"{p}@s": iso[p] for p in s1.primes}
-    proj2 |= {f"{p}@2": p for p in n2.prime_set}
-    proj2 |= {f"{p}@1": None for p in n1.prime_set}
-    ideal = OrderIdeal(
-        pb, frozenset([f"{p}@1" for p in n1.prime_set] + [f"{p}@2" for p in n2.prime_set])
-    )
+    proj1 = {t: p for p, t in (tag_s | tag1).items()} | dict.fromkeys(tag2.values())
+    proj2 = {t: iso[p] for p, t in tag_s.items()} | {t: p for p, t in tag2.items()}
+    proj2 |= dict.fromkeys(tag1.values())
+    ideal = OrderIdeal(pb, frozenset(below))
     return PullbackPrimitive(pb, m1, m2, proj1, proj2, ideal, iso)
 
 
@@ -387,43 +371,27 @@ def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
     return make_poset(members, covers, labels)
 
 
-def _merge_lower_parts(poset: LabelledPoset, psi: dict, z1, z2, phi: dict):
-    """Poset-level crowned pushout: drop z2, wire z1 below z2's upper sets.
+def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
+    """Poset-level crowned pushout along the element map mu.
 
-    Returns (new poset, new psi, element map).  Label order of an affected
-    element keeps the old positions, with each dropped cover replaced by its
-    phi-preimage.
+    mu sends each element of the dropped part z2 to its partner in z1 and
+    fixes every other element; each survivor's down-set becomes the image of
+    its old down-set under mu.  That image is the inherited order plus x < y
+    whenever x is in z1, y is outside z1 and mu^-1(x) < y: both parts are
+    down-closed, so once z1 and z2 are disjoint no z1 element lies above a z2
+    element.  Label order ranks a cover by its old position, else by the old
+    position of the cover it replaced.  Returns (new poset, new psi).
     """
-    z1, z2 = set(z1), set(z2)
-    survivors = [e for e in poset.elements if e not in z2]
-    inv = {v: k for k, v in phi.items()}
-    mu = {e: inv.get(e, e) for e in poset.elements}
-    pairs = {(q, p) for p in survivors for q in poset.strict[p] if q not in z2 and p not in z2}
-    pairs |= {
-        (x, y)
-        for x in z1
-        for y in survivors
-        if y not in z1 and phi[x] in poset.strict[y]
-    }
-    strict = {e: frozenset(q for q, p in pairs if p == e) for e in survivors}
+    survivors = [e for e in poset.elements if mu[e] == e]
+    strict = {p: frozenset(mu[q] for q in poset.strict[p]) for p in survivors}
     labels = {}
     for p in survivors:
         covers = compute_lower_covers(strict, p)
-        if not covers:
-            continue
-        old = poset.labels.get(p, ())
-
-        def order_key(c, old=old):
-            if c in old:
-                return (old.index(c), c)
-            if phi.get(c) in old:
-                return (old.index(phi[c]), c)
-            return (len(old), c)
-
-        labels[p] = tuple(sorted(covers, key=order_key))
-    new_poset = LabelledPoset(tuple(sorted(survivors)), strict, labels)
-    new_psi = {e: psi[e] for e in survivors}
-    return new_poset, new_psi, mu
+        if covers:
+            old = poset.labels[p]
+            rank = {mu[c]: i for i, c in enumerate(old)} | {c: i for i, c in enumerate(old)}
+            labels[p] = tuple(sorted(covers, key=lambda c: (rank.get(c, len(old)), c)))
+    return LabelledPoset(tuple(sorted(survivors)), strict, labels), {e: psi[e] for e in survivors}
 
 
 @dataclass
@@ -447,25 +415,30 @@ class Reconstruction:
         return out
 
 
+def _by_image(psi, part, name):
+    """The inverse of psi on part; PosetError if psi is not injective there."""
+    by_image = {}
+    for x in sorted(part):
+        if psi[x] in by_image:
+            raise PosetError(f"projection map is not injective on the {name} part")
+        by_image[psi[x]] = x
+    return by_image
+
+
 def _glue_overlap(poset, psi, covered: set, fresh: set):
-    """One pairwise merge of the psi-overlap of two lower parts."""
+    """One pairwise merge of the psi-overlap of two lower parts: each fresh
+    element over the overlap goes to the covered element with its image."""
     common = {psi[x] for x in covered} & {psi[x] for x in fresh}
     if not common:
         return poset, psi, {e: e for e in poset.elements}, covered | fresh
     z1 = {x for x in covered if psi[x] in common}
     z2 = {x for x in fresh if psi[x] in common}
-    fresh_by_image = {}
-    for x in sorted(z2):
-        if psi[x] in fresh_by_image:
-            raise PosetError("projection map is not injective on the fresh part")
-        fresh_by_image[psi[x]] = x
-    seen = {}
-    for x in sorted(z1):
-        if psi[x] in seen:
-            raise PosetError("projection map is not injective on the covered part")
-        seen[psi[x]] = x
-    phi = {x: fresh_by_image[psi[x]] for x in z1}
-    new_poset, new_psi, mu = _merge_lower_parts(poset, psi, z1, z2, phi)
+    _by_image(psi, z2, "fresh")
+    partner = _by_image(psi, z1, "covered")
+    if z1 & z2:
+        raise PosetError("the lower parts to glue overlap")
+    mu = {e: partner[psi[e]] if e in z2 else e for e in poset.elements}
+    new_poset, new_psi = _merge_lower_parts(poset, psi, mu)
     return new_poset, new_psi, mu, {mu[x] for x in covered | fresh}
 
 
@@ -484,30 +457,27 @@ def reconstruct_down(base: LabelledPoset, top: str) -> Reconstruction:
     for i in range(max(r - 1, 0)):
         d = r - i - 2
         total_mu = {e: e for e in poset.elements}
-        for q in sorted(e for e in poset.elements if depth(poset, e) == d):
+        depths = _depths(poset)
+        for q in sorted(e for e in poset.elements if depths[e] == d):
             covers = lower_covers(poset, q)
             if len(covers) < 2:
                 continue
-            covered = set(down_set(poset, covers[0]).members)
+            covered = poset.strict[covers[0]] | {covers[0]}
             for v in covers[1:]:
-                fresh = set(down_set(poset, v).members)
+                fresh = poset.strict[v] | {v}
                 poset, psi, mu, covered = _glue_overlap(poset, psi, covered, fresh)
                 total_mu = {e: mu[x] for e, x in total_mu.items()}
         stages.append(MappedPoset(poset, dict(psi)))
         step_maps.append(total_mu)
     # the last stage must be isomorphic to the down-set through psi
     target = sub_poset(base, base.strict[top] | {top})
-    final = stages[-1]
-    if sorted(final.psi.values()) != sorted(target.elements) or len(
-        final.poset.elements
-    ) != len(target.elements):
+    if sorted(psi.values()) != sorted(target.elements) or len(poset.elements) != len(target.elements):
         raise PosetError("reconstruction did not converge onto the down-set")
-    for a, b in itertools.permutations(final.poset.elements, 2):
-        if final.poset.lt(a, b) != target.lt(final.psi[a], final.psi[b]):
-            raise PosetError("reconstruction projection is not an order isomorphism")
-    if final.poset.elements != target.elements:
+    if any({psi[q] for q in poset.strict[p]} != target.strict[psi[p]] for p in psi):
+        raise PosetError("reconstruction projection is not an order isomorphism")
+    if poset.elements != target.elements:
         stages.append(MappedPoset(target, {e: e for e in target.elements}))
-        step_maps.append(dict(final.psi))
+        step_maps.append(dict(psi))
     return Reconstruction(base, top, unf, stages, step_maps)
 
 

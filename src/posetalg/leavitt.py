@@ -78,41 +78,18 @@ class TermKey:
         return g1, g2
 
 
-def _check_key(poset: LabelledPoset, key: TermKey):
-    cur = None
-    for u, v, m in key.left:
-        if v not in lower_covers(poset, u) or m < 0:
-            raise AlgebraError(f"bad descending step ({u},{v},{m})")
-        if cur is not None and u != cur:
-            raise AlgebraError("descending steps are not contiguous")
-        cur = v
-    if cur is not None and cur != key.mid:
-        raise AlgebraError("descending path does not reach the bottom vertex")
-    covs = set(lower_covers(poset, key.mid))
-    for q, e in key.powers:
-        if q not in covs or e == 0:
-            raise AlgebraError(f"bad bottom monomial entry ({q},{e})")
-    cur = key.mid
-    for u, v, m in key.right:
-        if v != cur or v not in lower_covers(poset, u) or m < 0:
-            raise AlgebraError(f"bad ascending step ({u},{v},{m})")
-        cur = u
-
-
 class AlgElement:
     """Finite sum of canonical terms with Laurent-polynomial coefficients."""
 
     __slots__ = ("poset", "terms")
 
-    def __init__(self, poset: LabelledPoset, terms=None, validate=False):
+    def __init__(self, poset: LabelledPoset, terms=None):
         self.poset = poset
         self.terms = {}
         for key, coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
             if coeff.is_zero():
                 continue
-            if validate:
-                _check_key(poset, key)
             self.terms[key] = self.terms.get(key, Poly()) + coeff
         self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class PosetError(ValueError):
@@ -50,21 +51,25 @@ class LabelledPoset:
     ``elements`` is sorted; ``strict`` maps each element to the frozenset of
     elements strictly below it; ``labels`` maps each element with n_p > 0 to
     the tuple of its lower covers in label order (position i = label i+1).
+    Both maps are read-only views of copies of the mappings passed in.
     """
 
     elements: tuple[str, ...]
-    strict: dict[str, frozenset[str]]
-    labels: dict[str, tuple[str, ...]]
+    strict: MappingProxyType[str, frozenset[str]]
+    labels: MappingProxyType[str, tuple[str, ...]]
 
     def __post_init__(self):
+        strict, labels = dict(self.strict), dict(self.labels)
         for p in self.elements:
-            covers = compute_lower_covers(self.strict, p)
-            lab = self.labels.get(p, ())
+            covers = compute_lower_covers(strict, p)
+            lab = labels.get(p, ())
             if set(lab) != covers or len(lab) != len(covers):
                 raise PosetError(
                     f"label map of {p!r} is not a bijection onto its lower covers "
                     f"(labels {lab}, covers {sorted(covers)})"
                 )
+        object.__setattr__(self, "strict", MappingProxyType(strict))
+        object.__setattr__(self, "labels", MappingProxyType(labels))
 
     def __contains__(self, p):
         return p in self.strict
@@ -289,11 +294,20 @@ def height(poset: LabelledPoset, p: str) -> int:
 def depth(poset: LabelledPoset, p: str) -> int:
     """Length of the longest chain above p (0 for maximal elements)."""
     poset.check(p)
-    above, n = {q for q in poset.elements if p in poset.strict[q]}, 0
-    while above:  # drop the minimal layer of the elements above p
-        above = {q for q in above if not poset.strict[q].isdisjoint(above)}
-        n += 1
-    return n
+    return _depths(poset)[p]
+
+
+def _depths(poset: LabelledPoset) -> dict:
+    """The depth of every element, in one pass down the cover labels.
+
+    An element has more elements below it than any element below it has,
+    so by descending down-set size every element comes after all above it.
+    """
+    out = dict.fromkeys(poset.elements, 0)
+    for p in sorted(poset.elements, key=lambda e: -len(poset.strict[e])):
+        for q in poset.labels.get(p, ()):
+            out[q] = max(out[q], out[p] + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +329,6 @@ class Quiver:
 
     def out_arrows(self, v):
         return tuple(a for a in self.arrows if a[1] == v)
-
-    def source(self, name):
-        return next(a[1] for a in self.arrows if a[0] == name)
-
-    def range(self, name):
-        return next(a[2] for a in self.arrows if a[0] == name)
 
 
 def quiver_T(poset: LabelledPoset) -> Quiver:

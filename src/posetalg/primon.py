@@ -49,10 +49,20 @@ class PrimePair:
                 raise MonoidError(f"relation pair ({q!r}, {p!r}) outside the prime set")
             if q != p and (p, q) in self.rel:
                 raise MonoidError(f"antisymmetry violated on {q!r}, {p!r}")
+        above = {}
         for q, p in self.rel:
-            for p2, r in self.rel:
-                if p2 == p and (q, r) not in self.rel:
+            above.setdefault(q, set()).add(p)
+        for q, p in self.rel:
+            for r in above.get(p, ()):
+                if r not in above[q]:
                     raise MonoidError(f"relation not transitive: ({q!r},{p!r}),({p!r},{r!r})")
+
+
+def _rel_image(rel, pmap) -> frozenset:
+    """The image of a relation under a prime map (prime -> prime or None),
+    dropping every pair with an end the map omits or sends to None."""
+    pairs = ((pmap.get(q), pmap.get(p)) for q, p in rel)
+    return frozenset((q, p) for q, p in pairs if q is not None and p is not None)
 
 
 def unchecked_pair(primes, rel) -> PrimePair:
@@ -71,12 +81,6 @@ class MonElem:
 
     def support(self):
         return tuple(p for p, _ in self.coeffs)
-
-    def coeff(self, p):
-        for q, n in self.coeffs:
-            if q == p:
-                return n
-        return 0
 
     def size(self):
         return sum(n for _, n in self.coeffs)
@@ -226,9 +230,6 @@ class PrimitiveMonoid:
     def add(self, x: MonElem, y: MonElem) -> MonElem:
         return self._elem(self._add_vec(self._vec(x), self._vec(y)))
 
-    def equal(self, x: MonElem, y: MonElem) -> bool:
-        return x.coeffs == y.coeffs
-
     def phi(self, x: MonElem) -> PhiTuple:
         """The counting-map tuple of an element."""
         return PhiTuple(tuple(zip(self._names, self._phi_vec(self._vec(x)))))
@@ -306,11 +307,11 @@ def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):
     projection restricts a reduced word and re-reduces.
     """
     survivors = tuple(p for p in m.primes if p not in ideal.prime_set)
-    rel = frozenset((q, p) for q, p in m.pair.rel if q in set(survivors) and p in set(survivors))
-    mq = PrimitiveMonoid(PrimePair(survivors, rel))
+    keep = {p: p for p in survivors}
+    mq = PrimitiveMonoid(PrimePair(survivors, _rel_image(m.pair.rel, keep)))
 
     def project(x: MonElem) -> MonElem:
-        return mq.reduce({p: n for p, n in x.coeffs if p in set(survivors)})
+        return mq.reduce({p: n for p, n in x.coeffs if p in keep})
 
     return mq, project
 

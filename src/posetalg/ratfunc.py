@@ -84,14 +84,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return self.terms.get((), 0)
-
     def variables(self):
         return {v for mono in self.terms for v, _ in mono}
 

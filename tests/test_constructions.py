@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetalg.poset import (
     PosetError,
@@ -24,6 +27,7 @@ from posetalg.primon import (
     quotient,
 )
 from posetalg.constructions import (
+    _glue_overlap,
     amalgam_pushout,
     assemble,
     build_F,
@@ -31,6 +35,7 @@ from posetalg.constructions import (
     map_elem,
     pullback_primitive,
     reconstruct_down,
+    sub_poset,
     verify_coequalizer,
     verify_pullback_universal,
 )
@@ -424,3 +429,70 @@ def test_assemble_rejects_at_in_ids():
 def test_assemble_empty():
     asm = assemble(make_poset([]))
     assert asm.monoid.primes == ()
+
+
+# -- behaviour guards ---------------------------------------------------------------
+
+
+def _poset_key(poset):
+    return (
+        poset.elements,
+        sorted((p, sorted(below)) for p, below in poset.strict.items()),
+        sorted(poset.labels.items()),
+    )
+
+
+def test_surgery_outputs_digest_over_catalogue():
+    # Pins every reconstruct_down stage, step map and assemble output over
+    # all posets with n <= 6, so a rewrite of the surgery code must keep
+    # element names, label orders and gluing counts byte for byte.
+    h = hashlib.sha256()
+    for n in range(7):
+        for base in enumerate_posets(n):
+            for top in sorted(base.maximal()):
+                rec = reconstruct_down(base, top)
+                for stage in rec.stages:
+                    h.update(repr((_poset_key(stage.poset), sorted(stage.psi.items()))).encode())
+                for step in rec.step_maps:
+                    h.update(repr(sorted(step.items())).encode())
+            asm = assemble(base)
+            out = (asm.monoid.primes, sorted(asm.monoid.pair.rel), _poset_key(asm.poset))
+            h.update(repr((out, sorted(asm.psi.items()), asm.gluings)).encode())
+    assert h.hexdigest() == "7822850676a4d4e812f00ae11763e710ebc6d138c759bb9464169b629745e6be"
+
+
+def test_glue_overlap_rejects_overlapping_parts():
+    poset = fig2_poset()
+    psi = {e: e for e in poset.elements}
+    with pytest.raises(PosetError, match="overlap"):
+        _glue_overlap(poset, psi, {"a"}, {"a", "b"})
+
+
+@st.composite
+def layered_posets(draw):
+    """Layers of 2-4 elements, 8-14 in all; each element above the bottom
+    layer covers one or two of the layer below, in a drawn label order."""
+    widths = draw(st.lists(st.integers(2, 4), min_size=3, max_size=4).filter(lambda w: 8 <= sum(w) <= 14))
+    layers = [[f"v{i}_{j}" for j in range(w)] for i, w in enumerate(widths)]
+    covers = []
+    for lower, upper in zip(layers, layers[1:]):
+        for p in upper:
+            kids = draw(st.permutations(lower))[: draw(st.integers(1, 2))]
+            covers += [(q, p) for q in kids]
+    elements = [e for layer in layers for e in layer]
+    plain = make_poset(elements, covers)
+    labels = {p: tuple(draw(st.permutations(qs))) for p, qs in plain.labels.items()}
+    return make_poset(elements, covers, labels)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(layered_posets())
+def test_surgery_on_random_layered_posets(base):
+    assert monoid_iso(assemble(base).monoid, from_poset(base)) is not None
+    for top in base.maximal():
+        down = sub_poset(base, base.strict[top] | {top})
+        # stages only shrink, so each one as small as the down-set is fully
+        # glued (the last may be the down-set itself, under its own names)
+        stages = reconstruct_down(base, top).stages
+        glued = [s.poset for s in stages if len(s.poset.elements) == len(down.elements)]
+        assert glued and all(poset_iso(p, down) is not None for p in glued)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import (
+    LabelledPoset,
     LowerSet,
     PosetError,
     _above_masks,
@@ -94,6 +95,21 @@ def test_autolabels_same_from_list_and_generator():
     from_list = make_poset(["a", "b", "p"], pairs)
     from_gen = make_poset(["a", "b", "p"], (pair for pair in pairs))
     assert from_list.labels == from_gen.labels == {"p": ("b", "a")}
+
+
+def test_poset_is_read_only():
+    strict = {"a": frozenset(), "p": frozenset({"a"})}
+    labels = {"p": ("a",)}
+    poset = LabelledPoset(("a", "p"), strict, labels)
+    before = hash(poset)
+    with pytest.raises(TypeError):
+        poset.strict["a"] = frozenset({"p"})
+    with pytest.raises(TypeError):
+        poset.labels["p"] = ()
+    strict["a"] = frozenset({"p"})
+    labels["p"] = ()
+    assert poset.strict["a"] == frozenset() and poset.labels.get("p") == ("a",)
+    assert hash(poset) == before and poset == make_poset(["a", "p"], [("a", "p")])
 
 
 def test_transitive_closure_of_redundant_input():
