@@ -207,8 +207,10 @@ def pullback_primitive(m1, n1: OrderIdeal, m2, n2: OrderIdeal, iso: dict | None 
         if iso is None:
             raise MonoidError("the ideal quotients are not isomorphic")
     else:
-        if set(iso) != set(s1.primes) or _rel_image(s1.pair.rel, iso) != s2.pair.rel:
-            raise MonoidError("supplied quotient isomorphism is invalid")
+        try:
+            _check_ideal_iso(s1, s1.primes, s2, s2.primes, iso)
+        except MonoidError:
+            raise MonoidError("supplied quotient isomorphism is invalid") from None
 
     tag_s = {p: f"{p}@s" for p in s1.primes}
     tag1 = {p: f"{p}@1" for p in n1.prime_set}

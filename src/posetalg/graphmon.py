@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .poset import PosetError, Quiver
+from .poset import PosetError, Quiver, _sections
 from .primon import _bounded_words, congruence_oracle
 
 
@@ -75,12 +75,7 @@ def is_hereditary(quiver, subset) -> bool:
 
 
 def is_saturated(quiver, subset) -> bool:
-    subset = set(subset)
-    for v in quiver.vertices:
-        outs = quiver.out_arrows(v)
-        if outs and {r for _, _, r in outs} <= subset and v not in subset:
-            return False
-    return True
+    return saturate(quiver, subset) == frozenset(subset)
 
 
 def saturate(quiver, subset) -> frozenset:
@@ -176,31 +171,17 @@ def detect_Er(quiver: Quiver):
 def parse_quiver(text: str) -> Quiver:
     """Quiver DSL: ``vertices <id>+ ; arrows (<name>:)?<id> '->' <id> ...``
     with ``#`` line comments."""
-    lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
-    src = " ".join(lines)
     vertices, arrows = [], []
-    seen = set()
-    for section in src.split(";"):
-        toks = section.split()
-        if not toks:
-            continue
-        head, rest = toks[0], toks[1:]
-        if head in seen:
-            raise PosetError(f"duplicate section {head!r}")
-        seen.add(head)
+    for head, rest in _sections(text, ("vertices", "arrows")):
         if head == "vertices":
             if len(set(rest)) != len(rest):
                 raise PosetError("duplicate vertex ids")
             vertices = rest
-        elif head == "arrows":
+        else:  # arrows
             for i, tok in enumerate(rest):
                 if "->" not in tok:
                     raise PosetError(f"bad arrow {tok!r}, expected s->r")
                 name, _, body = tok.rpartition(":")
                 s, _, t = body.partition("->")
                 arrows.append((name or f"e{i}", s, t))
-        else:
-            raise PosetError(f"unknown section {head!r}")
-    if not vertices:
-        raise PosetError("missing vertices section")
     return Quiver(tuple(sorted(vertices)), tuple(arrows))

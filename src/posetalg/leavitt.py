@@ -49,15 +49,17 @@ def sigma_j_index(k: int, j: int, ell: int) -> int:
     return ell - 1
 
 
+def t_shift(x, s: int) -> dict:
+    """The substitution t_u -> t_{u+s} on the t variables of x (a Poly or a
+    RatFunc), in the form subst_monomials takes."""
+    return {v: (("t", v[1] + s), 1) for v in x.variables() if v[0] == "t"}
+
+
 def sigma_p_poly(poly: Poly, np_: int) -> Poly:
     """Coefficient twist at a vertex with np_ covers: t_i -> t_{i+np_-1}."""
     if np_ <= 1:
         return poly
-    mapping = {}
-    for v in poly.variables():
-        if v[0] == "t":
-            mapping[v] = (("t", v[1] + np_ - 1), 1)
-    return poly.subst_monomials(mapping)
+    return poly.subst_monomials(t_shift(poly, np_ - 1))
 
 
 def _involute_poly(poly: Poly) -> Poly:

@@ -156,16 +156,14 @@ def make_poset(elements, cover_pairs=(), labels=None):
 # poset DSL
 
 
-def parse_poset(text: str) -> LabelledPoset:
-    """Parse the poset DSL.
-
-    ``elems <id>+ ; covers (<id> '<' <id>)* ; labels (<id> ':' '[' <id> (',' <id>)* ']')*``
-    Sections are semicolon-separated, ``#`` starts a line comment.
-    """
-    lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
-    src = " ".join(lines)
-    elements, covers, labels = [], [], {}
-    seen = set()
+def _sections(text: str, heads):
+    """The (head, tokens) sections of a DSL text, in order, for the poset
+    and quiver DSLs: ``#`` starts a line comment and ``;`` separates
+    sections.  A section head must be one of ``heads`` and appear at most
+    once; once the sections run out, the first of ``heads`` must have
+    appeared with tokens.  Errors surface in reading order."""
+    src = " ".join(ln.split("#", 1)[0] for ln in text.splitlines())
+    seen = {}
     for section in src.split(";"):
         toks = section.split()
         if not toks:
@@ -173,7 +171,22 @@ def parse_poset(text: str) -> LabelledPoset:
         head, rest = toks[0], toks[1:]
         if head in seen:
             raise PosetError(f"duplicate section {head!r}")
-        seen.add(head)
+        if head not in heads:
+            raise PosetError(f"unknown section {head!r}")
+        seen[head] = rest
+        yield head, rest
+    if not seen.get(heads[0]):
+        raise PosetError(f"missing {heads[0]} section")
+
+
+def parse_poset(text: str) -> LabelledPoset:
+    """Parse the poset DSL.
+
+    ``elems <id>+ ; covers (<id> '<' <id>)* ; labels (<id> ':' '[' <id> (',' <id>)* ']')*``
+    Sections are semicolon-separated, ``#`` starts a line comment.
+    """
+    elements, covers, labels = [], [], {}
+    for head, rest in _sections(text, ("elems", "covers", "labels")):
         if head == "elems":
             if len(set(rest)) != len(rest):
                 raise PosetError("duplicate element ids")
@@ -184,7 +197,7 @@ def parse_poset(text: str) -> LabelledPoset:
                     raise PosetError(f"bad cover {tok!r}, expected q<p")
                 q, _, p = tok.partition("<")
                 covers.append((q, p))
-        elif head == "labels":
+        else:  # labels
             for tok in rest:
                 if ":" not in tok or not tok.endswith("]"):
                     raise PosetError(f"bad label entry {tok!r}, expected p:[q,...]")
@@ -193,10 +206,6 @@ def parse_poset(text: str) -> LabelledPoset:
                 if not body.startswith("["):
                     raise PosetError(f"bad label entry {tok!r}")
                 labels[p] = tuple(x for x in body[1:-1].split(",") if x)
-        else:
-            raise PosetError(f"unknown section {head!r}")
-    if not elements:
-        raise PosetError("missing elems section")
     return make_poset(elements, covers, labels or None)
 
 

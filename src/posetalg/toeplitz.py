@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .poset import LabelledPoset, lower_covers
 from .ratfunc import Poly, RatFunc, mono_exponent, t_poly
-from .leavitt import AlgElement, AlgebraError, sigma_j_index
+from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
 
 
 def zvar(vertex, slot):
@@ -170,50 +170,32 @@ def _drop_shift(coeff: RatFunc, var, times=1) -> RatFunc:
 
 
 def _step_subst(poset, p, j):
-    """The substitution applied by the step map along slot j at p:
-    z_l -> t_{sigma_j(l)}^{-1} for l != j, t_u -> t_{u+k-1}."""
+    """The slot part of the step map along slot j at p: z_l ->
+    t_{sigma_j(l)}^{-1} for l != j, a bijection onto t_1..t_{k-1}, so it
+    has k - 1 entries."""
     k = poset.n_covers(p)
-    mapping = {}
-    for ell in range(1, k + 1):
-        if ell != j:
-            mapping[zvar(p, ell)] = (("t", sigma_j_index(k, j, ell)), -1)
-    return mapping, k
+    return {zvar(p, ell): (("t", sigma_j_index(k, j, ell)), -1) for ell in range(1, k + 1) if ell != j}
+
 
 def _apply_step(coeff: RatFunc, poset, p, j):
-    mapping, k = _step_subst(poset, p, j)
-    tshift = {}
-    for v in coeff.variables():
-        if v[0] == "t":
-            tshift[v] = (("t", v[1] + k - 1), 1)
-    return coeff.subst_monomials({**mapping, **tshift})
+    """The step map: the slot substitution, with every t shifted by k - 1."""
+    step = _step_subst(poset, p, j)
+    return coeff.subst_monomials({**step, **t_shift(coeff, len(step))})
 
 
 def _apply_step_inverse(coeff: RatFunc, poset, p, j):
-    k = poset.n_covers(p)
-    jj = min(j, k - 1)
-
-    def slot_of(i):
-        if i < jj:
-            return i
-        if i == jj:
-            return j + 1 if j < k else k - 1
-        return i + 1
-
-    mapping = {}
-    for v in coeff.variables():
-        if v[0] == "t":
-            i = v[1]
-            if i <= k - 1:
-                mapping[v] = (zvar(p, slot_of(i)), -1)
-            else:
-                mapping[v] = (("t", i - k + 1), 1)
-    return coeff.subst_monomials(mapping)
+    """The inverse substitution: t_{sigma_j(l)} -> z_l^{-1}, and every
+    other t shifted back by k - 1."""
+    step = _step_subst(poset, p, j)
+    inverse = {t: (z, -1) for z, (t, _) in step.items()}
+    return coeff.subst_monomials({**t_shift(coeff, -len(step)), **inverse})
 
 
 def act(space: Space, gen, vec: RepVector) -> RepVector:
     """Right action of one generator; gen is a tuple such as ("e", p),
     ("epq", p, q), ("alpha", p, q), ("alphabar", p, q), ("beta", p, q),
-    ("betabar", p, q) or ("scalar", value)."""
+    ("betabar", p, q), ("t", i) or ("scalar", value), the kinds that
+    leavitt.generator takes apart from eprime."""
     if vec.space is not space:
         raise RepError("vector belongs to a different space (context mismatch)")
     P = space.poset
@@ -226,8 +208,8 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
         prev = out.get(path)
         out[path] = c if prev is None else prev + c
 
-    if kind == "scalar":
-        val = RatFunc.of(gen[1])
+    if kind in ("scalar", "t"):
+        val = RatFunc.of(gen[1] if kind == "scalar" else t_poly(gen[1]))
         return RepVector._trusted(space, {path: c * val for path, c in vec.coeffs.items()})
 
     if kind == "e":
@@ -320,33 +302,25 @@ class SigmaPoly:
     def valuation_at(self, var) -> int:
         if self.poly.is_zero():
             raise AlgebraError("zero polynomial has no valuation")
-        spans = [dict(mono).get(var, 0) for mono in self.poly.terms]
-        if min(spans) < 0:
+        low = self.poly.degree_span(var)[0]
+        if low < 0:
             raise AlgebraError("negative cover exponent is not a polynomial")
-        return min(spans)
+        return low
 
     def valuation(self, poset) -> int:
         vs = [self.valuation_at(v) for v in self.cover_vars(poset)]
         return max(vs) if vs else 0
 
     def degree_at(self, var) -> int:
-        return max((dict(mono).get(var, 0) for mono in self.poly.terms), default=0)
+        return self.poly.degree_span(var)[1]
 
     def as_element(self, poset) -> AlgElement:
-        from .leavitt import TermKey
-
         terms = {}
         for mono, c in self.poly.terms.items():
-            powers = []
-            coeff = {}
-            for v, e in mono:
-                if v[0] == "x":
-                    powers.append((v[1], e))
-                else:
-                    coeff[((v, e),)] = 1
-            key = TermKey((), self.vertex, tuple(sorted(powers)), ())
-            base = Poly({tuple(kv for kvs in coeff for kv in kvs): Fraction(c)}) if coeff else Poly.const(c)
-            terms[key] = terms.get(key, Poly()) + base
+            powers = tuple(sorted((v[1], e) for v, e in mono if v[0] == "x"))
+            key = TermKey((), self.vertex, powers, ())
+            scalar = Poly({tuple(kv for kv in mono if kv[0][0] != "x"): c})
+            terms[key] = terms.get(key, Poly()) + scalar
         return AlgElement(poset, terms)
 
 
@@ -485,7 +459,7 @@ def relation_suite(poset: LabelledPoset):
             rels.append((f"A.3a[{p},{q}]", w(a, e), w(a)))
             rels.append((f"A.3b[{p},{q}]", minus(w(e, a), w(epq, a)), w(a)))
             for lam, slam in ((t_poly(1), 1), (t_poly(2), 2)):
-                shifted = RatFunc(Poly.var(("t", slam + max(k - 1, 0))))
+                shifted = RatFunc(sigma_p_poly(lam, k))
                 rels.append(
                     (
                         f"A.8[{p},{q},t{slam}]",
@@ -563,26 +537,10 @@ def _factor_bottom(f: SigmaPoly, poset, q):
     if f0.is_zero():
         raise AlgebraError("bottom coefficient vanishes (valuation gate)")
     others = [("x", q2) for q2 in lower_covers(poset, p) if q2 != q]
-    w = {}
-    for var in others:
-        m = min(dict(mono).get(var, 0) for mono in f0.terms)
-        if m > 0:
-            w[var] = m
-    if w:
-        f0p = Poly({_strip(mono, w): c for mono, c in f0.terms.items()})
-    else:
-        f0p = f0
+    w = {var: m for var in others if (m := f0.degree_span(var)[0]) > 0}
+    f0p = f0 * Poly({tuple(sorted((var, -m) for var, m in w.items())): 1})
     rest = {b: part for b, part in buckets.items() if b > 0}
     return f0, w, SigmaPoly(p, f0p), rest
-
-
-def _strip(mono, w):
-    d = dict(mono)
-    for var, m in w.items():
-        d[var] = d.get(var, 0) - m
-        if d[var] == 0:
-            del d[var]
-    return tuple(sorted(d.items()))
 
 
 def check_corner_inverse_identity(space, f: SigmaPoly, q, depth, maxdeg=2):

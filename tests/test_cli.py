@@ -161,3 +161,17 @@ def test_reports_match_golden(tmp_path, monkeypatch, capsys):
     for name, argv in cases.items():
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+def test_export_requires_out(fig2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", str(fig2_file), "--what", "hasse"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_commands_reject_flags_they_do_not_read(fig2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", str(fig2_file), "--depth", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 3" in capsys.readouterr().err

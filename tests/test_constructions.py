@@ -239,6 +239,16 @@ def test_pullback_rejects_nonisomorphic_quotients():
         pullback_primitive(m1, n1, m2, n2)
 
 
+def test_pullback_rejects_supplied_iso_that_is_not_a_bijection():
+    # both quotient primes sent to a: keys and relation image look right
+    m = from_poset(make_poset(["a", "b", "z"], [("z", "a"), ("z", "b")]))
+    n = ideal_from_lower_set(m, {"z"})
+    with pytest.raises(MonoidError, match="supplied quotient isomorphism is invalid"):
+        pullback_primitive(m, n, m, n, iso={"a": "a", "b": "a"})
+    swap = {"a": "b", "b": "a"}
+    assert pullback_primitive(m, n, m, n, iso=swap).quotient_iso == swap
+
+
 def test_pullback_universal_detects_corruption():
     m1 = from_poset(make_poset(["a", "p"], [("a", "p")]))
     m2 = from_poset(make_poset(["b", "p"], [("b", "p")]))

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver
 from posetalg.graphmon import (
@@ -131,3 +133,20 @@ def test_parse_quiver():
         parse_quiver("vertices a b; arrows ab")
     with pytest.raises(PosetError):
         parse_quiver("vertices a; arrows a->zz")
+
+
+@st.composite
+def quivers(draw):
+    names = st.sampled_from(["v0", "v1", "w", "x_2", "top"])
+    vertices = tuple(sorted(draw(st.lists(names, min_size=1, max_size=5, unique=True))))
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = tuple((f"a{i}", s, r) for i, (s, r) in enumerate(draw(st.lists(ends, max_size=6))))
+    return Quiver(vertices, arrows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(quivers())
+def test_quiver_dsl_round_trips(quiver):
+    arrows = " ".join(f"{name}:{s}->{r}" for name, s, r in quiver.arrows)
+    text = f"vertices {' '.join(reversed(quiver.vertices))} # listed in any order\n; arrows {arrows}\n"
+    assert parse_quiver(text) == quiver

@@ -354,3 +354,29 @@ def test_dot_export():
     assert dot.startswith("digraph") and '"p" -> "a" [label="1"]' in dot
     qd = to_dot(quiver_T(fig2_poset()), name="T")
     assert "digraph T" in qd and '"p" -> "b"' in qd
+
+
+def _poset_dsl(poset):
+    covers = " ".join(f"{q}<{p}" for p in poset.elements for q in lower_covers(poset, p))
+    labels = " ".join(f"{p}:[{','.join(qs)}]" for p, qs in poset.labels.items())
+    return f"# rendered\nelems {' '.join(poset.elements)} ;\ncovers {covers}; labels {labels}\n"
+
+
+# the DSL needs at least one element, so the empty poset has no text form
+_SMALL_POSETS = [p for n in range(1, 6) for p in enumerate_posets(n)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_poset_dsl_round_trips(data):
+    # a catalogue poset under drawn element names and drawn cover orders
+    base = data.draw(st.sampled_from(_SMALL_POSETS))
+    names = data.draw(st.permutations(["a", "b", "p1", "p2", "q_1", "z9", "top"]))
+    rename = dict(zip(base.elements, names))
+    covers = [(rename[q], rename[p]) for p in base.elements for q in lower_covers(base, p)]
+    labels = {
+        rename[p]: tuple(data.draw(st.permutations([rename[q] for q in qs])))
+        for p, qs in base.labels.items()
+    }
+    poset = make_poset(rename.values(), covers, labels)
+    assert parse_poset(_poset_dsl(poset)) == poset

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from posetalg.leavitt import AlgebraError, generator, one, parse_element
 from posetalg.toeplitz import (
     RepError,
     RepVector,
+    SigmaPoly,
+    _factor_bottom,
     act,
     act_element,
     act_expr,
@@ -361,3 +364,65 @@ def test_relation_suite_covers_all_families():
         "A.13a", "A.13b", "A.13c", "A.13d", "A.14a", "A.14b", "A.14c",
         "A.14d", "A.15a", "A.15b", "A.16", "A.17", "A.18",
     } <= names
+
+
+# -- behaviour digest -------------------------------------------------------------
+
+
+def _claw():
+    # one vertex over three covers, labelled out of name order
+    return make_poset(
+        ["a", "b", "c", "p"], [("a", "p"), ("b", "p"), ("c", "p")], {"p": ("c", "a", "b")}
+    )
+
+
+def test_algebra_outputs_digest():
+    # Pins every generator action (and betabar after each beta) over all
+    # posets with n <= 5, plus the truncated inverses, element forms and
+    # bottom factorizations of a fixed family, so a rewrite of the step
+    # maps or of the monomial helpers must keep every coefficient's repr.
+    h = hashlib.sha256()
+    for n in range(6):
+        for poset in enumerate_posets(n):
+            space = build_space(poset)
+            gens = [("e", p) for p in poset.elements] + [("scalar", t_poly(2, -1))]
+            for p in poset.elements:
+                for q in lower_covers(poset, p):
+                    gens += [(k, p, q) for k in ("epq", "alpha", "alphabar", "beta", "betabar")]
+            for v in sample_vectors(space, 2):
+                for gen in gens:
+                    out = act(space, gen, v)
+                    h.update(repr((gen, out)).encode())
+                    if gen[0] == "beta":
+                        h.update(repr(act(space, ("betabar",) + gen[1:], out)).encode())
+    t1x = lambda q: ((("t", 1), 1), (("x", q), 1))  # noqa: E731
+    family = [
+        (FIG2, sigma_poly(FIG2, "p", {(): 1, ("a",): -1})),
+        (FIG2, sigma_poly(FIG2, "p", {(): 1, ("a",): 1, ("b", "b"): 2})),
+        (FIG2, SigmaPoly("p", Poly({(): 1, t1x("a"): Fraction(-1, 2), t1x("b"): 3}))),
+        (_claw(), sigma_poly(_claw(), "p", {(): 2, ("a", "b"): 1, ("c",): Fraction(1, 2)})),
+        (_claw(), sigma_poly(_claw(), "p", {("b", "c"): 1, ("a",): 1, ("b", "b", "c"): 2})),
+        (_claw(), sigma_poly(_claw(), "p", {("a", "c"): 1, ("b",): -1, ("a", "a", "c", "c"): 1})),
+    ]
+    for poset, f in family:
+        space = build_space(poset)
+        h.update(repr(f.as_element(poset)).encode())
+        for q in lower_covers(poset, f.vertex):
+            f0, w, f0p, rest = _factor_bottom(f, poset, q)
+            h.update(repr((f0, sorted(w.items()), f0p, sorted(rest.items()))).encode())
+        if f.valuation(poset) == 0:
+            for v in sample_vectors(space, 2):
+                h.update(repr(invert_sigma(space, f, v, 4)).encode())
+    assert h.hexdigest() == "64c0951d9af155ffab18064a1a682a79b79fb83c222de43c45d10493fcd92492"
+
+
+def test_act_takes_t_generators_like_generator():
+    for poset in [FIG2, _claw()]:
+        space = build_space(poset)
+        for v in sample_vectors(space, 2):
+            for i in (1, 2, 4):
+                assert act(space, ("t", i), v) == act(space, ("scalar", t_poly(i)), v)
+        x = generator(poset, "t", 3) * generator(poset, "beta", "p", "a")
+        for v in sample_vectors(space, 1):
+            word = [("t", 3), ("beta", "p", "a")]
+            assert act_word(space, word, v) == act_element(space, x, v)
