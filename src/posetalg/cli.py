@@ -264,6 +264,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     config = _load_config(args.config)
     defaults = {"bound": 4, "depth": 6, "seed": 0, "samples": 50}
+    if not isinstance(config, dict):
+        parser.error("--config file must hold a JSON object")
+    for key, value in config.items():
+        if key not in defaults or type(value) is not int:
+            parser.error(f"--config: {key}={value!r}; the keys are {', '.join(defaults)}, the values integers")
     for key, fallback in defaults.items():
         if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, config.get(key, fallback))

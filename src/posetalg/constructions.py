@@ -260,18 +260,11 @@ class MappedPoset:
 
 @dataclass
 class Unfolding:
-    """The unfolding of the down-set of ``top``.
-
-    ``stages[i]`` lists the chain groups of stage i, one per partial poset:
-    each group is a sorted tuple of maximal chains, read downward from
-    ``top``.  Only the last stage's single group is materialized, as
-    ``result``.
-    """
+    """The unfolding of the down-set of ``top``."""
 
     base: LabelledPoset
     top: str
     result: MappedPoset  # the unfolded tree with its surjection onto the down-set
-    stages: list
 
 
 def _chain_signature(base, sig):
@@ -311,43 +304,20 @@ def _materialize(base, chains) -> MappedPoset:
 
 
 def build_F(base: LabelledPoset, top: str) -> Unfolding:
-    """Unfold the down-set of a maximal element into its path tree.
-
-    Stage 0 holds one chain group per maximal chain; stage i merges the
-    groups whose designated top chains (the common descending prefix, r-i+1
-    elements) agree, taking the disjoint union of everything below.  The
-    final stage is one group, whose poset (every upper interval a chain) is
-    the result.  Fiber copies are named ``b~k``, so no base id may hold ``~``.
+    """Unfold the down-set of a maximal element into its path tree: the
+    poset of the descending prefixes of its maximal chains, in which every
+    upper interval is a chain.  Fiber copies are named ``b~k``, so no base
+    id may hold ``~``.
     """
     _reject_reserved(base, "~")
     base.check(top)
     if top not in base.maximal():
         raise PosetError(f"{top!r} is not maximal")
-    r = height(base, top)
     chains = sorted(
         (tuple(reversed(c)) for c in maximal_chains(base, top)),
         key=lambda s: _chain_signature(base, s),
     )
-    groups = [(sig,) for sig in chains]
-    stages = [groups]
-    for i in range(1, r + 1):
-        klen = r - i + 1
-        buckets = {}
-        for idx, g in enumerate(sorted(groups)):
-            prefix = g[0]
-            for sig in g[1:]:
-                k = 0
-                while k < min(len(prefix), len(sig)) and prefix[k] == sig[k]:
-                    k += 1
-                prefix = prefix[:k]
-            key = prefix[:klen] if len(prefix) >= klen else ("!", idx)
-            buckets.setdefault(key, []).append(g)
-        groups = [
-            tuple(sorted(itertools.chain.from_iterable(gs)))
-            for _, gs in sorted(buckets.items(), key=lambda kv: str(kv[0]))
-        ]
-        stages.append(groups)
-    return Unfolding(base, top, _materialize(base, chains), stages)
+    return Unfolding(base, top, _materialize(base, chains))
 
 
 def _reject_reserved(base, chars):

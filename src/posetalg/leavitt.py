@@ -464,14 +464,16 @@ def _lemma26_exhaustive(poset: LabelledPoset, span=2) -> bool:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<gen>[aAbB]\[\s*\w+\s*,\s*\w+\s*\])|(?P<e>e\[\s*\w+\s*(?:,\s*\w+\s*)?\])"
-    r"|(?P<t>t\d+)|(?P<num>-?\d+(?:/\d+)?)|(?P<op>[+*^()-]))"
+    r"\s*(?:(?P<gen>(?P<arrow>[aAbB])\[\s*(?P<p>\w+)\s*,\s*(?P<q>\w+)\s*\])"
+    r"|(?P<e>e\[\s*(?P<e1>\w+)\s*(?:,\s*(?P<e2>\w+)\s*)?\])"
+    r"|t(?P<t>\d+)|(?P<num>\d+(?:/\d+)?)|(?P<op>[+*^()-]))"
 )
 
 
 def parse_element(poset: LabelledPoset, text: str) -> AlgElement:
     """Parse the linear syntax: a[p,q] A[p,q] b[p,q] B[p,q] e[p] e[p,q]
-    tN (tN^-1), integers and rationals, with + - * ^ and parentheses."""
+    tN (tN^-1), integers and rationals, with + - * ^ and parentheses.
+    Numbers are unsigned tokens, so ``-`` is always an operator."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -480,19 +482,18 @@ def parse_element(poset: LabelledPoset, text: str) -> AlgElement:
             if text[pos:].strip():
                 raise AlgebraError(f"cannot tokenize {text[pos:]!r}")
             break
-        tokens.append(m.group().strip())
+        tokens.append(m)
         pos = m.end()
-    out = _parse_sum(poset, tokens, 0)
-    expr, idx = out
+    expr, idx = _parse_sum(poset, tokens, 0)
     if idx != len(tokens):
-        raise AlgebraError(f"trailing tokens {tokens[idx:]}")
+        raise AlgebraError(f"trailing tokens {[t.group().strip() for t in tokens[idx:]]}")
     return expr
 
 
 def _parse_sum(poset, toks, i):
     acc, i = _parse_product(poset, toks, i)
-    while i < len(toks) and toks[i] in "+-":
-        op = toks[i]
+    while i < len(toks) and toks[i]["op"] in ("+", "-"):
+        op = toks[i]["op"]
         term, i = _parse_product(poset, toks, i + 1)
         acc = acc + term if op == "+" else acc - term
     return acc, i
@@ -500,7 +501,7 @@ def _parse_sum(poset, toks, i):
 
 def _parse_product(poset, toks, i):
     acc, i = _parse_factor(poset, toks, i)
-    while i < len(toks) and toks[i] == "*":
+    while i < len(toks) and toks[i]["op"] == "*":
         nxt, i = _parse_factor(poset, toks, i + 1)
         acc = acc * nxt
     return acc, i
@@ -508,14 +509,15 @@ def _parse_product(poset, toks, i):
 
 def _parse_factor(poset, toks, i):
     base, i = _parse_atom(poset, toks, i)
-    while i < len(toks) and toks[i] == "^":
-        if i + 1 >= len(toks):
-            raise AlgebraError("dangling ^")
-        n = int(toks[i + 1])
-        i += 2
-        if n < 0:
+    while i < len(toks) and toks[i]["op"] == "^":
+        negative = i + 1 < len(toks) and toks[i + 1]["op"] == "-"
+        i += 2 + negative
+        exponent = toks[i - 1]["num"] if i <= len(toks) else None
+        if not exponent or not exponent.isdigit():
+            raise AlgebraError("^ needs an integer exponent")
+        n = int(exponent)
+        if negative and n:
             base = _invert_scalar(base)
-            n = -n
         acc = one(poset)
         for _ in range(n):
             acc = acc * base
@@ -544,28 +546,26 @@ def _parse_atom(poset, toks, i):
     if i >= len(toks):
         raise AlgebraError("unexpected end of input")
     tok = toks[i]
-    if tok == "(":
+    if tok["op"] == "(":
         expr, j = _parse_sum(poset, toks, i + 1)
-        if j >= len(toks) or toks[j] != ")":
+        if j >= len(toks) or toks[j]["op"] != ")":
             raise AlgebraError("unbalanced parenthesis")
         return expr, j + 1
-    if tok == "-":
+    if tok["op"] == "-":
         expr, j = _parse_atom(poset, toks, i + 1)
         return -expr, j
-    if re.fullmatch(r"t\d+", tok):
-        return generator(poset, "t", int(tok[1:])), i + 1
-    if re.fullmatch(r"-?\d+(/\d+)?", tok):
-        return generator(poset, "scalar", Fraction(tok)), i + 1
-    m = re.fullmatch(r"([aAbB])\[\s*(\w+)\s*,\s*(\w+)\s*\]", tok)
-    if m:
-        kind = {"a": "alpha", "A": "alphabar", "b": "beta", "B": "betabar"}[m.group(1)]
-        return generator(poset, kind, m.group(2), m.group(3)), i + 1
-    m = re.fullmatch(r"e\[\s*(\w+)\s*(?:,\s*(\w+)\s*)?\]", tok)
-    if m:
-        if m.group(2):
-            return generator(poset, "epq", m.group(1), m.group(2)), i + 1
-        return generator(poset, "e", m.group(1)), i + 1
-    raise AlgebraError(f"unexpected token {tok!r}")
+    if tok.lastgroup == "t":
+        return generator(poset, "t", int(tok["t"])), i + 1
+    if tok.lastgroup == "num":
+        return generator(poset, "scalar", Fraction(tok["num"])), i + 1
+    if tok.lastgroup == "gen":
+        kind = {"a": "alpha", "A": "alphabar", "b": "beta", "B": "betabar"}[tok["arrow"]]
+        return generator(poset, kind, tok["p"], tok["q"]), i + 1
+    if tok.lastgroup == "e":
+        if tok["e2"]:
+            return generator(poset, "epq", tok["e1"], tok["e2"]), i + 1
+        return generator(poset, "e", tok["e1"]), i + 1
+    raise AlgebraError(f"unexpected token {tok.group().strip()!r}")
 
 
 def format_element(x: AlgElement) -> str:

@@ -13,6 +13,7 @@ function.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -107,8 +108,8 @@ class LabelledPoset:
         return tuple(p for p in self.elements if not self.strict[p])
 
     def maximal(self):
-        above = {p: [q for q in self.elements if p in self.strict[q]] for p in self.elements}
-        return tuple(p for p in self.elements if not above[p])
+        below = set().union(*self.strict.values())
+        return tuple(p for p in self.elements if p not in below)
 
 
 def compute_lower_covers(strict, p):
@@ -294,10 +295,13 @@ def maximal_chains(poset: LabelledPoset, p: str) -> list[tuple[str, ...]]:
 
 
 def height(poset: LabelledPoset, p: str) -> int:
-    """Length of the longest chain below p (0 for minimal elements)."""
+    """Length of the longest chain below p (0 for minimal elements), in one
+    pass up the cover labels of its down-set, by ascending down-set size."""
     poset.check(p)
-    covers = lower_covers(poset, p)
-    return 0 if not covers else 1 + max(height(poset, q) for q in covers)
+    out = {}
+    for q in sorted(poset.strict[p] | {p}, key=lambda e: len(poset.strict[e])):
+        out[q] = max((out[c] + 1 for c in poset.labels.get(q, ())), default=0)
+    return out[p]
 
 
 def depth(poset: LabelledPoset, p: str) -> int:
@@ -350,13 +354,13 @@ def quiver_T(poset: LabelledPoset) -> Quiver:
 
 
 def is_forest(poset: LabelledPoset) -> bool:
-    """True iff every down-set is a chain."""
-    for p in poset.elements:
-        down = sorted(poset.strict[p] | {p})
-        for a, b in itertools.combinations(down, 2):
-            if not (poset.leq(a, b) or poset.leq(b, a)):
-                return False
-    return True
+    """True iff every down-set is a chain.
+
+    Equivalently no element has two lower covers: two incomparable elements
+    below p have a minimal common upper bound x <= p, and the chains from
+    them up to x arrive through two different lower covers of x.
+    """
+    return all(len(covers) < 2 for covers in poset.labels.values())
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +375,8 @@ def is_complete_hom(f: dict, src: LabelledPoset, dst: LabelledPoset) -> bool:
         return False
     if len(set(f.values())) != len(f):
         return False
-    for q, p in itertools.permutations(src.elements, 2):
-        if src.lt(q, p) and not dst.lt(f[q], f[p]):
-            return False
+    if any(f[q] not in dst.strict[f[p]] for p in src.elements for q in src.strict[p]):
+        return False
     for p in src.elements:
         covs = lower_covers(src, p)
         if not covs:
@@ -386,27 +389,26 @@ def is_complete_hom(f: dict, src: LabelledPoset, dst: LabelledPoset) -> bool:
     return True
 
 
-def relation_iso(elems1, rel1, elems2, rel2):
-    """A bijection elems1 -> elems2 carrying rel1 exactly onto rel2, or None.
+def _relation_isos(elems1, rel1, elems2, rel2):
+    """Every bijection elems1 -> elems2 carrying rel1 exactly onto rel2, as
+    a dict, in the order of a backtracking search over the sorted elements.
 
-    Backtracking search; relations are sets of ordered pairs (self-pairs
-    allowed).  Used for poset isomorphism and for prime-pair isomorphism.
+    Relations are sets of ordered pairs (self-pairs allowed).  A bijection
+    keeps each element's signature (in-degree, out-degree, self-pair), which
+    prunes the search.
     """
     elems1, elems2 = sorted(elems1), sorted(elems2)
     if len(elems1) != len(elems2) or len(rel1) != len(rel2):
-        return None
+        return
     rel1, rel2 = set(rel1), set(rel2)
 
-    def indeg(e, rel):
-        return sum(1 for a, b in rel if b == e)
+    def signatures(elems, rel):
+        indeg, outdeg = Counter(b for _, b in rel), Counter(a for a, _ in rel)
+        return {e: (indeg[e], outdeg[e], (e, e) in rel) for e in elems}
 
-    def outdeg(e, rel):
-        return sum(1 for a, b in rel if a == e)
-
-    sig1 = {e: (indeg(e, rel1), outdeg(e, rel1), (e, e) in rel1) for e in elems1}
-    sig2 = {e: (indeg(e, rel2), outdeg(e, rel2), (e, e) in rel2) for e in elems2}
+    sig1, sig2 = signatures(elems1, rel1), signatures(elems2, rel2)
     if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
+        return
 
     assignment = {}
     used = set()
@@ -422,19 +424,24 @@ def relation_iso(elems1, rel1, elems2, rel2):
 
     def search(i):
         if i == len(elems1):
-            return True
+            yield dict(assignment)
+            return
         a = elems1[i]
         for b in elems2:
             if b not in used and ok(a, b):
                 assignment[a] = b
                 used.add(b)
-                if search(i + 1):
-                    return True
+                yield from search(i + 1)
                 del assignment[a]
                 used.discard(b)
-        return False
 
-    return dict(assignment) if search(0) else None
+    yield from search(0)
+
+
+def relation_iso(elems1, rel1, elems2, rel2):
+    """The first bijection ``_relation_isos`` finds, or None.  Used for
+    poset isomorphism and for prime-pair isomorphism."""
+    return next(_relation_isos(elems1, rel1, elems2, rel2), None)
 
 
 def poset_pair_iso(x, y):
@@ -545,26 +552,7 @@ def _order_masks(max_n):
 def _automorphisms(n, rel):
     """Every automorphism of the strict order rel on 0..n-1, as a tuple of
     images."""
-    above = _above_masks(n, rel)
-    out, image = [], []
-
-    def extend(x):
-        if x == n:
-            out.append(tuple(image))
-            return
-        for y in range(n):
-            if y in image:
-                continue
-            if all(
-                (above[z] >> x & 1) == (above[w] >> y & 1) and (above[x] >> z & 1) == (above[y] >> w & 1)
-                for z, w in enumerate(image)
-            ):
-                image.append(y)
-                extend(x + 1)
-                image.pop()
-
-    extend(0)
-    return out
+    return [tuple(f[x] for x in range(n)) for f in _relation_isos(range(n), rel, range(n), rel)]
 
 
 def enumerate_posets(n: int) -> list[LabelledPoset]:

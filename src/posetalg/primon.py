@@ -20,7 +20,8 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .poset import LabelledPoset, _automorphisms, _natural_relation, _order_masks, relation_iso
+from .poset import LabelledPoset, compute_lower_covers, relation_iso
+from .poset import _automorphisms, _natural_relation, _order_masks
 
 INF = float("inf")
 
@@ -136,11 +137,15 @@ class PrimitiveMonoid:
         self.pair = pair
         self.primes = pair.primes
         above = {q: set() for q in pair.primes}
+        below = {q: set() for q in pair.primes}
         for q, p in pair.rel:
             if q != p:
                 above[q].add(p)
-        # strictly_above[q] = primes p != q absorbing q
+                below[p].add(q)
+        # strictly_above[q] = primes p != q absorbing q; strictly_below[p]
+        # = primes q != p that p absorbs
         self.strictly_above = {q: frozenset(ps) for q, ps in above.items()}
+        self.strictly_below = {p: frozenset(qs) for p, qs in below.items()}
         self.regular = frozenset(q for q in pair.primes if (q, q) in pair.rel)
         self._names = tuple(sorted(pair.primes))
         self._bits = tuple(1 << i for i in range(len(self._names)))
@@ -277,8 +282,7 @@ class OrderIdeal:
         m = self.monoid
         for p in self.prime_set:
             m.check_prime(p)
-            below = {q for q in m.primes if p in m.strictly_above[q]}
-            if not below <= self.prime_set:
+            if not m.strictly_below[p] <= self.prime_set:
                 raise MonoidError(f"prime set not lower at {p!r}")
 
     def __contains__(self, x: MonElem):
@@ -290,9 +294,7 @@ class OrderIdeal:
 
 def order_ideal(m: PrimitiveMonoid, a: MonElem) -> OrderIdeal:
     """The order-ideal generated by a: downward closure of its support."""
-    closure = set(a.support())
-    for p in a.support():
-        closure |= {q for q in m.primes if p in m.strictly_above[q]}
+    closure = set(a.support()).union(*(m.strictly_below.get(p, ()) for p in a.support()))
     return OrderIdeal(m, frozenset(closure))
 
 
@@ -563,16 +565,10 @@ def apw_graph_shape(m: PrimitiveMonoid) -> bool:
     Lower covers are taken in the strict order induced on the primes by the
     absorption relation.
     """
-    above = m.strictly_above  # p -> primes strictly above p
-
-    def lower_covers_of(p):
-        below = {q for q in m.primes if p in above[q]}
-        return {q for q in below if not any(r != q and r in above[q] for r in below)}
-
     for p in m.primes:
         if not m.is_free(p):
             continue
-        free_covers = [q for q in lower_covers_of(p) if m.is_free(q)]
+        free_covers = [q for q in compute_lower_covers(m.strictly_below, p) if m.is_free(q)]
         if len(free_covers) > 1:
             return False
     return True

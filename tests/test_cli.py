@@ -175,3 +175,13 @@ def test_commands_reject_flags_they_do_not_read(fig2_file, capsys):
         main(["info", str(fig2_file), "--depth", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --depth 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"bound": 9, "smaples": 3}, {"samples": "3"}, {"seed": True}, [1]])
+def test_config_rejects_unknown_keys_and_non_integer_values(config, fig2_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify-algebra", str(fig2_file)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from posetalg.poset import (
     PosetError,
     enumerate_posets,
     fig2_poset,
-    height,
     lower_covers,
     make_poset,
     maximal_chains,
@@ -359,12 +358,6 @@ def test_build_F_postconditions_on_catalogue():
 
 def _top_of(F):
     return F.maximal()[0]
-
-
-def test_build_F_stage_count():
-    unf = build_F(diamond(), "p")
-    assert len(unf.stages) == height(diamond(), "p") + 1
-    assert len(unf.stages[0]) == 2 and len(unf.stages[-1]) == 1
 
 
 # -- reconstruction ---------------------------------------------------------------

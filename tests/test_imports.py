@@ -1,11 +1,15 @@
-"""Every import in a package module is named in that module.
+"""Every import in a package module is named in that module, and every
+module-level private function or class is named somewhere in the package
+outside its own definition.
 
-No linter ships with the package, so this check parses each module with
-``ast``.  ``__init__.py`` is exempt (its imports are re-exports), and so
-are ``from __future__`` imports.
+No linter ships with the package, so these checks parse each module with
+``ast``.  ``__init__.py`` is exempt from the import check (its imports are
+re-exports), and so are ``from __future__`` imports.  A private helper
+that only tests call belongs in the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,36 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _names(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unused_private_helpers(sources):
+    """The module-level private functions and classes of the sources that
+    no source names outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum((_names(tree) for tree in trees), Counter())
+    helpers = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    return sorted(h.name for h in helpers if everywhere[h.name] == _names(h)[h.name])
+
+
+def test_guard_flags_a_dead_private_helper():
+    used = "def _used():\n    pass\n\n\ndef f():\n    return _used()\n"
+    dead = "def _dead(n):\n    return _dead(n - 1) if n else 0\n\n\nclass _Gone:\n    pass\n"
+    assert unused_private_helpers([used, dead]) == ["_Gone", "_dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_helpers(sources) == []

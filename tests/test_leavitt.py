@@ -307,6 +307,17 @@ def test_parse_examples():
     assert parse_element(FIG2, "(e[p] + e[a]) * e[a]") == g("e", "a")
 
 
+def test_parse_binary_minus_before_a_number():
+    # numbers are unsigned tokens, so "-" between operands is subtraction
+    assert parse_element(FIG2, "t1-1") == parse_element(FIG2, "t1 - 1") == g("t", 1) - one(FIG2)
+    assert parse_element(FIG2, "2-1") == parse_element(FIG2, "2 - 1") == one(FIG2)
+    assert parse_element(FIG2, "a[p,a]-2") == parse_element(FIG2, "a[p,a] - 2")
+    assert parse_element(FIG2, "t1^-1-t1") == parse_element(FIG2, "t1^-1 - t1")
+    for text in ("t1^t2", "t1^1/2", "t1^"):
+        with pytest.raises(AlgebraError, match="integer exponent"):
+            parse_element(FIG2, text)
+
+
 def test_parse_errors():
     with pytest.raises(AlgebraError):
         parse_element(FIG2, "q[p,a]")

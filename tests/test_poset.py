@@ -10,8 +10,10 @@ from posetalg.poset import (
     LowerSet,
     PosetError,
     _above_masks,
+    _automorphisms,
     _canonical_mask,
     _natural_relation,
+    _order_masks,
     boundary,
     depth,
     down_set,
@@ -220,6 +222,8 @@ def test_height_depth():
         return best
 
     for poset in enumerate_posets(4):
+        top = [p for p in poset.elements if not any(poset.lt(p, q) for q in poset.elements)]
+        assert poset.maximal() == tuple(top)
         for p in poset.elements:
             assert height(poset, p) == chains_from(poset, p, lambda q, r: poset.lt(q, r))
             assert depth(poset, p) == chains_from(poset, p, lambda q, r: poset.lt(r, q))
@@ -253,6 +257,12 @@ def test_is_forest_iff_unique_maximal_chain():
     for poset in enumerate_posets(5):
         unique = all(len(maximal_chains(poset, p)) == 1 for p in poset.elements)
         assert is_forest(poset) == unique
+        down_sets_are_chains = all(
+            poset.leq(a, b) or poset.leq(b, a)
+            for p in poset.elements
+            for a, b in itertools.combinations(poset.strict[p] | {p}, 2)
+        )
+        assert is_forest(poset) == down_sets_are_chains
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -288,6 +298,14 @@ def test_poset_pair_iso():
     reg = PrimePair(("a", "b"), frozenset({("a", "b"), ("a", "a")}))
     assert poset_pair_iso(two_chain, reg) is None
     assert poset_pair_iso(reg, reg) is not None
+
+
+def test_automorphisms_are_the_relation_preserving_permutations():
+    for n in range(6):
+        for mask in _order_masks(n)[n]:
+            rel = _natural_relation(n, mask)
+            perms = itertools.permutations(range(n))
+            assert _automorphisms(n, rel) == [g for g in perms if {(g[a], g[b]) for a, b in rel} == rel]
 
 
 def test_enumerate_posets_counts():

@@ -460,6 +460,26 @@ def test_apw_graph_shape():
     assert not apw_graph_shape(from_pair(intro_mixed_pair()))
 
 
+def test_order_queries_over_pair_catalogue():
+    # apw_graph_shape, order_ideal and the lower-set check of OrderIdeal
+    # against their definitions on the relation
+    for pair in enumerate_prime_pairs(4):
+        m = PrimitiveMonoid(pair)
+        below = {p: {q for q, r in pair.rel if r == p != q} for p in pair.primes}
+        covers = {p: {q for q in below[p] if not any(q in below[r] for r in below[p])} for p in pair.primes}
+        free = {p for p in pair.primes if (p, p) not in pair.rel}
+        assert apw_graph_shape(m) == all(len(covers[p] & free) <= 1 for p in free)
+        for k in range(len(pair.primes) + 1):
+            for s in itertools.combinations(pair.primes, k):
+                x = m.reduce(dict.fromkeys(s, 1))
+                assert order_ideal(m, x).prime_set == set(s).union(*(below[p] for p in s))
+                if all(below[p] <= set(s) for p in s):
+                    assert ideal_from_lower_set(m, s).prime_set == set(s)
+                else:
+                    with pytest.raises(MonoidError, match="not lower"):
+                        ideal_from_lower_set(m, s)
+
+
 # -- congruence oracle -----------------------------------------------------------
 
 
@@ -508,6 +528,29 @@ def test_monoid_iso():
     iso = monoid_iso(m1, m2)
     assert iso is not None and iso["p"] == "w"
     assert monoid_iso(m1, from_pair(intro_mixed_pair())) is None
+
+
+def test_relation_iso_matches_permutation_search():
+    # every pair with at most 3 primes against a relabelled copy of every
+    # pair of its size; with 4 primes, against its own copy and the next
+    # pair's (the pairs without regular primes are the posets)
+    pairs = enumerate_prime_pairs(4)
+    for n in range(5):
+        same = [x for x in pairs if len(x.primes) == n]
+        name = {f"g{j}": f"h{n - 1 - j}" for j in range(n)}
+        for i, x in enumerate(same):
+            for other in same if n <= 3 else same[i : i + 2]:
+                rel = frozenset((name[q], name[p]) for q, p in other.rel)
+                y = PrimePair(tuple(sorted(name.values())), rel)
+                exists = any(
+                    {(f[q], f[p]) for q, p in x.rel} == y.rel
+                    for f in (dict(zip(x.primes, img)) for img in itertools.permutations(y.primes))
+                )
+                iso = relation_iso(x.primes, x.rel, y.primes, y.rel)
+                assert (iso is not None) == exists
+                if iso is not None:
+                    assert sorted(iso) == sorted(x.primes) and sorted(iso.values()) == sorted(y.primes)
+                    assert {(iso[q], iso[p]) for q, p in x.rel} == y.rel
 
 
 def test_json_round_trip():
