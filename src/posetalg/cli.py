@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .poset import (
+    PosetError,
     lower_covers,
     lower_sets,
     is_forest,
@@ -25,7 +26,7 @@ from .poset import (
     quiver_T,
     to_dot,
 )
-from .primon import apw_graph_shape, from_poset, monoid_iso, monoid_to_json
+from .primon import MonoidError, apw_graph_shape, from_poset, monoid_iso, monoid_to_json
 from .constructions import assemble, reconstruct_down
 from .graphmon import (
     check_Er_equals_chain,
@@ -262,7 +263,10 @@ def main(argv=None):
     pexp.add_argument("--what", choices=["hasse", "quiver", "stages"], default="hasse")
 
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
+    try:
+        config = _load_config(args.config)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"--config {args.config}: {exc}")
     defaults = {"bound": 4, "depth": 6, "seed": 0, "samples": 50}
     if not isinstance(config, dict):
         parser.error("--config file must hold a JSON object")
@@ -280,7 +284,10 @@ def main(argv=None):
         "graphmon": cmd_graphmon,
         "export": cmd_export,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, PosetError, MonoidError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

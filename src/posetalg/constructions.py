@@ -22,11 +22,11 @@ from .poset import (
     LabelledPoset,
     PosetError,
     _depths,
+    _descents,
     compute_lower_covers,
     height,
     lower_covers,
     make_poset,
-    maximal_chains,
 )
 from .primon import (
     MonElem,
@@ -267,57 +267,28 @@ class Unfolding:
     result: MappedPoset  # the unfolded tree with its surjection onto the down-set
 
 
-def _chain_signature(base, sig):
-    """Label-index sequence of a descending path, for deterministic orders."""
-    return tuple(base.label_index(sig[i], sig[i + 1]) for i in range(len(sig) - 1))
-
-
-def _materialize(base, chains) -> MappedPoset:
-    """Poset of all descending-path prefixes of the given maximal chains.
-
-    Element ids reuse the base name, disambiguated with ~k over each fiber
-    (k ordered by the label-index sequence of the path).
-    """
-    prefixes = set()
-    for sig in chains:
-        for i in range(1, len(sig) + 1):
-            prefixes.add(sig[:i])
-    by_base = {}
-    for sig in sorted(prefixes, key=lambda s: (s[-1], _chain_signature(base, s))):
-        by_base.setdefault(sig[-1], []).append(sig)
-    names = {}
-    for b, sigs in by_base.items():
-        for k, sig in enumerate(sigs):
-            names[sig] = b if len(sigs) == 1 else f"{b}~{k}"
-    kids = {}
-    for sig in prefixes:
-        if len(sig) > 1:
-            kids.setdefault(sig[:-1], []).append(sig)
-    covers = []
-    labels = {}
-    for sig, ks in kids.items():
-        ks.sort(key=lambda s: base.label_index(sig[-1], s[-1]))
-        covers += [(names[k], names[sig]) for k in ks]
-        labels[names[sig]] = tuple(names[k] for k in ks)
-    poset = make_poset([names[s] for s in prefixes], covers, labels)
-    return MappedPoset(poset, {names[s]: s[-1] for s in prefixes})
-
-
 def build_F(base: LabelledPoset, top: str) -> Unfolding:
     """Unfold the down-set of a maximal element into its path tree: the
-    poset of the descending prefixes of its maximal chains, in which every
-    upper interval is a chain.  Fiber copies are named ``b~k``, so no base
-    id may hold ``~``.
+    poset of the descending cover paths from top, in which every upper
+    interval is a chain.  The copies of a base element b reached by several
+    paths are ``b~0``, ``b~1``, .. in descent order, so no id may hold ``~``.
     """
     _reject_reserved(base, "~")
     base.check(top)
     if top not in base.maximal():
         raise PosetError(f"{top!r} is not maximal")
-    chains = sorted(
-        (tuple(reversed(c)) for c in maximal_chains(base, top)),
-        key=lambda s: _chain_signature(base, s),
-    )
-    return Unfolding(base, top, _materialize(base, chains))
+    paths = list(_descents(base, top))
+    fibers = {}
+    for path in paths:
+        fibers.setdefault(path[-1], []).append(path)
+    names = {}
+    for b, fiber in fibers.items():
+        names.update((path, b if len(fiber) == 1 else f"{b}~{k}") for k, path in enumerate(fiber))
+    labels = {}
+    for path in paths[1:]:
+        labels.setdefault(names[path[:-1]], []).append(names[path])
+    poset = make_poset(names.values(), ((q, p) for p, qs in labels.items() for q in qs), labels)
+    return Unfolding(base, top, MappedPoset(poset, {names[s]: s[-1] for s in paths}))
 
 
 def _reject_reserved(base, chars):
@@ -338,9 +309,9 @@ def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
     for p in members:
         if not base.strict[p] <= members:
             raise PosetError("sub_poset needs a lower subset")
-    covers = [(q, p) for p in members for q in lower_covers(base, p)]
-    labels = {p: base.labels[p] for p in members if p in base.labels}
-    return make_poset(members, covers, labels)
+    elements = tuple(sorted(members))
+    labels = {p: base.labels[p] for p in elements if p in base.labels}
+    return LabelledPoset(elements, {p: base.strict[p] for p in elements}, labels)
 
 
 def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
@@ -476,16 +447,17 @@ def assemble(base: LabelledPoset) -> Assembly:
     """
     _reject_reserved(base, "~@")
     recs = {m: reconstruct_down(base, m) for m in sorted(base.maximal())}
-    parts, covers, labels, psi = [], [], {}, {}
+    parts, strict, labels, psi = [], {}, {}, {}
     for m, rec in recs.items():
         last = rec.stages[-1]
         tag = {e: f"{e}@{m}" for e in last.poset.elements}
         parts.append(set(tag.values()))
-        for p, kids in last.poset.labels.items():
-            covers += [(tag[q], tag[p]) for q in kids]
-            labels[tag[p]] = tuple(tag[q] for q in kids)
+        strict.update((tag[p], frozenset(tag[q] for q in below)) for p, below in last.poset.strict.items())
+        labels.update((tag[p], tuple(tag[q] for q in kids)) for p, kids in last.poset.labels.items())
         psi.update((tag[e], last.psi[e]) for e in tag)
-    poset = make_poset(set().union(*parts), covers, labels)
+    elements = tuple(sorted(strict))
+    labels = {p: labels[p] for p in elements if p in labels}
+    poset = LabelledPoset(elements, {p: strict[p] for p in elements}, labels)
 
     gluings = 0
     covered = set()

@@ -24,9 +24,6 @@ class GraphMonoidPresentation:
     quiver: Quiver
     relations: tuple  # ((vertex, {vertex: multiplicity}), ...) per emitting vertex
 
-    def relation_pairs(self):
-        return [({v: 1}, dict(rhs)) for v, rhs in self.relations]
-
 
 def graph_monoid(quiver: Quiver, bound: int = 4):
     """The presentation together with a bounded equality decider."""
@@ -40,7 +37,7 @@ def graph_monoid(quiver: Quiver, bound: int = 4):
             rhs[r] = rhs.get(r, 0) + 1
         rels.append((v, tuple(sorted(rhs.items()))))
     pres = GraphMonoidPresentation(quiver, tuple(rels))
-    oracle = congruence_oracle(quiver.vertices, pres.relation_pairs(), bound)
+    oracle = congruence_oracle(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound)
     return pres, oracle
 
 
@@ -57,21 +54,11 @@ def build_Er(r: int) -> Quiver:
     return Quiver(vertices, tuple(arrows))
 
 
-def _reachable(quiver, v):
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for _, s, r in quiver.arrows:
-            if s == u and r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return seen
-
-
 def is_hereditary(quiver, subset) -> bool:
+    """True iff no arrow leaves the subset: closure under arrows is
+    closure under paths."""
     subset = set(subset)
-    return all(_reachable(quiver, v) <= subset for v in subset)
+    return all(r in subset for _, s, r in quiver.arrows if s in subset)
 
 
 def is_saturated(quiver, subset) -> bool:

@@ -273,25 +273,28 @@ def lower_covers(poset: LabelledPoset, p: str) -> tuple[str, ...]:
     return poset.labels.get(p, ())
 
 
+def _descents(poset: LabelledPoset, p: str):
+    """Every descending cover path from p, as a tuple that starts at p.
+
+    The walk is depth first with covers in label order, so the paths come
+    in lexicographic order on their label indices, each path before its
+    extensions.
+    """
+    poset.check(p)
+    stack = [(p,)]
+    while stack:
+        path = stack.pop()
+        yield path
+        stack += [path + (q,) for q in reversed(poset.labels.get(path[-1], ()))]
+
+
 def maximal_chains(poset: LabelledPoset, p: str) -> list[tuple[str, ...]]:
     """Maximal chains of the down-set of p, ascending, ending at p.
 
     Enumeration is lexicographic on the label indices of the descent from p,
     so the output order is reproducible.
     """
-    poset.check(p)
-    chains = []
-
-    def descend(v, acc):
-        covers = lower_covers(poset, v)
-        if not covers:
-            chains.append(tuple(reversed(acc)))
-            return
-        for q in covers:
-            descend(q, acc + [q])
-
-    descend(p, [p])
-    return chains
+    return [path[::-1] for path in _descents(poset, p) if not poset.labels.get(path[-1])]
 
 
 def height(poset: LabelledPoset, p: str) -> int:

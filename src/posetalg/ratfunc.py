@@ -253,13 +253,11 @@ def _split(terms):
     return (g if den == 1 else _q(Fraction(g, den))), prim
 
 
-def poly_str(p: Poly, varname=None) -> str:
+def poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
 
     def vname(v):
-        if varname:
-            return varname(v)
         if isinstance(v, tuple) and len(v) == 2 and v[0] == "t":
             return f"t{v[1]}"
         return "_".join(str(x) for x in v)

@@ -185,3 +185,41 @@ def test_config_rejects_unknown_keys_and_non_integer_values(config, fig2_file, t
         main(["--config", str(cfg), "verify-algebra", str(fig2_file)])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+
+
+BAD_INPUTS = {
+    "config_not_json": (
+        {"bad.json": "{bad", "fig2.poset": FIG2_DSL},
+        ["--config", "bad.json", "info", "fig2.poset"],
+        "--config bad.json: Expecting property name",
+    ),
+    "unknown_element_in_covers": (
+        {"u.poset": "elems a p; covers a<p z<p\n"},
+        ["info", "u.poset"],
+        "unknown element 'z'",
+    ),
+    "labels_miss_a_cover": (
+        {"w.poset": "elems a b p; covers a<p b<p; labels p:[a]\n"},
+        ["pipeline", "w.poset"],
+        "label map of 'p' is not a bijection",
+    ),
+    "word_over_oracle_bound": (
+        {"fan.quiver": "vertices u v; arrows u->v u->v u->v u->v u->v\n"},
+        ["graphmon", "fan.quiver", "--bound", "4"],
+        "word exceeds oracle bound 4",
+    ),
+    "missing_input_file": ({}, ["info", "missing.poset"], "No such file or directory: 'missing.poset'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_a_usage_error(case, tmp_path, monkeypatch, capsys):
+    files, argv, message = BAD_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("posetalg: error: ") and message in err[-1]

@@ -32,6 +32,7 @@ from posetalg.poset import (
     quiver_T,
     to_dot,
 )
+from posetalg.constructions import build_F
 from posetalg.primon import PrimePair
 
 
@@ -196,14 +197,42 @@ def test_maximal_chains():
     assert maximal_chains(diamond(), "p") == [("b", "q1", "p"), ("b", "q2", "p")]
 
 
+def _saturated_descents(poset, p):
+    """Every descending chain from p whose steps are covers (nothing strictly
+    between), sorted by the label indices of its steps."""
+    below = [q for q in poset.strict[p] if not any(q in poset.strict[r] for r in poset.strict[p])]
+    paths = [(p,)] + [(p, *rest) for q in below for rest in _saturated_descents(poset, q)]
+    return sorted(paths, key=lambda c: [poset.labels[a].index(b) for a, b in zip(c, c[1:])])
+
+
 def test_maximal_chains_are_saturated_and_maximal():
-    for poset in enumerate_posets(5):
-        for p in poset.elements:
-            for ch in maximal_chains(poset, p):
-                assert ch[-1] == p
-                assert ch[0] in poset.minimal()
-                for lo, hi in zip(ch, ch[1:]):
-                    assert lo in lower_covers(poset, hi)
+    for base in enumerate_posets(5):
+        reversed_labels = {p: covers[::-1] for p, covers in base.labels.items()}
+        for poset in (base, LabelledPoset(base.elements, base.strict, reversed_labels)):
+            for p in poset.elements:
+                chains = maximal_chains(poset, p)
+                for ch in chains:
+                    assert ch[-1] == p
+                    assert ch[0] in poset.minimal()
+                    for lo, hi in zip(ch, ch[1:]):
+                        assert lo in lower_covers(poset, hi)
+                # in lexicographic order on the label indices of the descent
+                descents = _saturated_descents(poset, p)
+                assert chains == [c[::-1] for c in descents if not poset.strict[c[-1]]]
+            # build_F numbers the copies of each fiber in that same order
+            for top in poset.maximal():
+                unf = build_F(poset, top)
+                F, psi = unf.result.poset, unf.result.psi
+                above = sorted(F.elements, key=lambda y: -len(F.strict[y]))
+                fibers = {}
+                for path in _saturated_descents(poset, top):
+                    fibers.setdefault(path[-1], []).append(path)
+                assert len(psi) == sum(map(len, fibers.values()))
+                for b, fiber in fibers.items():
+                    for k, path in enumerate(fiber):
+                        x = b if len(fiber) == 1 else f"{b}~{k}"
+                        assert psi[x] == b
+                        assert tuple(psi[y] for y in above if F.lt(x, y)) == path[:-1]
 
 
 def test_height_depth():
