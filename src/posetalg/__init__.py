@@ -22,7 +22,6 @@ from .poset import (  # noqa: F401
     make_poset,
     maximal_chains,
     parse_poset,
-    poset_pair_iso,
     quiver_T,
     to_dot,
 )

@@ -307,6 +307,7 @@ def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
     """Restriction of a poset to a lower subset (covers and labels persist)."""
     members = set(members)
     for p in members:
+        base.check(p)
         if not base.strict[p] <= members:
             raise PosetError("sub_poset needs a lower subset")
     elements = tuple(sorted(members))

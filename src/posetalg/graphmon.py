@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .poset import PosetError, Quiver, _sections
-from .primon import _bounded_words, congruence_oracle
+from .primon import MonoidError, _bounded_words, congruence_oracle
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,19 @@ class GraphMonoidPresentation:
 
 
 def graph_monoid(quiver: Quiver, bound: int = 4):
-    """The presentation together with a bounded equality decider."""
+    """The presentation together with a bounded equality decider.
+
+    Every relation word must fit the oracle's bound, so a vertex that emits
+    more than ``bound`` arrows raises MonoidError."""
     rels = []
     for v in quiver.vertices:
         outs = quiver.out_arrows(v)
         if not outs:
             continue
+        if len(outs) > bound:
+            raise MonoidError(
+                f"vertex {v!r} emits {len(outs)} arrows, so its relation word exceeds oracle bound {bound}"
+            )
         rhs = {}
         for _, _, r in outs:
             rhs[r] = rhs.get(r, 0) + 1

@@ -595,17 +595,3 @@ def format_element(x: AlgElement) -> str:
             factors.append(f"e[{key.mid}]")
         parts.append("*".join(factors))
     return " + ".join(parts)
-
-
-def graded_json(x: AlgElement) -> dict:
-    comps = []
-    for (g1, g2), comp in sorted(grade(x).items()):
-        comps.append(
-            {
-                "path_left": list(g1),
-                "path_right": list(g2),
-                "end": g1[-1],
-                "component": format_element(comp),
-            }
-        )
-    return {"poset": list(x.poset.elements), "components": comps}

@@ -447,15 +447,6 @@ def relation_iso(elems1, rel1, elems2, rel2):
     return next(_relation_isos(elems1, rel1, elems2, rel2), None)
 
 
-def poset_pair_iso(x, y):
-    """Relation-preserving bijection between two prime pairs, or None.
-
-    Accepts any objects exposing ``primes`` and ``rel`` (the primon module's
-    PrimePair does).
-    """
-    return relation_iso(x.primes, x.rel, y.primes, y.rel)
-
-
 def poset_iso(p1: LabelledPoset, p2: LabelledPoset):
     rel1 = {(q, p) for p in p1.elements for q in p1.strict[p]}
     rel2 = {(q, p) for p in p2.elements for q in p2.strict[p]}

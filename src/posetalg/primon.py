@@ -8,15 +8,14 @@ regular primes carry coefficient one.  The natural tuple of counting maps
 (one per prime, values in Z+ together with infinity) is an embedding and is
 used as a cross-check on equality throughout the tests.
 
-Verifiers (refinement by checked construction with a complete search as
-fallback, separativity, a bounded congruence oracle) live here too; every
-search bound is an explicit parameter.
+Verifiers (refinement by checked construction, separativity, a bounded
+congruence oracle) live here too; every search bound is an explicit
+parameter.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 
@@ -64,14 +63,6 @@ def _rel_image(rel, pmap) -> frozenset:
     dropping every pair with an end the map omits or sends to None."""
     pairs = ((pmap.get(q), pmap.get(p)) for q, p in rel)
     return frozenset((q, p) for q, p in pairs if q is not None and p is not None)
-
-
-def unchecked_pair(primes, rel) -> PrimePair:
-    """Build a PrimePair skipping validation (corrupted inputs for tests)."""
-    pp = object.__new__(PrimePair)
-    object.__setattr__(pp, "primes", tuple(primes))
-    object.__setattr__(pp, "rel", frozenset(rel))
-    return pp
 
 
 @dataclass(frozen=True)
@@ -127,10 +118,9 @@ class PrimitiveMonoid:
     """The abelian monoid presented by a PrimePair.
 
     Elements live in one dense core: coefficient vectors over the primes
-    sorted by name (repeated names in a corrupted pair stay adjacent, and a
-    name read from a word or a MonElem goes to its first index), reduced
-    with one absorber bitmask per prime.  ``_elem`` is the only way from a
-    vector to the public MonElem, so every element lists its primes by name.
+    sorted by name, reduced with one absorber bitmask per prime.  ``_elem``
+    is the only way from a vector to the public MonElem, so every element
+    lists its primes by name.
     """
 
     def __init__(self, pair: PrimePair):
@@ -149,13 +139,9 @@ class PrimitiveMonoid:
         self.regular = frozenset(q for q in pair.primes if (q, q) in pair.rel)
         self._names = tuple(sorted(pair.primes))
         self._bits = tuple(1 << i for i in range(len(self._names)))
-        self._index = {}
-        named = {}  # prime name -> the bits of its indices
-        for i, p in enumerate(self._names):
-            self._index.setdefault(p, i)
-            named[p] = named.get(p, 0) | 1 << i
-        self._absorbers = tuple(sum(named[q] for q in self.strictly_above[p]) for p in self._names)
-        self._regular_mask = sum(named[p] for p in self.regular)
+        self._index = {p: i for i, p in enumerate(self._names)}
+        self._absorbers = tuple(sum(1 << self._index[q] for q in self.strictly_above[p]) for p in self._names)
+        self._regular_mask = sum(1 << self._index[p] for p in self.regular)
 
     def __repr__(self):
         return f"PrimitiveMonoid({len(self.primes)} primes)"
@@ -243,7 +229,7 @@ class PrimitiveMonoid:
 
     def elements(self, max_size: int):
         """All reduced elements with total coefficient size <= max_size, by
-        size and then coefficients (a repeated prime name gives repeats)."""
+        size and then coefficients."""
         out = []
         for support in range(1 << len(self._names)):
             slots = [i for i, bit in enumerate(self._bits) if bit & support]
@@ -322,12 +308,43 @@ def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):
 # verifiers
 
 
-def _uncertified(m: PrimitiveMonoid, size_bound: int):
-    """Yield, per sum group in sorted order, the equalities x1 + x2 = y1 + y2
-    over elements of size <= size_bound whose constructed refinement fails
-    its ``add`` check (see ``check_refinement``); settled groups are skipped.
+def check_refinement(m: PrimitiveMonoid, size_bound: int):
+    """Check every x1 + x2 = y1 + y2 over elements of size <= size_bound for
+    a 2x2 refinement; returns None once every equality is certified.
 
-    Sums are memoised for the life of the generator only."""
+    Each equality gets a refinement matrix (z_ij) by construction, in phi
+    coordinates, and the matrix counts only once ``add`` confirms its four
+    sums z_i1 + z_i2 = x_i and z_1j + z_2j = y_j: the checked matrix is the
+    certificate, so no verdict rests on phi being an embedding.  The primes
+    are walked from the top down (a prime has more absorbers than any prime
+    above it), and at prime h:
+
+    - z_ij is forced to infinity iff it is nonzero at some prime above h;
+    - at a regular h an unforced entry is infinite only where its row and
+      its column are both infinite and one of them still lacks an infinite
+      entry, else 0;
+    - at a free h the unforced entries solve the finite 2x2 transport
+      problem by the north-west-corner rule: in the order z11, z12, z21,
+      z22 each takes min(rest of its row, rest of its column), or 0 when
+      both are infinite.
+
+    On a valid prime pair every step is solvable.  Forcing agrees with the
+    sums: if z_ij is nonzero at some g > h, so are x_i and y_j, hence both
+    are infinite at h.  At a free h an infinite x_i is nonzero at some
+    g > h, so one entry of row i is nonzero at g and forced at h; columns
+    likewise.  The unforced entries then only have to meet the finite rows
+    and columns; since x1 + x2 = y1 + y2 at h, an infinite row implies an
+    infinite column, and in each case the corner rule meets them.  Every
+    entry is infinite at h whenever it is nonzero above h, and at a free h
+    only then, so it lies in the image of phi: its reduced element keeps
+    the unforced nonzero values, with coefficient 1 at regular primes.
+
+    So a matrix that fails its check means the relation is not a valid
+    pair (a PrimePair cannot hold one), and raises MonoidError naming the
+    equality; no search follows.  Row and column swaps act on refinement
+    matrices, so only ordered representatives of each equality are
+    checked.  Sums are memoised for the call only.
+    """
     n = len(m.primes)
     memo = {}
 
@@ -406,9 +423,10 @@ def _uncertified(m: PrimitiveMonoid, size_bound: int):
                 nz22 |= bit
         return tuple(z11), tuple(z12), tuple(z21), tuple(z22)
 
-    for s in sorted(by_sum):
-        pairs = by_sum[s]
-        todo = []
+    def term(x):
+        return f"({x})" if len(x.coeffs) > 1 else str(x)
+
+    for pairs in by_sum.values():
         for i, (x1, x2) in enumerate(pairs):
             for y1, y2 in pairs[i + 1 :]:
                 z11, z12, z21, z22 = construct(x1, x2, y1, y2)
@@ -418,99 +436,11 @@ def _uncertified(m: PrimitiveMonoid, size_bound: int):
                     or add(z11, z21) != y1
                     or add(z12, z22) != y2
                 ):
-                    todo.append((x1, x2, y1, y2))
-        if todo:
-            yield todo
-
-
-def check_refinement(m: PrimitiveMonoid, size_bound: int):
-    """Check every x1 + x2 = y1 + y2 over elements of size <= size_bound for
-    a 2x2 refinement; returns None (ok) or the first counterexample.
-
-    Each equality gets a refinement matrix (z_ij) by construction, in phi
-    coordinates, and the matrix counts only once ``add`` confirms its four
-    sums z_i1 + z_i2 = x_i and z_1j + z_2j = y_j: the checked matrix is the
-    certificate, so no verdict rests on phi being an embedding.  The primes
-    are walked from the top down (a prime has more absorbers than any prime
-    above it), and at prime h:
-
-    - z_ij is forced to infinity iff it is nonzero at some prime above h;
-    - at a regular h an unforced entry is infinite only where its row and
-      its column are both infinite and one of them still lacks an infinite
-      entry, else 0;
-    - at a free h the unforced entries solve the finite 2x2 transport
-      problem by the north-west-corner rule: in the order z11, z12, z21,
-      z22 each takes min(rest of its row, rest of its column), or 0 when
-      both are infinite.
-
-    On a valid prime pair every step is solvable.  Forcing agrees with the
-    sums: if z_ij is nonzero at some g > h, so are x_i and y_j, hence both
-    are infinite at h.  At a free h an infinite x_i is nonzero at some
-    g > h, so one entry of row i is nonzero at g and forced at h; columns
-    likewise.  The unforced entries then only have to meet the finite rows
-    and columns; since x1 + x2 = y1 + y2 at h, an infinite row implies an
-    infinite column, and in each case the corner rule meets them.  Every
-    entry is infinite at h whenever it is nonzero above h, and at a free h
-    only then, so it lies in the image of phi: its reduced element keeps
-    the unforced nonzero values, with coefficient 1 at regular primes.
-
-    A sum group with an equality the construction does not settle (only
-    possible on a relation that is not a valid pair) goes to the complete
-    search, a decomposition table over a capped candidate pool; it finds
-    the genuine counterexamples.  Row and column swaps act on refinement
-    matrices, so only ordered representatives of each equality are checked.
-    """
-    n = len(m.primes)
-    add = m._add_vec
-    for todo in _uncertified(m, size_bound):
-        # reach[i]: primes with an absorption path into prime i, the path
-        # closure; it is the lower closure on a valid pair and stays sound
-        # on a corrupted (non-transitive) relation
-        reach = []
-        for i in range(n):
-            mask, frontier = 1 << i, [i]
-            while frontier:
-                j = frontier.pop()
-                for k in range(n):
-                    if not mask >> k & 1 and m._absorbers[k] >> j & 1:
-                        mask |= 1 << k
-                        frontier.append(k)
-            reach.append(mask)
-        members = {v for quad in todo for v in quad}
-        mask = 0
-        for v in members:
-            for i, c in enumerate(v):
-                if c:
-                    mask |= reach[i]
-        # candidates: reduced vectors inside the members' reach, coefficients
-        # capped (absorbed coordinates never need more than one copy)
-        caps = [max([1] + [v[i] for v in members]) for i in range(n)]
-        slots = [i for i in range(n) if mask >> i & 1]
-        ranges = [range((1 if m._regular_mask >> i & 1 else caps[i]) + 1) for i in slots]
-        pool = []
-        for combo in itertools.product(*ranges):
-            vec = [0] * n
-            for i, c in zip(slots, combo):
-                vec[i] = c
-            vec = tuple(vec)
-            if m._reduced(vec) == vec:
-                pool.append(vec)
-        decomp = {}
-        complete = {}
-        for u in pool:
-            for v in pool:
-                t = add(u, v)
-                if t in members:
-                    decomp.setdefault(t, []).append((u, v))
-                    complete.setdefault((t, u), []).append(v)
-        for x1, x2, y1, y2 in todo:
-            if not any(
-                add(z21, z22) == x2
-                for z11, z12 in decomp.get(x1, ())
-                for z21 in complete.get((y1, z11), ())
-                for z22 in complete.get((y2, z12), ())
-            ):
-                return tuple(m._elem(v) for v in (x1, x2, y1, y2))
+                    x1, x2, y1, y2 = (term(m._elem(v)) for v in (x1, x2, y1, y2))
+                    raise MonoidError(
+                        f"the constructed refinement of {x1} + {x2} = {y1} + {y2} fails its check: "
+                        "the prime pair is not valid"
+                    )
     return None
 
 
@@ -724,9 +654,3 @@ def monoid_to_json(m: PrimitiveMonoid, elements=()):
         "free": {p: m.is_free(p) for p in m.primes},
         "phi": [{"element": str(x), "coeffs": x.as_dict(), "phi": phi_json(x)} for x in elements],
     }
-
-
-def pair_from_json(data) -> PrimePair:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return PrimePair(tuple(sorted(data["primes"])), frozenset(tuple(t) for t in data["rel"]))

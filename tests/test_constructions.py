@@ -315,6 +315,11 @@ def test_build_F_rejects_tilde_in_ids():
             build()
 
 
+def test_sub_poset_rejects_unknown_members():
+    with pytest.raises(PosetError, match="unknown element 'zz'"):
+        sub_poset(fig2_poset(), {"zz"})
+
+
 def test_build_F_postconditions_on_catalogue():
     for poset in enumerate_posets(5):
         for top in poset.maximal():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver
+from posetalg.primon import MonoidError
 from posetalg.graphmon import (
     build_Er,
     check_Er_equals_chain,
@@ -46,6 +47,13 @@ def test_graph_monoid_arrowless_is_free():
     assert pres.relations == ()
     assert not oracle.equal({"x": 1}, {"y": 1})
     assert oracle.equal({"x": 1, "y": 1}, {"y": 1, "x": 1})
+
+
+def test_graph_monoid_rejects_relation_over_bound():
+    fan = Quiver(("u", "v"), tuple((f"e{i}", "u", "v") for i in range(5)))
+    with pytest.raises(MonoidError, match="vertex 'u' emits 5 arrows, so its relation word exceeds oracle bound 4"):
+        graph_monoid(fan, 4)
+    assert graph_monoid(fan, 5)[1].equal({"u": 1}, {"v": 5})
 
 
 def test_graph_monoid_E2_chain_equalities():

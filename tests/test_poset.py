@@ -28,12 +28,11 @@ from posetalg.poset import (
     maximal_chains,
     parse_poset,
     poset_iso,
-    poset_pair_iso,
     quiver_T,
     to_dot,
 )
 from posetalg.constructions import build_F
-from posetalg.primon import PrimePair
+from posetalg.primon import PrimePair, from_pair, monoid_iso
 
 
 def diamond():
@@ -315,18 +314,21 @@ def test_complete_hom_respects_labels():
 
 
 def test_poset_pair_iso():
+    def iso(x, y):
+        return monoid_iso(from_pair(x), from_pair(y))
+
     fig2 = fig2_poset()
     rel = frozenset((q, p) for p in fig2.elements for q in fig2.strict[p])
     x = PrimePair(fig2.elements, rel)
     y = PrimePair(("u", "v", "w"), frozenset({("u", "w"), ("v", "w")}))
-    assert poset_pair_iso(x, y) is not None
+    assert iso(x, y) is not None
     two_chain = PrimePair(("a", "b"), frozenset({("a", "b")}))
     two_anti = PrimePair(("a", "b"), frozenset())
-    assert poset_pair_iso(two_chain, two_anti) is None
+    assert iso(two_chain, two_anti) is None
     # regular flags must be preserved
     reg = PrimePair(("a", "b"), frozenset({("a", "b"), ("a", "a")}))
-    assert poset_pair_iso(two_chain, reg) is None
-    assert poset_pair_iso(reg, reg) is not None
+    assert iso(two_chain, reg) is None
+    assert iso(reg, reg) is not None
 
 
 def test_automorphisms_are_the_relation_preserving_permutations():
