@@ -211,6 +211,8 @@ class PrimitiveMonoid:
         vec = [0] * len(self._names)
         for p, n in word.items():
             self.check_prime(p)
+            if n < 0:
+                raise MonoidError(f"negative coefficient {n!r} of prime {p!r}")
             if n > 0:
                 vec[self._index[p]] = n
         return self._elem(self._reduced(vec))
@@ -564,7 +566,10 @@ class CongruenceOracle:
     def _vec(word, index):
         vec = [0] * len(index)
         for g, n in dict(word).items():
-            vec[index[g]] += n
+            try:
+                vec[index[g]] += n
+            except KeyError:
+                raise MonoidError(f"unknown generator {g!r}") from None
         return tuple(vec)
 
     def _as_vec(self, word):
@@ -574,7 +579,15 @@ class CongruenceOracle:
         return vec
 
     def equal(self, w1, w2) -> bool:
-        return self._find(self._as_vec(w1)) == self._find(self._as_vec(w2))
+        try:
+            return self._find(self._as_vec(w1)) == self._find(self._as_vec(w2))
+        except KeyError:
+            # find misses only a vector outside the word set
+            for w in (w1, w2):
+                for g, n in dict(w).items():
+                    if n < 0 or n % 1:
+                        raise MonoidError(f"count {n!r} of generator {g!r} is not a non-negative integer") from None
+            raise
 
     def classes(self):
         buckets = {}

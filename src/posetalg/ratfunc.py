@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 
 def _coerce(c):
@@ -45,24 +46,27 @@ def _settle(terms):
 
 
 def _poly(terms):
-    """A Poly around a canonical term dict, taken as it is."""
+    """A Poly around a canonical term dict, taken as it is and held
+    read-only."""
     p = Poly.__new__(Poly)
-    p.terms = terms
+    p.terms = MappingProxyType(terms)
     return p
 
 
 class Poly:
-    """Canonical sparse polynomial: {monomial: nonzero int or Fraction}."""
+    """Canonical sparse polynomial: a read-only {monomial: nonzero int or
+    Fraction}."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        out = {}
         if terms:
             for mono, c in dict(terms).items():
                 c = _coerce(c)
                 if c:
-                    self.terms[mono] = c
+                    out[mono] = c
+        self.terms = MappingProxyType(out)
 
     # -- constructors ------------------------------------------------------
 

@@ -171,6 +171,13 @@ def test_reduce_unknown_prime():
         fig2_monoid().reduce({"zz": 1})
 
 
+def test_reduce_rejects_negative_coefficients():
+    m = fig2_monoid()
+    with pytest.raises(MonoidError, match="negative coefficient -2 of prime 'a'"):
+        m.reduce({"a": -2, "b": 1})
+    assert m.reduce({"a": 0, "b": 1}) == m.gen("b")
+
+
 def test_add_equal_leq():
     m = fig2_monoid()
     a, p = m.gen("a"), m.gen("p")
@@ -502,6 +509,19 @@ def test_congruence_oracle_bound_guard():
     orc = congruence_oracle(["x"], [], 2)
     with pytest.raises(MonoidError):
         orc.equal({"x": 3}, {"x": 3})
+
+
+def test_congruence_oracle_rejects_bad_words():
+    orc = congruence_oracle(["a", "b"], [], 3)
+    with pytest.raises(MonoidError, match="unknown generator 'zz'"):
+        orc.equal({"zz": 1}, {"b": 1})
+    with pytest.raises(MonoidError, match="count -1 of generator 'a'"):
+        orc.equal({"a": -1}, {"b": 1})
+    with pytest.raises(MonoidError, match="count 1.5 of generator 'a'"):
+        orc.equal({"a": 1.5}, {"b": 1})
+    with pytest.raises(MonoidError, match="count -1 of generator 'b'"):
+        orc.equal({"a": 1}, {"a": 2, "b": -1})
+    assert orc.equal({"a": 1, "b": 0}, {"a": 1})
 
 
 # -- iso and JSON -----------------------------------------------------------------

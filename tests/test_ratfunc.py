@@ -40,6 +40,15 @@ def test_poly_subst_monomials():
     assert out == Poly.var(("t", 1), 2) * Poly.var(("t", 3), -1)
 
 
+def test_poly_terms_read_only():
+    for p in (Poly.var("x"), Poly.const(1), Poly({(): 2}), Poly.var("x") + Poly.const(1)):
+        before = dict(p.terms)
+        with pytest.raises(TypeError):
+            p.terms[()] = 5
+        assert dict(p.terms) == before
+    assert Poly.const(1) == Poly({(): 1})
+
+
 def test_poly_pow_negative_rejected():
     with pytest.raises(ValueError):
         Poly.var(X) ** -1

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import enumerate_posets, fig2_poset, lower_covers, make_poset
+from posetalg.poset import PosetError, enumerate_posets, fig2_poset, lower_covers, make_poset
 from posetalg.ratfunc import Poly, RatFunc, t_poly
-from posetalg.leavitt import AlgebraError, generator, one, parse_element
+from posetalg.leavitt import AlgebraError, AlgElement, TermKey, generator, one, parse_element
 from posetalg.toeplitz import (
     RepError,
     RepVector,
     SigmaPoly,
     _factor_bottom,
+    _word_root,
     act,
     act_element,
     act_expr,
@@ -45,6 +46,13 @@ def chain(n):
 def diamond():
     return make_poset(
         ["b", "q1", "q2", "p"], [("b", "q1"), ("b", "q2"), ("q1", "p"), ("q2", "p")]
+    )
+
+
+def _claw():
+    # one vertex over three covers, labelled out of name order
+    return make_poset(
+        ["a", "b", "c", "p"], [("a", "p"), ("b", "p"), ("c", "p")], {"p": ("c", "a", "b")}
     )
 
 
@@ -163,7 +171,141 @@ def test_check_relation_reports_counterexample_vector():
     assert left != right
 
 
+def _full_loop(space, lhs, rhs, samples):
+    """check_relation without the root filter: every word on every sample."""
+    for v in samples:
+        left, right = act_expr(space, lhs, v), act_expr(space, rhs, v)
+        if left != right:
+            return (v, left, right)
+    return None
+
+
+def _root_filter_posets():
+    posets = [p for n in range(5) for p in enumerate_posets(n)]
+    return posets + [FIG2, diamond()]
+
+
+def test_root_filter_keeps_every_verdict():
+    # the suite, and each lhs against the next relation's rhs
+    failing = 0
+    for poset in _root_filter_posets():
+        space = build_space(poset)
+        samples = sample_vectors(space, 2)
+        rels = [(lhs, rhs) for _, lhs, rhs in relation_suite(poset)]
+        mixed = [(lhs, rels[(i + 1) % len(rels)][1]) for i, (lhs, _) in enumerate(rels)]
+        for lhs, rhs in rels + mixed:
+            got = check_relation(space, lhs, rhs, samples)
+            assert repr(got) == repr(_full_loop(space, lhs, rhs, samples))
+            failing += got is not None
+    assert failing > 100
+
+
+def test_dropped_words_act_as_zero():
+    dropped = 0
+    for poset in _root_filter_posets():
+        space = build_space(poset)
+        words = [word for _, lhs, rhs in relation_suite(poset) for _, word in lhs + rhs]
+        samples = sample_vectors(space, 1)
+        samples += [a + b for a, b in itertools.combinations(samples[:6], 2)]
+        for word in words:
+            root = _word_root(word)
+            for v in samples:
+                if root is not None and all(path[0][0] != root for path in v.coeffs):
+                    assert act_word(space, word, v).is_zero()
+                    dropped += 1
+    assert dropped > 1000
+
+
+def test_check_relation_runs_act_checks_when_every_sample_is_skipped():
+    one_ = Fraction(1)
+    at_a, at_b = [leaf_vector(SPACE, (("a", 0),))], [leaf_vector(SPACE, (("b", 0),))]
+    fine = [(one_, [("e", "a")])]
+    for word, err, msg in [
+        ([("e", "zz")], PosetError, "unknown element 'zz'"),
+        ([("alpha", "p", "p")], RepError, "'p' is not a lower cover of 'p'"),
+        ([("gamma", "p", "a")], RepError, "unknown generator"),
+        ([("t", 1), ("betabar", "a", "p")], RepError, "'p' is not a lower cover of 'a'"),
+    ]:
+        for lhs, rhs in (([(one_, word)], fine), (fine, [(one_, word)])):
+            with pytest.raises(err, match=msg):
+                check_relation(SPACE, lhs, rhs, at_b)
+            with pytest.raises(err, match=msg):
+                check_relation(SPACE, lhs, rhs, at_a)
+    other = build_space(chain(1))
+    with pytest.raises(RepError, match="different space"):
+        check_relation(SPACE, fine, fine, [leaf_vector(other, (("c1", 1), ("c0", 0)))])
+
+
+def test_check_relation_samples_with_several_roots():
+    one_ = Fraction(1)
+    a, p = leaf_vector(SPACE, (("a", 0),)), leaf_vector(SPACE, (("p", 1), ("a", 0)))
+    lhs = [(one_, [("e", "a")]), (one_, [("alphabar", "p", "a"), ("alpha", "p", "a")])]
+    assert check_relation(SPACE, lhs, [(one_, [("t", 1), ("scalar", t_poly(1, -1))])], [a + p]) is None
+    rhs = [(one_, [("e", "a")])]
+    bad = check_relation(SPACE, lhs, rhs, [a, a + p])
+    assert bad[0] == a + p
+    assert repr(bad) == repr(_full_loop(SPACE, lhs, rhs, [a, a + p]))
+
+
 # -- element action -------------------------------------------------------------
+
+
+def _full_fold(space, x, vec):
+    """act_element without the corner split: each term's word, led by the
+    idempotent of its corner, on the whole vector."""
+    total = RepVector(space)
+    for key, coeff in x.terms.items():
+        word = [("e", key.left[0][0] if key.left else key.mid)]
+        for u, v, m in key.left:
+            word += [("alpha", u, v)] * m + [("beta", u, v)]
+        word.append(("scalar", RatFunc(coeff)))
+        for q, e in key.powers:
+            word += [("alpha" if e > 0 else "alphabar", key.mid, q)] * abs(e)
+        for u, v, m in key.right:
+            word += [("betabar", u, v)] + [("alphabar", u, v)] * m
+        total = total + act_word(space, word, vec)
+    return total
+
+
+@pytest.mark.parametrize("poset", [FIG2, diamond(), _claw()], ids=["fig2", "diamond", "claw"])
+def test_act_element_matches_full_fold(poset):
+    rng = random.Random(31)
+    space = build_space(poset)
+    gens = [("e", p) for p in poset.elements] + [("t", 1), ("t", 2)]
+    for p, qs in poset.labels.items():
+        gens += [(k, p, q) for q in qs for k in ("epq", "alpha", "alphabar", "beta", "betabar")]
+    samples = sample_vectors(space, 2)
+    mixed = [a + b for a, b in zip(samples, samples[1:]) if {*a.coeffs} != {*b.coeffs}]
+    mixed.append(sum(samples[::3], RepVector(space)))
+    assert any(len({path[0][0] for path in v.coeffs}) > 1 for v in mixed)
+    for _ in range(25):
+        x = AlgElement(poset)
+        for _ in range(3):
+            term = one(poset)
+            for g_ in (rng.choice(gens) for _ in range(rng.randint(1, 3))):
+                term = term * generator(poset, *g_)
+            x = x + term
+        for v in samples + mixed:
+            got, want = act_element(space, x, v), _full_fold(space, x, v)
+            assert got == want and repr(got) == repr(want)
+
+
+def test_act_element_checks_skipped_terms():
+    at_a = leaf_vector(SPACE, (("a", 0),))
+    for key, err, msg in [
+        (TermKey((("p", "zz", 0),), "zz", (), ()), RepError, "'zz' is not a lower cover of 'p'"),
+        (TermKey((), "p", (("p", 1),), ()), RepError, "'p' is not a lower cover of 'p'"),
+        (TermKey((), "b", (), (("b", "a", 0),)), RepError, "'a' is not a lower cover of 'b'"),
+        (TermKey((), "zz", (), ()), PosetError, "unknown element 'zz'"),
+    ]:
+        x = AlgElement(FIG2, {key: 1})
+        with pytest.raises(err, match=msg):
+            act_element(SPACE, x, at_a)
+        with pytest.raises(err, match=msg):
+            act_element(SPACE, x, RepVector(SPACE))
+        with pytest.raises(err, match=msg):  # as the full fold does
+            _full_fold(SPACE, x, at_a)
+
 
 
 def test_act_element_matches_word_action():
@@ -367,13 +509,6 @@ def test_relation_suite_covers_all_families():
 
 
 # -- behaviour digest -------------------------------------------------------------
-
-
-def _claw():
-    # one vertex over three covers, labelled out of name order
-    return make_poset(
-        ["a", "b", "c", "p"], [("a", "p"), ("b", "p"), ("c", "p")], {"p": ("c", "a", "b")}
-    )
 
 
 def test_algebra_outputs_digest():
