@@ -26,7 +26,6 @@ from .poset import (
     compute_lower_covers,
     height,
     lower_covers,
-    make_poset,
 )
 from .primon import (
     MonElem,
@@ -287,7 +286,13 @@ def build_F(base: LabelledPoset, top: str) -> Unfolding:
     labels = {}
     for path in paths[1:]:
         labels.setdefault(names[path[:-1]], []).append(names[path])
-    poset = make_poset(names.values(), ((q, p) for p, qs in labels.items() for q in qs), labels)
+    below = {}
+    for path in reversed(paths):  # each path after all its extensions
+        kids = labels.get(names[path], ())
+        below[names[path]] = frozenset(kids).union(*(below[c] for c in kids))
+    elements = tuple(sorted(below))
+    labels = {e: tuple(labels[e]) for e in elements if e in labels}
+    poset = LabelledPoset._trusted(elements, {e: below[e] for e in elements}, labels)
     return Unfolding(base, top, MappedPoset(poset, {names[s]: s[-1] for s in paths}))
 
 
@@ -312,7 +317,7 @@ def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
             raise PosetError("sub_poset needs a lower subset")
     elements = tuple(sorted(members))
     labels = {p: base.labels[p] for p in elements if p in base.labels}
-    return LabelledPoset(elements, {p: base.strict[p] for p in elements}, labels)
+    return LabelledPoset._trusted(elements, {p: base.strict[p] for p in elements}, labels)
 
 
 def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
@@ -335,7 +340,7 @@ def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
             old = poset.labels[p]
             rank = {mu[c]: i for i, c in enumerate(old)} | {c: i for i, c in enumerate(old)}
             labels[p] = tuple(sorted(covers, key=lambda c: (rank.get(c, len(old)), c)))
-    return LabelledPoset(tuple(sorted(survivors)), strict, labels), {e: psi[e] for e in survivors}
+    return LabelledPoset._trusted(tuple(survivors), strict, labels), {e: psi[e] for e in survivors}
 
 
 @dataclass
@@ -458,7 +463,7 @@ def assemble(base: LabelledPoset) -> Assembly:
         psi.update((tag[e], last.psi[e]) for e in tag)
     elements = tuple(sorted(strict))
     labels = {p: labels[p] for p in elements if p in labels}
-    poset = LabelledPoset(elements, {p: strict[p] for p in elements}, labels)
+    poset = LabelledPoset._trusted(elements, {p: strict[p] for p in elements}, labels)
 
     gluings = 0
     covered = set()

@@ -52,7 +52,9 @@ class LabelledPoset:
     ``elements`` is sorted; ``strict`` maps each element to the frozenset of
     elements strictly below it; ``labels`` maps each element with n_p > 0 to
     the tuple of its lower covers in label order (position i = label i+1).
-    Both maps are read-only views of copies of the mappings passed in.
+    Both maps are keyed in element order and are read-only views of copies
+    of the mappings passed in.  The constructor checks all of this and
+    raises PosetError on the first part that fails.
     """
 
     elements: tuple[str, ...]
@@ -60,17 +62,36 @@ class LabelledPoset:
     labels: MappingProxyType[str, tuple[str, ...]]
 
     def __post_init__(self):
-        strict, labels = dict(self.strict), dict(self.labels)
-        for p in self.elements:
-            covers = compute_lower_covers(strict, p)
-            lab = labels.get(p, ())
-            if set(lab) != covers or len(lab) != len(covers):
-                raise PosetError(
-                    f"label map of {p!r} is not a bijection onto its lower covers "
-                    f"(labels {lab}, covers {sorted(covers)})"
-                )
-        object.__setattr__(self, "strict", MappingProxyType(strict))
-        object.__setattr__(self, "labels", MappingProxyType(labels))
+        elements = tuple(self.elements)
+        if list(elements) != sorted(set(elements)):
+            raise PosetError(f"elements {elements} are not sorted and distinct")
+        known = set(elements)
+        odd = known ^ self.strict.keys()
+        if odd:
+            p = min(odd, key=str)
+            raise PosetError(f"strict map has {'no' if p in known else 'a stray'} key {p!r}")
+        strict = {p: frozenset(self.strict[p]) for p in elements}
+        for p, below in strict.items():
+            if p in below:
+                raise PosetError(f"{p!r} is strictly below itself")
+            for q in below:
+                if q not in known:
+                    raise PosetError(f"strict map of {p!r} holds unknown element {q!r}")
+                if not strict[q] <= below:
+                    r = min(strict[q] - below, key=str)
+                    raise PosetError(f"strict order not transitive: {r!r} < {q!r} < {p!r}, not {r!r} < {p!r}")
+        labels = _cover_labels(elements, strict, self.labels)
+        self.__dict__.update(elements=elements, strict=MappingProxyType(strict), labels=MappingProxyType(labels))
+
+    @classmethod
+    def _trusted(cls, elements, strict, labels):
+        """A poset from parts known valid: the sorted element tuple, a
+        transitive irreflexive down-set map and the labels of the elements
+        with lower covers, both dicts keyed in element order.  Nothing is
+        checked or copied, so the caller must not keep the dicts."""
+        poset = object.__new__(cls)
+        poset.__dict__.update(elements=elements, strict=MappingProxyType(strict), labels=MappingProxyType(labels))
+        return poset
 
     def __contains__(self, p):
         return p in self.strict
@@ -118,6 +139,30 @@ def compute_lower_covers(strict, p):
     return below - set().union(*(strict[r] for r in below))
 
 
+def _cover_labels(elements, strict, labels, auto=lambda p, covers: ()):
+    """The label map of a valid strict order, keyed in element order: each
+    element with lower covers takes ``labels[p]``, else ``auto(p, covers)``,
+    and must list its lower covers once each.  A ``labels`` entry for a
+    non-element or for an element without lower covers raises PosetError."""
+    stray = labels.keys() - {p for p in elements if strict[p]}
+    if stray:
+        p = min(stray)
+        reason = "has no lower covers" if p in strict else "is not an element"
+        raise PosetError(f"label entry for {p!r}, which {reason}")
+    out = {}
+    for p in elements:
+        if strict[p]:
+            covers = compute_lower_covers(strict, p)
+            lab = tuple(labels[p]) if p in labels else auto(p, covers)
+            if set(lab) != covers or len(lab) != len(covers):
+                raise PosetError(
+                    f"label map of {p!r} is not a bijection onto its lower covers "
+                    f"(labels {lab}, covers {sorted(covers)})"
+                )
+            out[p] = lab
+    return out
+
+
 def make_poset(elements, cover_pairs=(), labels=None):
     """Build a LabelledPoset from strict-relation pairs (q, p) meaning q < p.
 
@@ -125,7 +170,8 @@ def make_poset(elements, cover_pairs=(), labels=None):
     element, its covers are auto-labelled by first appearance in
     ``cover_pairs``, then id.  A ``labels`` entry for an unknown element or
     for an element without lower covers raises PosetError.  Given labels
-    are checked against the covers once, by ``LabelledPoset``.
+    are checked against the covers once; the closure is valid as built, so
+    the poset is not checked again.
     """
     elements = tuple(sorted(elements))
     if len(set(elements)) != len(elements):
@@ -135,22 +181,11 @@ def make_poset(elements, cover_pairs=(), labels=None):
     first = {}
     for i, (a, b) in enumerate(cover_pairs):
         first.setdefault((a, b), i)
-    labels = dict(labels or {})
-    out_labels = {}
-    for p in elements:
-        if not strict[p]:
-            continue
-        if p in labels:
-            out_labels[p] = tuple(labels[p])
-        else:
-            covers = compute_lower_covers(strict, p)
-            out_labels[p] = tuple(sorted(covers, key=lambda q: (first.get((q, p), len(cover_pairs)), q)))
-    stray = labels.keys() - out_labels.keys()
-    if stray:
-        p = min(stray)
-        reason = "has no lower covers" if p in strict else "is not an element"
-        raise PosetError(f"label entry for {p!r}, which {reason}")
-    return LabelledPoset(elements, strict, out_labels)
+
+    def auto(p, covers):
+        return tuple(sorted(covers, key=lambda q: (first.get((q, p), len(cover_pairs)), q)))
+
+    return LabelledPoset._trusted(elements, strict, _cover_labels(elements, strict, dict(labels or {}), auto))
 
 
 # ---------------------------------------------------------------------------

@@ -34,28 +34,43 @@ class PrimePair:
     """A finite set of primes with a transitive antisymmetric relation.
 
     ``rel`` holds pairs (q, p) meaning q is absorbed by p; (q, q) marks a
-    regular prime.
+    regular prime.  The constructor stores ``primes`` as a tuple and ``rel``
+    as a frozenset, and raises MonoidError unless both are valid.
     """
 
     primes: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        ps = set(self.primes)
-        if len(self.primes) != len(ps):
+        primes, rel = tuple(self.primes), tuple(self.rel)
+        ps = set(primes)
+        if len(primes) != len(ps):
             raise MonoidError("duplicate primes")
-        for q, p in self.rel:
-            if q not in ps or p not in ps:
-                raise MonoidError(f"relation pair ({q!r}, {p!r}) outside the prime set")
-            if q != p and (p, q) in self.rel:
-                raise MonoidError(f"antisymmetry violated on {q!r}, {p!r}")
+        for pair in rel:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise MonoidError(f"relation entry {pair!r} is not a pair")
+            if not ps.issuperset(pair):
+                raise MonoidError(f"relation pair {pair!r} outside the prime set")
+        rel = frozenset(rel)
         above = {}
-        for q, p in self.rel:
+        for q, p in rel:
+            if q != p and (p, q) in rel:
+                raise MonoidError(f"antisymmetry violated on {q!r}, {p!r}")
             above.setdefault(q, set()).add(p)
-        for q, p in self.rel:
+        for q, p in rel:
             for r in above.get(p, ()):
                 if r not in above[q]:
                     raise MonoidError(f"relation not transitive: ({q!r},{p!r}),({p!r},{r!r})")
+        self.__dict__.update(primes=primes, rel=rel)
+
+    @classmethod
+    def _trusted(cls, primes, rel):
+        """A pair from a tuple of distinct primes and a frozenset relation
+        on them known to be transitive and antisymmetric; nothing is
+        checked."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(primes=primes, rel=rel)
+        return pair
 
 
 def _rel_image(rel, pmap) -> frozenset:
@@ -251,7 +266,7 @@ def from_pair(pair: PrimePair) -> PrimitiveMonoid:
 def from_poset(poset: LabelledPoset) -> PrimitiveMonoid:
     """All primes free: the relation is the strict order of the poset."""
     rel = frozenset((q, p) for p in poset.elements for q in poset.strict[p])
-    return PrimitiveMonoid(PrimePair(poset.elements, rel))
+    return PrimitiveMonoid(PrimePair._trusted(poset.elements, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +543,9 @@ class CongruenceOracle:
     The congruence closure is computed by union-find over the bounded word
     set: every rewrite w = x + u ~ x + v with both sides inside the bound is
     an edge.  Equality verdicts are sound; inequality only means "not equal
-    within the bound".
+    within the bound".  A word, in a relation or a query, names only
+    generators and gives each a non-negative integer count, or MonoidError
+    is raised.
     """
 
     def __init__(self, generators, relations, bound: int):
@@ -567,27 +584,22 @@ class CongruenceOracle:
         vec = [0] * len(index)
         for g, n in dict(word).items():
             try:
-                vec[index[g]] += n
+                i = index[g]
             except KeyError:
                 raise MonoidError(f"unknown generator {g!r}") from None
+            if n < 0 or n % 1:
+                raise MonoidError(f"count {n!r} of generator {g!r} is not a non-negative integer")
+            vec[i] += n
         return tuple(vec)
 
     def _as_vec(self, word):
-        vec = self._vec(dict(word), self._index)
+        vec = self._vec(word, self._index)
         if sum(vec) > self.bound:
             raise MonoidError(f"word exceeds oracle bound {self.bound}")
         return vec
 
     def equal(self, w1, w2) -> bool:
-        try:
-            return self._find(self._as_vec(w1)) == self._find(self._as_vec(w2))
-        except KeyError:
-            # find misses only a vector outside the word set
-            for w in (w1, w2):
-                for g, n in dict(w).items():
-                    if n < 0 or n % 1:
-                        raise MonoidError(f"count {n!r} of generator {g!r} is not a non-negative integer") from None
-            raise
+        return self._find(self._as_vec(w1)) == self._find(self._as_vec(w2))
 
     def classes(self):
         buckets = {}

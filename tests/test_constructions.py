@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import (
+    LabelledPoset,
     PosetError,
     enumerate_posets,
     fig2_poset,
@@ -504,3 +507,57 @@ def test_surgery_on_random_layered_posets(base):
         stages = reconstruct_down(base, top).stages
         glued = [s.poset for s in stages if len(s.poset.elements) == len(down.elements)]
         assert glued and all(poset_iso(p, down) is not None for p in glued)
+
+
+@contextlib.contextmanager
+def public_rebuilds():
+    """Wrap both trusted constructors so that every value they build is
+    also rebuilt through the public constructor, which must give an equal
+    value with the same key order (the public one keys its maps in element
+    order).  Yields the count of values built, by class."""
+    built = Counter()
+    poset_trusted, pair_trusted = LabelledPoset._trusted.__func__, PrimePair._trusted.__func__
+
+    def poset(cls, elements, strict, labels):
+        public = LabelledPoset(elements, strict, labels)
+        value = poset_trusted(cls, elements, strict, labels)
+        assert value == public and type(value.elements) is tuple
+        assert list(value.strict) == list(public.strict) and list(value.labels) == list(public.labels)
+        built["poset"] += 1
+        return value
+
+    def pair(cls, primes, rel):
+        value = pair_trusted(cls, primes, rel)
+        assert value == PrimePair(primes, rel) and type(primes) is tuple and type(rel) is frozenset
+        built["pair"] += 1
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LabelledPoset, "_trusted", classmethod(poset))
+        mp.setattr(PrimePair, "_trusted", classmethod(pair))
+        yield built
+
+
+def _surgery_through(base):
+    for top in sorted(base.maximal()):
+        build_F(base, top)
+        sub_poset(base, base.strict[top] | {top})
+        reconstruct_down(base, top).monoids()
+    assemble(base)
+    from_poset(base)
+
+
+def test_trusted_values_pass_the_public_constructors():
+    with public_rebuilds() as built:
+        for n in range(7):
+            for base in enumerate_posets(n):
+                _surgery_through(base)
+    assert built["poset"] > 406 and built["pair"] > 406
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(layered_posets())
+def test_trusted_values_pass_the_public_constructors_on_layered_posets(base):
+    with public_rebuilds() as built:
+        _surgery_through(base)
+    assert built["poset"] and built["pair"]

@@ -1,6 +1,7 @@
 """Every import in a package module is named in that module, and every
 module-level private function or class is named somewhere in the package
-outside its own definition.
+outside its own definition, and only the modules named below build values
+through a trusted constructor.
 
 No linter ships with the package, so these checks parse each module with
 ``ast``.  ``__init__.py`` is exempt from the import check (its imports are
@@ -73,3 +74,29 @@ def test_guard_flags_a_dead_private_helper():
 def test_no_dead_private_helpers():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_helpers(sources) == []
+
+
+# The trusted constructors skip every check, so each is called only from
+# the modules whose constructions prove the value valid.
+TRUSTED_CALLERS = {
+    "LabelledPoset": {"poset.py", "constructions.py"},
+    "PrimePair": {"primon.py"},
+    "RepVector": {"toeplitz.py"},
+}
+
+
+def trusted_calls(source):
+    """The owner names X of every ``X._trusted`` in the source."""
+    nodes = ast.walk(ast.parse(source))
+    return {ast.unparse(n.value) for n in nodes if isinstance(n, ast.Attribute) and n.attr == "_trusted"}
+
+
+def test_guard_finds_trusted_calls():
+    source = "from .poset import LabelledPoset\nx = LabelledPoset._trusted((), {}, {})\ny = pa.PrimePair._trusted\n"
+    assert trusted_calls(source) == {"LabelledPoset", "pa.PrimePair"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_trusted_constructors_only_in_their_modules(module):
+    for owner in trusted_calls((PACKAGE / module).read_text()):
+        assert module in TRUSTED_CALLERS.get(owner, ()), f"{module} calls {owner}._trusted"

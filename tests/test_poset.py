@@ -114,6 +114,49 @@ def test_poset_is_read_only():
     assert hash(poset) == before and poset == make_poset(["a", "p"], [("a", "p")])
 
 
+NO_COVER = frozenset()
+
+
+@pytest.mark.parametrize(
+    "elements, strict, labels, message",
+    [
+        (("a",), {"a": frozenset({"a"})}, {}, "'a' is strictly below itself"),
+        (
+            ("a", "b", "c"),
+            {"a": NO_COVER, "b": frozenset({"a"}), "c": frozenset({"b"})},
+            {"b": ("a",), "c": ("b",)},
+            "not transitive: 'a' < 'b' < 'c'",
+        ),
+        (("a",), {"a": NO_COVER, "zz": NO_COVER}, {}, "stray key 'zz'"),
+        (("b", "a"), {"a": NO_COVER, "b": NO_COVER}, {}, "not sorted"),
+        (("a", "b"), {"a": NO_COVER}, {}, "no key 'b'"),
+        (("a",), {"a": frozenset({"zz"})}, {}, "unknown element 'zz'"),
+        (("a",), {"a": NO_COVER}, {"zz": ("a",)}, "'zz', which is not an element"),
+    ],
+    ids=["reflexive", "not-transitive", "stray-key", "unsorted", "missing-key", "unknown-element", "stray-label"],
+)
+def test_poset_constructor_rejects_malformed_parts(elements, strict, labels, message):
+    with pytest.raises(PosetError, match=message):
+        LabelledPoset(elements, strict, labels)
+
+
+def test_poset_constructor_keys_its_maps_in_element_order():
+    poset = LabelledPoset(["a", "b", "p"], {"p": {"a", "b"}, "b": (), "a": ()}, {"p": ["b", "a"]})
+    assert poset == make_poset("abp", [("b", "p"), ("a", "p")])
+    assert poset.elements == ("a", "b", "p") and list(poset.strict) == ["a", "b", "p"]
+    assert poset.strict["p"] == frozenset("ab") and poset.labels["p"] == ("b", "a")
+
+
+def test_make_poset_checks_its_closure_once(monkeypatch):
+    # the closure make_poset computes is a valid order, so the poset is not
+    # checked again by the public constructor
+    def recheck(self):
+        raise AssertionError("make_poset re-checked its own closure")
+
+    monkeypatch.setattr(LabelledPoset, "__post_init__", recheck)
+    assert lower_covers(make_poset("abc", [("a", "b"), ("b", "c"), ("a", "c")]), "c") == ("b",)
+
+
 def test_transitive_closure_of_redundant_input():
     p = make_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     assert lower_covers(p, "c") == ("b",)

@@ -138,6 +138,17 @@ def test_pair_validation():
         PrimePair(("a", "a"), frozenset())
 
 
+def test_pair_freezes_its_inputs_and_rejects_non_pairs():
+    pair = PrimePair(["a", "b"], {("a", "b"), ("a", "a")})
+    assert pair.primes == ("a", "b") and pair.rel == frozenset({("a", "b"), ("a", "a")})
+    assert type(pair.rel) is frozenset
+    assert hash(pair) == hash(PrimePair(("a", "b"), frozenset(pair.rel)))
+    with pytest.raises(MonoidError, match=r"relation entry \('a', 'b', 'b'\) is not a pair"):
+        PrimePair(("a", "b"), frozenset({("a", "b", "b")}))
+    with pytest.raises(MonoidError, match="relation entry 'ab' is not a pair"):
+        PrimePair(("a", "b"), frozenset({"ab"}))
+
+
 # -- reduction ------------------------------------------------------------------
 
 
@@ -522,6 +533,15 @@ def test_congruence_oracle_rejects_bad_words():
     with pytest.raises(MonoidError, match="count -1 of generator 'b'"):
         orc.equal({"a": 1}, {"a": 2, "b": -1})
     assert orc.equal({"a": 1, "b": 0}, {"a": 1})
+
+
+def test_congruence_oracle_rejects_bad_relations():
+    with pytest.raises(MonoidError, match="count -1 of generator 'a'"):
+        congruence_oracle(["a", "b"], [({"a": -1}, {})], 3)
+    with pytest.raises(MonoidError, match="count 0.5 of generator 'b'"):
+        congruence_oracle(["a", "b"], [({"a": 1}, {"b": 0.5})], 3)
+    with pytest.raises(MonoidError, match="unknown generator 'zz'"):
+        congruence_oracle(["a", "b"], [({"zz": 1}, {})], 3)
 
 
 # -- iso and JSON -----------------------------------------------------------------
