@@ -115,7 +115,7 @@ def cmd_pipeline(args):
     return 0 if ok else 1
 
 
-def _random_words(poset, seed, count, maxlen=3):
+def _random_words(poset, seed, count):
     gens = [("e", p) for p in poset.elements]
     for p in poset.elements:
         for q in lower_covers(poset, p):
@@ -124,7 +124,7 @@ def _random_words(poset, seed, count, maxlen=3):
     gens += [("t", 1), ("t", 2)]
     rng = random.Random(seed)
     return [
-        [rng.choice(gens) for _ in range(rng.randint(1, maxlen))] for _ in range(count)
+        [rng.choice(gens) for _ in range(rng.randint(1, 3))] for _ in range(count)
     ]
 
 

@@ -92,7 +92,7 @@ def crowned_pushout(m: PrimitiveMonoid, ideal: OrderIdeal, ideal2: OrderIdeal, p
     inv = {v: k for k, v in phi.items()}
     pmap = {p: inv.get(p, p) for p in m.primes}
     q_mon = PrimitiveMonoid(PrimePair(survivors, _rel_image(m.pair.rel, pmap)))
-    return CrownedPushout(q_mon, pmap, OrderIdeal(q_mon, frozenset(pi_set)))
+    return CrownedPushout(q_mon, pmap, OrderIdeal(q_mon, pi_set))
 
 
 def verify_coequalizer(m, ideal, ideal2, phi, pushout: CrownedPushout, bound: int):
@@ -153,8 +153,8 @@ def amalgam_pushout(m: PrimitiveMonoid, n: PrimitiveMonoid, ideal: OrderIdeal, p
     primes = tuple(sorted([*inj1.values(), *tag2.values()]))
     rel = _rel_image(m.pair.rel, inj1) | _rel_image(n.pair.rel, tag2)
     prod = PrimitiveMonoid(PrimePair(primes, rel))
-    left = OrderIdeal(prod, frozenset(inj1[p] for p in ideal.prime_set))
-    right = OrderIdeal(prod, frozenset(tag2[q] for q in image))
+    left = OrderIdeal(prod, {inj1[p] for p in ideal.prime_set})
+    right = OrderIdeal(prod, {tag2[q] for q in image})
     tagged_phi = {inj1[p]: tag2[phi[p]] for p in ideal.prime_set}
     pushed = crowned_pushout(prod, left, right, tagged_phi)
 
@@ -222,7 +222,7 @@ def pullback_primitive(m1, n1: OrderIdeal, m2, n2: OrderIdeal, iso: dict | None 
     proj1 = {t: p for p, t in (tag_s | tag1).items()} | dict.fromkeys(tag2.values())
     proj2 = {t: iso[p] for p, t in tag_s.items()} | {t: p for p, t in tag2.items()}
     proj2 |= dict.fromkeys(tag1.values())
-    ideal = OrderIdeal(pb, frozenset(below))
+    ideal = OrderIdeal(pb, below)
     return PullbackPrimitive(pb, m1, m2, proj1, proj2, ideal, iso)
 
 

@@ -25,7 +25,7 @@ class GraphMonoidPresentation:
     relations: tuple  # ((vertex, {vertex: multiplicity}), ...) per emitting vertex
 
 
-def graph_monoid(quiver: Quiver, bound: int = 4):
+def graph_monoid(quiver: Quiver, bound: int):
     """The presentation together with a bounded equality decider.
 
     Every relation word must fit the oracle's bound, so a vertex that emits
@@ -168,8 +168,6 @@ def parse_quiver(text: str) -> Quiver:
     vertices, arrows = [], []
     for head, rest in _sections(text, ("vertices", "arrows")):
         if head == "vertices":
-            if len(set(rest)) != len(rest):
-                raise PosetError("duplicate vertex ids")
             vertices = rest
         else:  # arrows
             for i, tok in enumerate(rest):

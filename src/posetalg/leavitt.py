@@ -62,17 +62,12 @@ def sigma_p_poly(poly: Poly, np_: int) -> Poly:
     return poly.subst_monomials(t_shift(poly, np_ - 1))
 
 
-def _involute_poly(poly: Poly) -> Poly:
-    mapping = {v: (v, -1) for v in poly.variables() if v[0] == "t"}
-    return poly.subst_monomials(mapping)
-
-
 @dataclass(frozen=True)
 class TermKey:
-    left: tuple  # descending steps
+    left: tuple  # descending steps, top-down: left[-1] ends at mid
     mid: str  # bottom vertex
     powers: tuple  # sorted (cover, nonzero exponent)
-    right: tuple  # ascending steps, right[0] starts at mid
+    right: tuple  # ascending steps, bottom-up: right[0] starts at mid
 
     def paths(self):
         g1 = (self.left[0][0],) + tuple(s[1] for s in self.left) if self.left else (self.mid,)
@@ -90,10 +85,8 @@ class AlgElement:
         self.terms = {}
         for key, coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-            if coeff.is_zero():
-                continue
-            self.terms[key] = self.terms.get(key, Poly()) + coeff
-        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
+            if not coeff.is_zero():
+                self.terms[key] = coeff
 
     def is_zero(self):
         return not self.terms
@@ -279,17 +272,9 @@ def _mul_terms(poset, k1: TermKey, c1: Poly, k2: TermKey, c2: Poly):
             new_left.append((u2, v2, m2))
         return [(TermKey(tuple(new_left), k2.mid, k2.powers, k2.right), S * c2)]
 
-    # the right factor is exhausted: mirror case
-    (u, d, m) = rise.pop()
-    net = m - dict(k2.powers).get(d, 0)
-    if net < 0:
-        return []
-    scal = _cross_scalar(poset, u, d, k2.powers)
-    S = sigma_p_poly(c2, poset.n_covers(u)) * scal
-    for (u2, v2, m2) in reversed(rise):
-        S = sigma_p_poly(S, poset.n_covers(u2))
-    new_right = tuple(rise) + ((u, d, net),) + k2.right
-    return [(TermKey(k1.left, k1.mid, k1.powers, new_right), c1 * S)]
+    # the right factor is exhausted: the mirror of the case above
+    mirrored = _mul_terms(poset, *_involute_term(k2, c2), *_involute_term(k1, c1))
+    return [_involute_term(key, coeff) for key, coeff in mirrored]
 
 
 def _expand_mixed(poset, left, mid, comb, coeff, right):
@@ -325,18 +310,23 @@ def _expand_mixed(poset, left, mid, comb, coeff, right):
 # involution, grading, ideals
 
 
+def _involute_term(key: TermKey, coeff: Poly):
+    """The mirror of one term: its descending steps, read bottom-up, become
+    the ascending ones and vice versa, the monomial and t_k are inverted."""
+    mirrored = TermKey(
+        key.right[::-1],
+        key.mid,
+        tuple((q, -e) for q, e in key.powers),
+        key.left[::-1],
+    )
+    inverse_t = {v: (v, -1) for v in coeff.variables() if v[0] == "t"}
+    return mirrored, coeff.subst_monomials(inverse_t)
+
+
 def involute(x: AlgElement) -> AlgElement:
-    """t_k -> t_k^{-1}, alpha <-> alphabar, beta <-> betabar, products reversed."""
-    out = {}
-    for key, coeff in x.terms.items():
-        nk = TermKey(
-            tuple(key.right),
-            key.mid,
-            tuple((q, -e) for q, e in key.powers),
-            tuple(key.left),
-        )
-        out[nk] = out.get(nk, Poly()) + _involute_poly(coeff)
-    return AlgElement(x.poset, out)
+    """The anti-automorphism t_k -> t_k^{-1}, alpha <-> alphabar,
+    beta <-> betabar, products reversed."""
+    return AlgElement(x.poset, dict(_involute_term(key, coeff) for key, coeff in x.terms.items()))
 
 
 def grade(x: AlgElement) -> dict:
@@ -372,10 +362,11 @@ def injectivity_probe(x: AlgElement):
     Follows the stripping recipe: take a path-extension-maximal support
     pair (lexicographically least, so a trivial pair wins when present),
     then peel its left path top-down with betabar.alphabar^M words (M the
-    top exponent of the targeted terms) and its right path with the
-    mirrored alpha^M.beta words.  The trivial-pair component of the corner
-    at p is asserted nonzero; components whose paths stay inside other
-    corners may survive when the support has incomparable maximal pairs.
+    top exponent of the targeted terms), and its right path the same way
+    off the involute, which the involution maps back to alpha^M.beta words
+    on the right.  The trivial-pair component of the corner at p is
+    asserted nonzero; components whose paths stay inside other corners may
+    survive when the support has incomparable maximal pairs.
     """
     if x.is_zero():
         raise AlgebraError("probe needs a nonzero element")
@@ -395,52 +386,39 @@ def injectivity_probe(x: AlgElement):
     ]
     g1, g2 = min(maximal)
     p = g1[-1]
-
-    z1 = one(P)
-    cur = x
-    for i in range(len(g1) - 1):
-        u, v = g1[i], g1[i + 1]
-        exps = [
-            key.left[0][2]
-            for key in cur.terms
-            if key.paths() == (g1[i:], g2)
-        ]
-        if not exps:
-            raise AlgebraError("targeted component vanished while stripping")
-        big = max(exps)
-        w = AlgElement(P, {TermKey((), v, (), ((u, v, big),)): Poly.const(1)})
-        z1 = w * z1
-        cur = w * cur
-    g2_rest = g2
-    z2 = one(P)
-    for i in range(len(g2) - 1):
-        u, v = g2[i], g2[i + 1]
-        exps = [
-            key.right[-1][2]
-            for key in cur.terms
-            if key.paths() == ((g1[-1],), g2_rest)
-        ]
-        if not exps:
-            raise AlgebraError("targeted component vanished while stripping")
-        big = max(exps)
-        w = AlgElement(P, {TermKey(((u, v, big),), v, (), ()): Poly.const(1)})
-        z2 = z2 * w
-        cur = cur * w
-        g2_rest = g2_rest[1:]
+    z1, cur = _strip_left(x, g1, g2)
+    z2, cur = _strip_left(involute(cur), g2, (p,))
+    z2, cur = involute(z2), involute(cur)
     corner = generator(P, "e", p) * cur * generator(P, "e", p)
     if not any(k.left == () and k.right == () and k.mid == p for k in corner.terms):
         raise AlgebraError("probe failed to isolate the trivial path pair")
     return p, z1, z2, cur
 
 
-def _lemma26_exhaustive(poset: LabelledPoset, span=2) -> bool:
+def _strip_left(cur: AlgElement, path, right_path):
+    """Peel ``path`` top-down off the left of the components of cur with
+    right path ``right_path``: (z, z*cur)."""
+    z = one(cur.poset)
+    for i in range(len(path) - 1):
+        u, v = path[i], path[i + 1]
+        exps = [key.left[0][2] for key in cur.terms if key.paths() == (path[i:], right_path)]
+        if not exps:
+            raise AlgebraError("targeted component vanished while stripping")
+        w = AlgElement(cur.poset, {TermKey((), v, (), ((u, v, max(exps)),)): Poly.const(1)})
+        z = w * z
+        cur = w * cur
+    return z, cur
+
+
+def _lemma26_exhaustive(poset: LabelledPoset) -> bool:
     """Sandwiches betabar . monomial . beta: a scalar multiple of the lower
-    idempotent on the same cover, zero across different covers."""
+    idempotent on the same cover, zero across different covers, for every
+    cover exponent in -2..2."""
     for p in poset.elements:
         covers = lower_covers(poset, p)
         if not covers:
             continue
-        for exps in itertools.product(range(-span, span + 1), repeat=len(covers)):
+        for exps in itertools.product(range(-2, 3), repeat=len(covers)):
             m = one(poset)
             for q, e in zip(covers, exps):
                 kind = "alpha" if e > 0 else "alphabar"

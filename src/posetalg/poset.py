@@ -251,12 +251,14 @@ def parse_poset(text: str) -> LabelledPoset:
 
 @dataclass(frozen=True)
 class LowerSet:
-    """A downward-closed subset of a poset."""
+    """A downward-closed subset of a poset; ``members`` is stored as a
+    frozenset."""
 
     poset: LabelledPoset
     members: frozenset[str]
 
     def __post_init__(self):
+        self.__dict__.update(members=frozenset(self.members))
         for p in self.members:
             self.poset.check(p)
             if not self.poset.strict[p] <= self.members:
@@ -282,13 +284,13 @@ def lower_sets(poset: LabelledPoset) -> list[LowerSet]:
         for combo in itertools.combinations(poset.elements, k):
             s = set(combo)
             if all(poset.strict[p] <= s for p in combo):
-                out.append(LowerSet(poset, frozenset(s)))
+                out.append(LowerSet(poset, s))
     return out
 
 
 def down_set(poset: LabelledPoset, p: str) -> LowerSet:
     poset.check(p)
-    return LowerSet(poset, frozenset(poset.strict[p] | {p}))
+    return LowerSet(poset, poset.strict[p] | {p})
 
 
 def boundary(poset: LabelledPoset, lset: LowerSet) -> frozenset[str]:
@@ -367,16 +369,31 @@ def _depths(poset: LabelledPoset) -> dict:
 
 @dataclass(frozen=True)
 class Quiver:
-    """Finite quiver; arrows are (name, source, range), ordered per vertex."""
+    """Finite quiver; arrows are (name, source, range), ordered per vertex.
+
+    The constructor stores both parts as tuples and raises PosetError for a
+    repeated vertex or arrow name, an arrow entry that is not a triple, or
+    an endpoint outside the vertex set."""
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
-        vs = set(self.vertices)
-        for name, s, r in self.arrows:
+        vertices, arrows = tuple(self.vertices), tuple(self.arrows)
+        vs = set(vertices)
+        if len(vs) != len(vertices):
+            raise PosetError("duplicate vertex ids")
+        names = set()
+        for arrow in arrows:
+            if not isinstance(arrow, tuple) or len(arrow) != 3:
+                raise PosetError(f"arrow entry {arrow!r} is not a (name, source, range) triple")
+            name, s, r = arrow
+            if name in names:
+                raise PosetError(f"duplicate arrow name {name!r}")
+            names.add(name)
             if s not in vs or r not in vs:
                 raise PosetError(f"arrow {name!r} has endpoint outside the vertex set")
+        self.__dict__.update(vertices=vertices, arrows=arrows)
 
     def out_arrows(self, v):
         return tuple(a for a in self.arrows if a[1] == v)

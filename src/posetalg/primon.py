@@ -276,12 +276,13 @@ def from_poset(poset: LabelledPoset) -> PrimitiveMonoid:
 @dataclass(frozen=True)
 class OrderIdeal:
     """Order-ideal of a primitive monoid: the elements supported in a
-    relation-lower set of primes."""
+    relation-lower set of primes; ``prime_set`` is stored as a frozenset."""
 
     monoid: PrimitiveMonoid
     prime_set: frozenset[str]
 
     def __post_init__(self):
+        self.__dict__.update(prime_set=frozenset(self.prime_set))
         m = self.monoid
         for p in self.prime_set:
             m.check_prime(p)
@@ -298,11 +299,11 @@ class OrderIdeal:
 def order_ideal(m: PrimitiveMonoid, a: MonElem) -> OrderIdeal:
     """The order-ideal generated by a: downward closure of its support."""
     closure = set(a.support()).union(*(m.strictly_below.get(p, ()) for p in a.support()))
-    return OrderIdeal(m, frozenset(closure))
+    return OrderIdeal(m, closure)
 
 
 def ideal_from_lower_set(m: PrimitiveMonoid, prime_set) -> OrderIdeal:
-    return OrderIdeal(m, frozenset(prime_set))
+    return OrderIdeal(m, prime_set)
 
 
 def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):

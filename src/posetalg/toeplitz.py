@@ -463,9 +463,10 @@ def sample_vectors(space: Space, maxdeg: int = 3):
     return out
 
 
-def check_relation(space, lhs, rhs, samples=None, maxdeg: int = 3):
+def check_relation(space, lhs, rhs, samples=None):
     """Apply both operator expressions (lists of (coeff, word)) to the
-    sample family; None if they agree, else the first offending sample.
+    samples (by default ``sample_vectors(space)``); None if they agree,
+    else the first offending sample.
 
     A word is zero on every path outside its root's corner, so each sample
     meets only the words whose root is one of its paths' roots, and a
@@ -473,7 +474,7 @@ def check_relation(space, lhs, rhs, samples=None, maxdeg: int = 3):
     act once on the zero vector first, so every generator and coefficient
     passes act's checks even when every sample is skipped."""
     if samples is None:
-        samples = sample_vectors(space, maxdeg)
+        samples = sample_vectors(space)
     zero = RepVector(space)
     act_expr(space, lhs, zero)
     act_expr(space, rhs, zero)
@@ -601,14 +602,14 @@ def _factor_bottom(f: SigmaPoly, poset, q):
     return f0, w, SigmaPoly(p, f0p), rest
 
 
-def check_corner_inverse_identity(space, f: SigmaPoly, q, depth, maxdeg=2):
+def check_corner_inverse_identity(space, f: SigmaPoly, q, depth):
     """e(p,q) f^{-1} = (f0')^{-1} wbar e(p,q) = e(p,q) (f0')^{-1} wbar,
     with truncated inverses; the residual must sit above the exact window.
     Returns None if every sample agrees on the window, else a triple."""
     P = space.poset
     p = f.vertex
     _, wmono, f0p, _ = _factor_bottom(f, P, q)
-    samples = sample_vectors(space, maxdeg)
+    samples = sample_vectors(space, 2)
     epq = ("epq", p, q)
     wbar_word = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
     for v in samples:
@@ -637,7 +638,7 @@ def _above_window(space, f: SigmaPoly, diff: RepVector, depth):
     return True
 
 
-def check_alphabar_inverse_identity(space, f: SigmaPoly, q, depth, maxdeg=2):
+def check_alphabar_inverse_identity(space, f: SigmaPoly, q, depth):
     """alphabar_q f^{-1} = f^{-1} alphabar_q + f^{-1} (f0')^{-1} g wbar e(p,q)
     with g = -(f1 + x_q f2 + ...), at truncation."""
     P = space.poset
@@ -651,7 +652,7 @@ def check_alphabar_inverse_identity(space, f: SigmaPoly, q, depth, maxdeg=2):
     epq = ("epq", p, q)
     ab = ("alphabar", p, q)
     wbar_word = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
-    samples = sample_vectors(space, maxdeg)
+    samples = sample_vectors(space, 2)
     for v in samples:
         lhs = invert_sigma(space, f, act(space, ab, v), depth)
         t1 = act(space, ab, invert_sigma(space, f, v, depth))

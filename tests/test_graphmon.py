@@ -143,6 +143,32 @@ def test_parse_quiver():
         parse_quiver("vertices a; arrows a->zz")
 
 
+def test_quiver_freezes_its_inputs():
+    q = Quiver(["a"], [("x", "a", "a")])
+    assert q == Quiver(("a",), (("x", "a", "a"),))
+    assert hash(q) == hash(Quiver(("a",), (("x", "a", "a"),)))
+    assert isinstance(q.vertices, tuple) and isinstance(q.arrows, tuple)
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows, message",
+    [
+        (("a", "b", "a"), (("x", "a", "b"),), "duplicate vertex"),
+        (("a", "b"), (("x", "a", "b"), ("x", "b", "a")), "duplicate arrow name 'x'"),
+        (("a", "b"), (("x", "a"),), "not a \\(name, source, range\\) triple"),
+    ],
+    ids=["repeated-vertex", "repeated-arrow-name", "non-triple"],
+)
+def test_quiver_rejects_malformed_parts(vertices, arrows, message):
+    with pytest.raises(PosetError, match=message):
+        Quiver(vertices, arrows)
+
+
+def test_parse_quiver_rejects_repeated_vertices_through_the_constructor():
+    with pytest.raises(PosetError, match="duplicate vertex"):
+        parse_quiver("vertices a b a; arrows x:a->b")
+
+
 @st.composite
 def quivers(draw):
     names = st.sampled_from(["v0", "v1", "w", "x_2", "top"])

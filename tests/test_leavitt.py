@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetalg.poset import fig2_poset, lower_covers, make_poset
 from posetalg.ratfunc import Poly, t_poly
@@ -23,6 +25,29 @@ from posetalg.leavitt import (
 )
 
 FIG2 = fig2_poset()
+
+
+def chain(n):
+    ids = [f"c{i}" for i in range(n + 1)]
+    return make_poset(ids, [(ids[i], ids[i + 1]) for i in range(n)])
+
+
+def diamond():
+    return make_poset(
+        ["b", "q1", "q2", "p"], [("b", "q1"), ("b", "q2"), ("q1", "p"), ("q2", "p")]
+    )
+
+
+def claw():
+    # one vertex over three covers, labelled out of name order
+    return make_poset(
+        ["a", "b", "c", "p"], [("a", "p"), ("b", "p"), ("c", "p")], {"p": ("c", "a", "b")}
+    )
+
+
+# posets with paths of two and three steps, and vertices with several covers
+DEEP = [chain(2), chain(3), diamond(), claw()]
+DEEP_IDS = ["chain2", "chain3", "diamond", "claw"]
 
 
 def g(kind, *args, poset=FIG2):
@@ -163,6 +188,100 @@ def test_involution_properties():
         assert involute(involute(x)) == x
         assert involute(x * y) == involute(y) * involute(x)
         assert involute(x + y) == involute(x) + involute(y)
+
+
+def test_involution_reverses_the_steps_of_a_long_path():
+    c2 = chain(2)
+    down = g("beta", "c2", "c1", poset=c2) * g("beta", "c1", "c0", poset=c2)
+    up = g("betabar", "c1", "c0", poset=c2) * g("betabar", "c2", "c1", poset=c2)
+    assert involute(down) == up
+    assert involute(up) == down
+
+
+@st.composite
+def path_terms(draw, poset):
+    """A nonzero term built from generators: a descent from a drawn top
+    with alpha powers, a t power, a monomial at the bottom vertex, and an
+    ascent with alphabar powers."""
+
+    def gen(*args):
+        return generator(poset, *args)
+
+    def walk(start, step):
+        path = [start]
+        while (nexts := step(path[-1])) and draw(st.booleans()):
+            path.append(draw(st.sampled_from(nexts)))
+        return path
+
+    down = walk(draw(st.sampled_from(poset.elements)), lambda p: lower_covers(poset, p))
+    bottom = down[-1]
+    up = walk(bottom, lambda q: [u for u in poset.elements if q in lower_covers(poset, u)])
+    x = gen("e", down[0])
+    for u, v in zip(down, down[1:]):
+        for _ in range(draw(st.integers(0, 2))):
+            x = x * gen("alpha", u, v)
+        x = x * gen("beta", u, v)
+    if draw(st.booleans()):
+        x = x * gen("t", draw(st.integers(1, 3)))
+    for q in lower_covers(poset, bottom):
+        e = draw(st.integers(-2, 2))
+        for _ in range(abs(e)):
+            x = x * gen("alpha" if e > 0 else "alphabar", bottom, q)
+    for v, u in zip(up, up[1:]):
+        x = x * gen("betabar", u, v)
+        for _ in range(draw(st.integers(0, 2))):
+            x = x * gen("alphabar", u, v)
+    return x
+
+
+@st.composite
+def elements(draw, poset):
+    """A sum of one to three path terms with small nonzero integer
+    coefficients."""
+    x = AlgElement(poset)
+    for term in draw(st.lists(path_terms(poset), min_size=1, max_size=3)):
+        x = x + term.scale(draw(st.sampled_from((1, -1, 2, -2))))
+    return x
+
+
+@pytest.mark.parametrize("poset", DEEP, ids=DEEP_IDS)
+def test_involution_is_an_anti_automorphism_beyond_height_one(poset):
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(elements(poset), elements(poset))
+    def check(x, y):
+        assert involute(x * y) == involute(y) * involute(x)
+        assert involute(involute(x)) == x
+        assert involute(x + y) == involute(x) + involute(y)
+
+    check()
+
+
+@pytest.mark.parametrize("poset", DEEP, ids=DEEP_IDS)
+def test_involution_swaps_the_path_pairs_of_the_grading(poset):
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(elements(poset))
+    def check(x):
+        mirrored = grade(involute(x))
+        assert set(mirrored) == {(g2, g1) for g1, g2 in grade(x)}
+        for (g1, g2), comp in grade(x).items():
+            assert mirrored[(g2, g1)] == involute(comp)
+
+    check()
+
+
+@pytest.mark.parametrize("poset", DEEP, ids=DEEP_IDS)
+def test_probe_isolates_a_trivial_pair_beyond_height_one(poset):
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(elements(poset))
+    def check(x):
+        if x.is_zero():
+            return
+        p, z1, z2, res = injectivity_probe(x)
+        assert z1 * x * z2 == res
+        corner = generator(poset, "e", p) * res * generator(poset, "e", p)
+        assert any(not k.left and not k.right and k.mid == p for k in corner.terms)
+
+    check()
 
 
 # -- grading -----------------------------------------------------------------------

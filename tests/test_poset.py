@@ -227,6 +227,14 @@ def test_down_set_and_boundary():
     assert boundary(d, LowerSet(d, frozenset({"b"}))) == {"b", "q1", "q2"}
 
 
+def test_lower_set_freezes_its_members():
+    poset = fig2_poset()
+    lset = LowerSet(poset, {"a"})
+    assert isinstance(lset.members, frozenset)
+    assert lset == LowerSet(poset, frozenset({"a"}))
+    assert hash(lset) == hash(LowerSet(poset, frozenset({"a"})))
+
+
 def test_boundary_rejects_non_lower():
     with pytest.raises(PosetError):
         LowerSet(fig2_poset(), frozenset({"p"}))

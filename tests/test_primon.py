@@ -21,6 +21,7 @@ from posetalg.poset import (
 from posetalg.primon import (
     INF,
     MonoidError,
+    OrderIdeal,
     PrimePair,
     PrimitiveMonoid,
     ZERO,
@@ -277,6 +278,14 @@ def test_ideal_lattice_correspondence():
                 assert (x in inter) == (x in i1 and x in i2)
                 if x in i1 or x in i2:
                     assert x in union
+
+
+def test_order_ideal_freezes_its_prime_set():
+    m = fig2_monoid()
+    ideal = OrderIdeal(m, {"a"})
+    assert isinstance(ideal.prime_set, frozenset)
+    assert ideal == OrderIdeal(m, frozenset({"a"}))
+    assert hash(ideal) == hash(OrderIdeal(m, frozenset({"a"})))
 
 
 def test_ideal_rejects_non_lower():

@@ -336,7 +336,9 @@ def _word_strategy(poset):
     return st.lists(st.sampled_from(gens), min_size=2, max_size=5)
 
 
-@pytest.mark.parametrize("poset", [FIG2, diamond()], ids=["fig2", "diamond"])
+@pytest.mark.parametrize(
+    "poset", [FIG2, diamond(), chain(3), _claw()], ids=["fig2", "diamond", "chain3", "claw"]
+)
 def test_act_word_matches_act_element_of_the_product(poset):
     space = build_space(poset)
     samples = sample_vectors(space, 2)
