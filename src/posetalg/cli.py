@@ -57,12 +57,12 @@ def _report(command, inputs, payload, ok=True):
     }
 
 
-def _emit(args, report, name="report"):
+def _emit(args, report):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{name}.json").write_text(text)
+        (outdir / "report.json").write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -84,9 +84,9 @@ def cmd_info(args):
 
 def cmd_pipeline(args):
     poset = parse_poset(Path(args.poset).read_text())
+    asm = assemble(poset)
     stages_out = {}
-    for top in sorted(poset.maximal()):
-        rec = reconstruct_down(poset, top)
+    for top, rec in asm.reconstructions.items():
         stages_out[top] = {
             "unfolded": sorted(rec.unfolding.result.poset.elements),
             "psi": dict(sorted(rec.unfolding.result.psi.items())),
@@ -101,7 +101,6 @@ def cmd_pipeline(args):
             ],
             "step_maps": [dict(sorted(m.items())) for m in rec.step_maps],
         }
-    asm = assemble(poset)
     witness = monoid_iso(asm.monoid, from_poset(poset))
     payload = {
         "per_maximal": stages_out,

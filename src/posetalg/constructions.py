@@ -23,6 +23,7 @@ from .poset import (
     PosetError,
     _depths,
     _descents,
+    _reject_bare_string,
     compute_lower_covers,
     height,
     lower_covers,
@@ -259,10 +260,8 @@ class MappedPoset:
 
 @dataclass
 class Unfolding:
-    """The unfolding of the down-set of ``top``."""
+    """The unfolding of the down-set of a maximal element."""
 
-    base: LabelledPoset
-    top: str
     result: MappedPoset  # the unfolded tree with its surjection onto the down-set
 
 
@@ -293,7 +292,7 @@ def build_F(base: LabelledPoset, top: str) -> Unfolding:
     elements = tuple(sorted(below))
     labels = {e: tuple(labels[e]) for e in elements if e in labels}
     poset = LabelledPoset._trusted(elements, {e: below[e] for e in elements}, labels)
-    return Unfolding(base, top, MappedPoset(poset, {names[s]: s[-1] for s in paths}))
+    return Unfolding(MappedPoset(poset, {names[s]: s[-1] for s in paths}))
 
 
 def _reject_reserved(base, chars):
@@ -310,6 +309,7 @@ def _reject_reserved(base, chars):
 
 def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
     """Restriction of a poset to a lower subset (covers and labels persist)."""
+    _reject_bare_string(members, "members", PosetError)
     members = set(members)
     for p in members:
         base.check(p)
@@ -347,8 +347,6 @@ def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
 class Reconstruction:
     """Stages M^0(p) .. M^r(p) of the crowned-pushout reconstruction."""
 
-    base: LabelledPoset
-    top: str
     unfolding: Unfolding
     stages: list  # MappedPoset per stage
     step_maps: list  # step_maps[i]: stage-i element -> stage-(i+1) element
@@ -427,7 +425,7 @@ def reconstruct_down(base: LabelledPoset, top: str) -> Reconstruction:
     if poset.elements != target.elements:
         stages.append(MappedPoset(target, {e: e for e in target.elements}))
         step_maps.append(dict(psi))
-    return Reconstruction(base, top, unf, stages, step_maps)
+    return Reconstruction(unf, stages, step_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +434,6 @@ def reconstruct_down(base: LabelledPoset, top: str) -> Reconstruction:
 
 @dataclass
 class Assembly:
-    base: LabelledPoset
     monoid: PrimitiveMonoid
     poset: LabelledPoset
     psi: dict  # assembled element -> base element (a bijection when sound)
@@ -472,4 +469,4 @@ def assemble(base: LabelledPoset) -> Assembly:
         poset, psi, _, covered = _glue_overlap(poset, psi, covered, fresh)
         if len(poset.elements) != before:
             gluings += 1
-    return Assembly(base, from_poset(poset), poset, psi, recs, gluings)
+    return Assembly(from_poset(poset), poset, psi, recs, gluings)

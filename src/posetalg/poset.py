@@ -22,6 +22,13 @@ class PosetError(ValueError):
     """Raised for malformed posets, DSL input, or unknown elements."""
 
 
+def _reject_bare_string(names, what, error):
+    """A collection of names given as one string would split into its
+    characters, so it is rejected with the given error type."""
+    if isinstance(names, str):
+        raise error(f"{what} {names!r} is a bare string, not a collection of names")
+
+
 def transitive_closure(elements, pairs):
     """Closure of a strict relation; raises PosetError on a cycle."""
     below = {e: set() for e in elements}
@@ -258,6 +265,7 @@ class LowerSet:
     members: frozenset[str]
 
     def __post_init__(self):
+        _reject_bare_string(self.members, "lower set", PosetError)
         self.__dict__.update(members=frozenset(self.members))
         for p in self.members:
             self.poset.check(p)
@@ -379,6 +387,7 @@ class Quiver:
     arrows: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
+        _reject_bare_string(self.vertices, "vertices", PosetError)
         vertices, arrows = tuple(self.vertices), tuple(self.arrows)
         vs = set(vertices)
         if len(vs) != len(vertices):

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .poset import LabelledPoset, compute_lower_covers, relation_iso
-from .poset import _automorphisms, _natural_relation, _order_masks
+from .poset import _automorphisms, _natural_relation, _order_masks, _reject_bare_string
 
 INF = float("inf")
 
@@ -42,6 +42,7 @@ class PrimePair:
     rel: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        _reject_bare_string(self.primes, "primes", MonoidError)
         primes, rel = tuple(self.primes), tuple(self.rel)
         ps = set(primes)
         if len(primes) != len(ps):
@@ -282,6 +283,7 @@ class OrderIdeal:
     prime_set: frozenset[str]
 
     def __post_init__(self):
+        _reject_bare_string(self.prime_set, "prime set", MonoidError)
         self.__dict__.update(prime_set=frozenset(self.prime_set))
         m = self.monoid
         for p in self.prime_set:
@@ -550,6 +552,7 @@ class CongruenceOracle:
     """
 
     def __init__(self, generators, relations, bound: int):
+        _reject_bare_string(generators, "generators", MonoidError)
         self.generators = tuple(generators)
         self.bound = bound
         index = {g: i for i, g in enumerate(self.generators)}

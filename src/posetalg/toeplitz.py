@@ -1,11 +1,12 @@
 """Exact right action on the recursively built representation space.
 
-The space attached to a poset is built level by level: a minimal vertex
-carries the scalar line, and a vertex p with lower covers q_1..q_k carries
-one branch per cover, the branch along q_j being V(q_j) tensored with
-polynomials in z_j over rational functions in the other z's of p.  A basis
-leaf is addressed by a branch path (vertex, chosen slot) descending to a
-minimal vertex, and a vector assigns each leaf a rational-function
+The space attached to a poset is recursive: a minimal vertex carries the
+scalar line, and a vertex p with lower covers q_1..q_k carries one branch
+per cover, the branch along q_j being V(q_j) tensored with polynomials in
+z_j over rational functions in the other z's of p.  A basis leaf is
+addressed by a branch path (vertex, chosen slot) descending to a minimal
+vertex, read from the labelled descent that also indexes the unfolding
+and the maximal chains, and a vector assigns each leaf a rational-function
 coefficient that is polynomial in every chosen-slot variable along its
 path.
 
@@ -27,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset import LabelledPoset, lower_covers
+from .poset import LabelledPoset, _descents, lower_covers
 from .ratfunc import Poly, RatFunc, mono_exponent, t_poly
 from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
 
@@ -45,7 +46,6 @@ class Space:
     """Leaf layout of the representation space of a poset."""
 
     poset: LabelledPoset
-    levels: tuple  # Min-peeling of the poset
     leaves: dict  # vertex -> tuple of branch paths rooted there
 
     def all_leaves(self):
@@ -57,26 +57,17 @@ class Space:
 
 
 def build_space(poset: LabelledPoset) -> Space:
-    """Level decomposition and branch structure (one summand per cover)."""
-    remaining = set(poset.elements)
-    levels = []
-    while remaining:
-        level = tuple(sorted(p for p in remaining if not (poset.strict[p] & remaining)))
-        levels.append(level)
-        remaining -= set(level)
-    leaves = {}
-    for level in levels:
-        for v in level:
-            covers = lower_covers(poset, v)
-            if not covers:
-                leaves[v] = (((v, 0),),)
-            else:
-                leaves[v] = tuple(
-                    ((v, j),) + tail
-                    for j, q in enumerate(covers, start=1)
-                    for tail in leaves[q]
-                )
-    return Space(poset, tuple(levels), leaves)
+    """One leaf per descent from a vertex to a minimal one, in label order:
+    the path u_0 > .. > u_m becomes ((u_0, slot of u_1), .., (u_m, 0))."""
+    leaves = {
+        v: tuple(
+            tuple((u, poset.label_index(u, w)) for u, w in zip(path, path[1:])) + ((path[-1], 0),)
+            for path in _descents(poset, v)
+            if not poset.labels.get(path[-1])
+        )
+        for v in poset.elements
+    }
+    return Space(poset, leaves)
 
 
 class RepVector:
@@ -113,13 +104,12 @@ class RepVector:
         return all(self.coeffs[p] == other.coeffs[p] for p in self.coeffs)
 
     def __add__(self, other):
+        _check_space(self.space, other)
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             s = out.get(p)
             out[p] = c if s is None else s + c
-        if other.space is self.space:
-            return RepVector._trusted(self.space, out)
-        return RepVector(self.space, out)
+        return RepVector._trusted(self.space, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -209,14 +199,6 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
     _check_space(space, vec)
     P = space.poset
     kind = gen[0]
-    # every path below is a path of vec, or one moved along a lower cover
-    # of the space's poset, so the result skips the public checks
-    out = {}
-
-    def put(path, c):
-        prev = out.get(path)
-        out[path] = c if prev is None else prev + c
-
     if kind in ("scalar", "t"):
         val = RatFunc.of(gen[1] if kind == "scalar" else t_poly(gen[1]))
         return RepVector._trusted(space, {path: c * val for path, c in vec.coeffs.items()})
@@ -237,22 +219,26 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
     elif kind not in ("epq", "beta", "betabar"):
         raise RepError(f"unknown generator {gen!r}")
 
+    # every path below is a path of vec, or one moved along a lower cover
+    # of the space's poset, so the result skips the public checks; each
+    # kind sends distinct paths to distinct paths, so nothing is summed
+    out = {}
     for path, c in vec.coeffs.items():
         root, j0 = path[0]
         if kind == "epq":
             if root == p and j0 == slot:
-                put(path, _const_part(c, z))
+                out[path] = _const_part(c, z)
         elif kind == "alphabar":
             if root == p:
-                put(path, c * zpow)
+                out[path] = c * zpow
         elif kind == "alpha":
             if root == p:
-                put(path, c * zpow if j0 != slot else _drop_shift(c, z))
+                out[path] = c * zpow if j0 != slot else _drop_shift(c, z)
         elif kind == "beta":
             if root == p and j0 == slot:
-                put(path[1:], _apply_step(_const_part(c, z), P, p, slot))
+                out[path[1:]] = _apply_step(_const_part(c, z), P, p, slot)
         elif root == q:  # betabar
-            put(((p, slot),) + path, _apply_step_inverse(c, P, p, slot))
+            out[((p, slot),) + path] = _apply_step_inverse(c, P, p, slot)
     return RepVector._trusted(space, out)
 
 
@@ -388,17 +374,10 @@ def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepV
         raise AlgebraError("cannot invert zero")
     if f.valuation(P) != 0:
         raise AlgebraError("valuation gate: some cover variable divides the polynomial")
+    _check_space(space, vec)
     p = f.vertex
-    covers = lower_covers(P, p)
-    out = {}
-    if not covers:
-        # minimal vertex: the polynomial is a Laurent scalar
-        c = RatFunc(f.poly).inverse()
-        for path, coeff in vec.coeffs.items():
-            if path[0][0] == p:
-                out[path] = coeff * c
-        return RepVector(space, out)
     series_cache = {}
+    out = {}
     for path, coeff in vec.coeffs.items():
         root, j = path[0]
         if root != p:
@@ -407,17 +386,16 @@ def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepV
             series_cache[j] = _inverse_series(P, f, j, depth)
         gs = series_cache[j]
         zeta = zvar(p, j)
-        acc = RatFunc.const(0)
-        for a, g in enumerate(gs):
-            term = coeff * g if a == 0 else _drop_shift(coeff * g, zeta, times=a)
-            acc = acc + term
-        prev = out.get(path)
-        out[path] = acc if prev is None else prev + acc
-    return RepVector(space, out)
+        shifted = (_drop_shift(coeff * g, zeta, times=a) for a, g in enumerate(gs[1:], start=1))
+        out[path] = sum(shifted, coeff * gs[0])
+    return RepVector._trusted(space, out)
 
 
 def _inverse_series(poset, f: SigmaPoly, j, depth):
-    """Coefficients g_0..g_depth of the inverse power series along slot j."""
+    """Coefficients g_0..g_depth of the inverse power series along slot j;
+    at a minimal vertex (slot 0) f is a Laurent scalar, inverted outright."""
+    if not j:
+        return [RatFunc(f.poly).inverse()]
     p = f.vertex
     covers = lower_covers(poset, p)
     xj = ("x", covers[j - 1])

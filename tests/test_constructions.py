@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from posetalg.poset import (
     LabelledPoset,
+    LowerSet,
     PosetError,
+    Quiver,
     enumerate_posets,
     fig2_poset,
     lower_covers,
@@ -19,7 +21,9 @@ from posetalg.poset import (
     poset_iso,
 )
 from posetalg.primon import (
+    CongruenceOracle,
     MonoidError,
+    OrderIdeal,
     PrimePair,
     ZERO,
     from_pair,
@@ -55,6 +59,24 @@ def w_poset():
 
 def zplus():
     return from_poset(make_poset(["g"], []))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: LowerSet(fig2_poset(), "ab"), PosetError),
+        (lambda: Quiver("ab", ()), PosetError),
+        (lambda: sub_poset(fig2_poset(), "ab"), PosetError),
+        (lambda: OrderIdeal(from_poset(fig2_poset()), "ab"), MonoidError),
+        (lambda: PrimePair("ab", frozenset()), MonoidError),
+        (lambda: CongruenceOracle("ab", [], 2), MonoidError),
+    ],
+    ids=["LowerSet", "Quiver", "sub_poset", "OrderIdeal", "PrimePair", "CongruenceOracle"],
+)
+def test_bare_string_is_not_split_into_names(build, error):
+    # "ab" would read as the names "a" and "b"
+    with pytest.raises(error, match="bare string"):
+        build()
 
 
 # -- amalgamated pushout --------------------------------------------------------

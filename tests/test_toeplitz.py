@@ -60,9 +60,33 @@ def _claw():
 
 
 def test_build_space_fig2():
-    assert SPACE.levels == (("a", "b"), ("p",))
     assert SPACE.leaves["a"] == ((("a", 0),),)
     assert SPACE.leaves["p"] == ((("p", 1), ("a", 0)), (("p", 2), ("b", 0)))
+
+
+def _level_leaves(poset):
+    """The leaves built level by level: peel off the minimal vertices of
+    what remains, and give each vertex one branch per lower cover over the
+    leaves of that cover."""
+    remaining = set(poset.elements)
+    leaves = {}
+    while remaining:
+        level = sorted(p for p in remaining if not (poset.strict[p] & remaining))
+        for v in level:
+            covers = lower_covers(poset, v)
+            leaves[v] = (
+                tuple(((v, j),) + tail for j, q in enumerate(covers, start=1) for tail in leaves[q])
+                if covers
+                else (((v, 0),),)
+            )
+        remaining -= set(level)
+    return leaves
+
+
+def test_build_space_matches_level_recursion():
+    posets = [poset for n in range(7) for poset in enumerate_posets(n)] + [FIG2, _claw(), diamond()]
+    for poset in posets:
+        assert build_space(poset).leaves == _level_leaves(poset), poset
 
 
 def test_build_space_singleton_and_chain():
@@ -366,6 +390,18 @@ def test_act_and_repvector_reject_foreign_vectors():
         RepVector(SPACE, {(("p", 1), ("b", 0)): 1})
 
 
+def test_repvector_add_rejects_a_vector_of_another_space():
+    # two spaces over the same poset: equal leaves, yet not one context
+    one_space, other = build_space(chain(1)), build_space(chain(1))
+    leaf = (("c1", 1), ("c0", 0))
+    v1, v2 = leaf_vector(one_space, leaf), leaf_vector(other, leaf)
+    assert v1 != v2
+    with pytest.raises(RepError):
+        v1 + v2
+    with pytest.raises(RepError):
+        v1 - v2
+
+
 def test_act_element_rejects_foreign_poset():
     other = chain(1)
     with pytest.raises(RepError):
@@ -457,6 +493,23 @@ def test_invert_sigma_minimal_vertex_scalar():
     f = sigma_poly(FIG2, "a", {(): 2})
     v = leaf_vector(SPACE, (("a", 0),))
     assert invert_sigma(SPACE, f, v, 3) == v.scale(Fraction(1, 2))
+
+
+def test_invert_sigma_minimal_vertex_keeps_only_its_leaf():
+    # a vector on the leaves of all three roots: only a's leaf survives,
+    # scaled by the inverse of the Laurent scalar 2 - t1
+    laurent = Poly({(): 2, ((("t", 1), 1),): -1})
+    f = SigmaPoly("a", laurent)
+    v = RepVector(SPACE, {path: Poly.var(zvar(*path[0])) if path[0][1] else 3 for path in SPACE.all_leaves()})
+    assert {path[0][0] for path in v.coeffs} == {"a", "b", "p"}
+    expected = leaf_vector(SPACE, (("a", 0),), RatFunc(laurent).inverse() * 3)
+    assert invert_sigma(SPACE, f, v, 3) == expected
+
+
+def test_invert_sigma_rejects_foreign_vectors():
+    f = sigma_poly(FIG2, "a", {(): 2})
+    with pytest.raises(RepError):
+        invert_sigma(build_space(FIG2), f, leaf_vector(SPACE, (("a", 0),)), 3)
 
 
 def test_sample_inverses_round_trip():
