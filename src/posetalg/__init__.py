@@ -29,6 +29,7 @@ from .primon import (  # noqa: F401
     INF,
     MonElem,
     MonoidError,
+    OracleLimitError,
     OrderIdeal,
     PhiTuple,
     PrimePair,

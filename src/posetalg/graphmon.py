@@ -29,7 +29,8 @@ def graph_monoid(quiver: Quiver, bound: int):
     """The presentation together with a bounded equality decider.
 
     Every relation word must fit the oracle's bound, so a vertex that emits
-    more than ``bound`` arrows raises MonoidError."""
+    more than ``bound`` arrows raises MonoidError, and the oracle raises
+    OracleLimitError before it builds more words than its limit."""
     rels = []
     for v in quiver.vertices:
         outs = quiver.out_arrows(v)
@@ -125,7 +126,7 @@ def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
     chain_oracle = congruence_oracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
     gens_g = [f"v{i}" for i in range(r + 1)]
     gens_c = [f"p{i}" for i in range(r + 1)]
-    words = list(_bounded_words(r + 1, bound))
+    words = list(_bounded_words(r + 1, bound))  # as many as chain_oracle, within its limit
     for w1, w2 in itertools.combinations(words, 2):
         g_eq = graph_oracle.equal(dict(zip(gens_g, w1)), dict(zip(gens_g, w2)))
         c_eq = chain_oracle.equal(dict(zip(gens_c, w1)), dict(zip(gens_c, w2)))

@@ -10,7 +10,8 @@ used as a cross-check on equality throughout the tests.
 
 Verifiers (refinement by checked construction, separativity, a bounded
 congruence oracle) live here too; every search bound is an explicit
-parameter.
+parameter, a non-negative int, and the oracle's word count is capped by
+ORACLE_WORD_LIMIT.
 """
 
 from __future__ import annotations
@@ -18,15 +19,26 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from math import comb
 
 from .poset import LabelledPoset, compute_lower_covers, relation_iso
 from .poset import _automorphisms, _natural_relation, _order_masks, _reject_bare_string
 
 INF = float("inf")
+ORACLE_WORD_LIMIT = 200_000  # words a CongruenceOracle may build
 
 
 class MonoidError(ValueError):
     pass
+
+
+class OracleLimitError(MonoidError):
+    """A congruence oracle would need more words than ORACLE_WORD_LIMIT."""
+
+
+def _check_bound(bound):
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise MonoidError(f"bound {bound!r} is not a non-negative int")
 
 
 @dataclass(frozen=True)
@@ -247,7 +259,9 @@ class PrimitiveMonoid:
 
     def elements(self, max_size: int):
         """All reduced elements with total coefficient size <= max_size, by
-        size and then coefficients."""
+        size and then coefficients; MonoidError unless max_size is a
+        non-negative int, which checks every verifier's bound."""
+        _check_bound(max_size)
         out = []
         for support in range(1 << len(self._names)):
             slots = [i for i, bit in enumerate(self._bits) if bit & support]
@@ -328,6 +342,24 @@ def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):
 # verifiers
 
 
+def _components(m: PrimitiveMonoid) -> list:
+    """The connected components of the strict relation, as tuples of
+    primes by name, in order of least name; a regular self-pair joins
+    nothing."""
+    out, seen = [], set()
+    for p in m._names:
+        if p not in seen:
+            comp, stack = {p}, [p]
+            while stack:
+                q = stack.pop()
+                for r in (m.strictly_above[q] | m.strictly_below[q]) - comp:
+                    comp.add(r)
+                    stack.append(r)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+    return out
+
+
 def check_refinement(m: PrimitiveMonoid, size_bound: int):
     """Check every x1 + x2 = y1 + y2 over elements of size <= size_bound for
     a 2x2 refinement; returns None once every equality is certified.
@@ -364,7 +396,29 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
     equality; no search follows.  Row and column swaps act on refinement
     matrices, so only ordered representatives of each equality are
     checked.  Sums are memoised for the call only.
+
+    A pair whose strict relation is disconnected presents the product of
+    its components' monoids, and each component is checked on its own, on
+    the pair restricted to it, in order of least prime name.  This is
+    exact.  Every absorber mask lies inside its prime's component, so
+    reduction is componentwise, and _phi_vec at h reads only h's
+    component.  At h, construct reads only phi at h and the nonzero masks
+    of the primes above h, all in h's component, so the matrix it builds
+    for an equality of m is, factor by factor, the matrices built for the
+    equality's projections, and its four ``add`` checks split the same
+    way.  An equality of size <= size_bound projects to equalities of the
+    same bound in each factor (one that is trivial or a swap there is
+    refined by the same symmetry), and an equality of a factor, padded
+    with 0 in the others, is one of m.  So the checked factor certificates
+    make up the whole certificate, and a failing factor names an equality
+    of m.
     """
+    factors = _components(m)
+    if len(factors) > 1:
+        for primes in factors:
+            factor = PrimePair._trusted(primes, _rel_image(m.pair.rel, {p: p for p in primes}))
+            check_refinement(PrimitiveMonoid(factor), size_bound)
+        return None
     n = len(m.primes)
     memo = {}
 
@@ -548,12 +602,21 @@ class CongruenceOracle:
     an edge.  Equality verdicts are sound; inequality only means "not equal
     within the bound".  A word, in a relation or a query, names only
     generators and gives each a non-negative integer count, or MonoidError
-    is raised.
+    is raised.  The bound must be a non-negative int, and an oracle that
+    would need more than ORACLE_WORD_LIMIT words raises OracleLimitError
+    before it builds any.
     """
 
     def __init__(self, generators, relations, bound: int):
         _reject_bare_string(generators, "generators", MonoidError)
         self.generators = tuple(generators)
+        _check_bound(bound)
+        need = comb(len(self.generators) + bound, bound)
+        if need > ORACLE_WORD_LIMIT:
+            raise OracleLimitError(
+                f"an oracle of bound {bound} on {len(self.generators)} generators needs {need} words, "
+                f"over the limit of {ORACLE_WORD_LIMIT}"
+            )
         self.bound = bound
         index = {g: i for i, g in enumerate(self.generators)}
         rels = []

@@ -25,7 +25,7 @@ realized as truncated geometric series, exact on a stated degree window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poset import LabelledPoset, _descents, lower_covers
@@ -46,13 +46,21 @@ class Space:
     """Leaf layout of the representation space of a poset."""
 
     poset: LabelledPoset
-    leaves: dict  # vertex -> tuple of branch paths rooted there
+    leaves: dict  # vertex -> tuple of branch paths rooted there, in label order
+    _leaf_sets: dict = field(init=False, repr=False, compare=False)  # vertex -> frozenset of them
+
+    def __post_init__(self):
+        object.__setattr__(self, "_leaf_sets", {v: frozenset(paths) for v, paths in self.leaves.items()})
 
     def all_leaves(self):
         return [path for v in self.poset.elements for path in self.leaves[v]]
 
     def check_path(self, path):
-        if not path or path[0][0] not in self.leaves or path not in self.leaves[path[0][0]]:
+        try:
+            found = path in self._leaf_sets[path[0][0]]
+        except (IndexError, KeyError, TypeError):  # empty, foreign root, or not a tuple of pairs
+            found = False
+        if not found:
             raise RepError(f"branch path {path} does not belong to this space")
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +15,22 @@ from posetalg.poset import (
     _natural_relation,
     enumerate_posets,
     fig2_poset,
+    Quiver,
     make_poset,
     relation_iso,
     transitive_closure,
 )
+from posetalg.graphmon import check_Er_equals_chain, graph_monoid
 from posetalg.primon import (
     INF,
+    ORACLE_WORD_LIMIT,
     MonoidError,
+    OracleLimitError,
     OrderIdeal,
     PrimePair,
     PrimitiveMonoid,
     ZERO,
+    _components,
     apw_graph_shape,
     check_refinement,
     check_separative,
@@ -352,6 +358,109 @@ def test_elements_in_canonical_order():
 # -- brute-force checkers --------------------------------------------------------
 
 
+def check_refinement_connected(m, size_bound):
+    """The refinement checker as it was before the component split: the
+    checked construction on the whole monoid, kept verbatim as the
+    oracle."""
+    n = len(m.primes)
+    memo = {}
+
+    def add(u, v):
+        hit = memo.get((u, v))
+        if hit is None:
+            hit = memo[u, v] = m._add_vec(u, v)
+        return hit
+
+    elems = [m._reduced(m._vec(e)) for e in m.elements(size_bound)]
+    phi = {v: m._phi_vec(v) for v in elems}  # aligned with the core's indices
+    by_sum = {}
+    for x1, x2 in itertools.product(elems, repeat=2):
+        if x1 <= x2:
+            by_sum.setdefault(add(x1, x2), []).append((x1, x2))
+
+    # top down: a prime has more absorbers than any prime above it
+    up = m._absorbers
+    walk = [
+        (h, 1 << h, up[h], m._regular_mask >> h & 1)
+        for h in sorted(range(n), key=lambda h: bin(up[h]).count("1"))
+    ]
+
+    def construct(x1, x2, y1, y2):
+        """The refinement matrix as reduced vectors z11, z12, z21, z22."""
+        p1, p2, q1, q2 = phi[x1], phi[x2], phi[y1], phi[y2]
+        z11, z12, z21, z22 = [0] * n, [0] * n, [0] * n, [0] * n
+        nz11 = nz12 = nz21 = nz22 = 0  # primes where each entry is nonzero
+        for h, bit, up, regular in walk:
+            a1, a2, b1, b2 = p1[h], p2[h], q1[h], q2[h]
+            f11, f12, f21, f22 = nz11 & up, nz12 & up, nz21 & up, nz22 & up
+            if regular:
+                r1, r2 = f11 or f12, f21 or f22  # row holds an infinite entry
+                c1, c2 = f11 or f21, f12 or f22  # column likewise
+                if not f11 and a1 == b1 == INF and not (r1 and c1):
+                    z11[h] = 1
+                    f11 = r1 = c1 = True
+                if not f12 and a1 == b2 == INF and not (r1 and c2):
+                    z12[h] = 1
+                    f12 = r1 = c2 = True
+                if not f21 and a2 == b1 == INF and not (r2 and c1):
+                    z21[h] = 1
+                    f21 = r2 = c1 = True
+                if not f22 and a2 == b2 == INF and not (r2 and c2):
+                    z22[h] = 1
+                    f22 = True
+            else:
+                if not f11:
+                    v = a1 if a1 < b1 else b1
+                    if 0 < v < INF:
+                        z11[h] = f11 = v
+                        a1 -= v
+                        b1 -= v
+                if not f12:
+                    v = a1 if a1 < b2 else b2
+                    if 0 < v < INF:
+                        z12[h] = f12 = v
+                        b2 -= v
+                if not f21:
+                    v = a2 if a2 < b1 else b1
+                    if 0 < v < INF:
+                        z21[h] = f21 = v
+                        a2 -= v
+                if not f22:
+                    v = a2 if a2 < b2 else b2
+                    if 0 < v < INF:
+                        z22[h] = f22 = v
+            # from here f_ij means "z_ij is nonzero at h"
+            if f11:
+                nz11 |= bit
+            if f12:
+                nz12 |= bit
+            if f21:
+                nz21 |= bit
+            if f22:
+                nz22 |= bit
+        return tuple(z11), tuple(z12), tuple(z21), tuple(z22)
+
+    def term(x):
+        return f"({x})" if len(x.coeffs) > 1 else str(x)
+
+    for pairs in by_sum.values():
+        for i, (x1, x2) in enumerate(pairs):
+            for y1, y2 in pairs[i + 1 :]:
+                z11, z12, z21, z22 = construct(x1, x2, y1, y2)
+                if (
+                    add(z11, z12) != x1
+                    or add(z21, z22) != x2
+                    or add(z11, z21) != y1
+                    or add(z12, z22) != y2
+                ):
+                    x1, x2, y1, y2 = (term(m._elem(v)) for v in (x1, x2, y1, y2))
+                    raise MonoidError(
+                        f"the constructed refinement of {x1} + {x2} = {y1} + {y2} fails its check: "
+                        "the prime pair is not valid"
+                    )
+    return None
+
+
 def test_refinement_fig2_and_free():
     assert check_refinement(fig2_monoid(), 3) is None
     free = from_poset(make_poset(["x", "y"], []))
@@ -367,13 +476,41 @@ def test_refinement_raises_on_corrupted_rel():
     # non-transitive: b < a < c without b < c; the construction's proof
     # needs a valid pair, so its check fails and the equality is named
     m = PrimitiveMonoid(unchecked_pair(["a", "b", "c"], {("a", "c"), ("b", "a")}))
-    with pytest.raises(MonoidError, match=r"0 \+ c = \(b \+ c\) \+ a .*not valid"):
+    with pytest.raises(MonoidError, match=r"0 \+ c = \(b \+ c\) \+ a .*not valid") as new:
         check_refinement(m, 2)
+    with pytest.raises(MonoidError) as old:
+        check_refinement_connected(m, 2)
+    assert str(new.value) == str(old.value)
     # the named equality is no counterexample: [[0, 0], [b + c, a]] refines it
     a, c, bc = m.gen("a"), m.gen("c"), m.reduce({"b": 1, "c": 1})
     (z11, z12), (z21, z22) = (ZERO, ZERO), (bc, a)
     assert m.add(z11, z12) == ZERO and m.add(z21, z22) == c
     assert m.add(z11, z21) == bc and m.add(z12, z22) == a
+
+
+def test_refinement_corrupted_factor_names_an_equality_of_the_whole_monoid():
+    # the corrupted relation above plus an isolated prime d: the factor
+    # {a, b, c} fails, and the equality it names holds in the whole monoid
+    m = PrimitiveMonoid(unchecked_pair(["a", "b", "c", "d"], {("a", "c"), ("b", "a")}))
+    with pytest.raises(MonoidError) as new:
+        check_refinement(m, 2)
+    assert str(new.value) == (
+        "the constructed refinement of 0 + c = (b + c) + a fails its check: the prime pair is not valid"
+    )
+    assert m.add(ZERO, m.gen("c")) == m.add(m.reduce({"b": 1, "c": 1}), m.gen("a"))
+
+
+def test_refinement_matches_the_connected_checker_on_catalogue():
+    # the factor-by-factor checker and the whole-monoid one both certify
+    # every pair with at most 5 primes at the bound of criterion 03
+    pairs = enumerate_prime_pairs(5)
+    disconnected = 0
+    for pair in pairs:
+        m = PrimitiveMonoid(pair)
+        assert check_refinement(m, 3) is None, pair
+        assert check_refinement_connected(m, 3) is None, pair
+        disconnected += len(_components(m)) > 1
+    assert (len(pairs), disconnected) == (1724, 514)
 
 
 def test_refinement_construction_certifies_catalogue():
@@ -529,6 +666,33 @@ def test_congruence_oracle_bound_guard():
     orc = congruence_oracle(["x"], [], 2)
     with pytest.raises(MonoidError):
         orc.equal({"x": 3}, {"x": 3})
+
+
+def test_congruence_oracle_word_limit():
+    # k generators at bound 4 need just over the limit: every guard raises
+    # before a word is built
+    k = next(k for k in itertools.count() if comb(k + 4, 4) > ORACLE_WORD_LIMIT)
+    gens = [f"v{i}" for i in range(k)]
+    need = f"needs {comb(k + 4, 4)} words, over the limit of {ORACLE_WORD_LIMIT}"
+    with pytest.raises(OracleLimitError, match=f"bound 4 on {k} generators {need}"):
+        congruence_oracle(gens, [], 4)
+    with pytest.raises(OracleLimitError, match=need):
+        graph_monoid(Quiver(tuple(gens), ()), 4)
+    with pytest.raises(OracleLimitError, match=need):
+        check_Er_equals_chain(k - 1, 4)
+    assert comb(k - 1 + 4, 4) <= ORACLE_WORD_LIMIT
+
+
+@pytest.mark.parametrize("bound", [-1, -2, 2.5, True, "3", None])
+def test_verifiers_reject_a_bound_that_is_not_a_non_negative_int(bound):
+    monoids = [fig2_monoid(), from_poset(make_poset(["x", "y"], [])), PrimitiveMonoid(PrimePair((), frozenset()))]
+    for m in monoids:
+        for check in (m.elements, check_refinement, check_separative, check_strongly_separative):
+            args = (bound,) if check == m.elements else (m, bound)
+            with pytest.raises(MonoidError, match=f"bound {bound!r} is not a non-negative int"):
+                check(*args)
+    with pytest.raises(MonoidError, match="is not a non-negative int"):
+        congruence_oracle(["a"], [], bound)
 
 
 def test_congruence_oracle_rejects_bad_words():

@@ -64,6 +64,22 @@ def test_build_space_fig2():
     assert SPACE.leaves["p"] == ((("p", 1), ("a", 0)), (("p", 2), ("b", 0)))
 
 
+def test_check_path_accepts_exactly_the_leaves():
+    for n in range(5):
+        for poset in enumerate_posets(n):
+            space = build_space(poset)
+            for path in space.all_leaves():
+                space.check_path(path)
+                forms = [path[:cut] for cut in range(1, len(path))]  # proper prefixes
+                forms += [list(path), tuple(list(step) for step in path)]
+                for bad in forms:
+                    with pytest.raises(RepError):
+                        space.check_path(bad)
+    for bad in ((), (5,), ((("x", 0),),), None, "a"):
+        with pytest.raises(RepError):
+            SPACE.check_path(bad)
+
+
 def _level_leaves(poset):
     """The leaves built level by level: peel off the minimal vertices of
     what remains, and give each vertex one branch per lower cover over the
