@@ -15,7 +15,7 @@ shared lower parts recovers the monoid of the whole poset.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .poset import (
@@ -35,6 +35,7 @@ from .primon import (
     PrimePair,
     PrimitiveMonoid,
     _rel_image,
+    _split_pair,
     congruence_oracle,
     from_poset,
     monoid_iso,
@@ -102,21 +103,18 @@ def verify_coequalizer(m, ideal, ideal2, phi, pushout: CrownedPushout, bound: in
     (a) the projection agrees on i and phi(i) for ideal elements <= bound;
     (b) the kernel of the projection equals the congruence generated by the
         pairs (x+i, x+phi(i)), computed by the bounded congruence oracle.
-    Returns None if ok, else a counterexample pair.
+    Returns None if ok, else (i, reason) for (a), or for (b) a pair (x, y),
+    x first in element order, that one side joins and the other separates.
     """
     pi = pushout.project
+    phi_map = {p: phi.get(p, p) for p in m.primes}
     for i in ideal.elements(bound):
-        if pi(i) != pi(map_elem(m, {**{p: p for p in m.primes}, **phi}, i)):
+        if pi(i) != pi(map_elem(m, phi_map, i)):
             return (i, "projection does not equalize the ideal identification")
     gens, rels = presentation_of(m)
     rels += [({g: 1}, {phi[g]: 1}) for g in sorted(ideal.prime_set)]
     oracle = congruence_oracle(gens, rels, bound)
-    for x, y in itertools.combinations(m.elements(bound), 2):
-        same_fiber = pi(x) == pi(y)
-        same_class = oracle.equal(x.as_dict(), y.as_dict())
-        if same_fiber != same_class:
-            return (x, y)
-    return None
+    return _split_pair(m.elements(bound), pi, lambda x: oracle.class_of(x.as_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +228,18 @@ def pullback_primitive(m1, n1: OrderIdeal, m2, n2: OrderIdeal, iso: dict | None 
 def verify_pullback_universal(pb: PullbackPrimitive, m1, n1, m2, n2, bound: int):
     """Every compatible pair of elements has exactly one preimage (<= bound).
 
-    Returns None if ok, else ((x1, x2), count).
+    Returns None if ok, else ((x1, x2), count); each fibre is counted once.
     """
-    s1, pr1 = quotient(m1, n1)
+    _, pr1 = quotient(m1, n1)
     s2, pr2 = quotient(m2, n2)
-    iso = pb.quotient_iso
-    p_elems = pb.monoid.elements(2 * bound)
+    by_image = {}
+    for x2 in m2.elements(bound):
+        by_image.setdefault(pr2(x2), []).append(x2)
+    fibres = Counter((pb.p1(z), pb.p2(z)) for z in pb.monoid.elements(2 * bound))
     for x1 in m1.elements(bound):
-        for x2 in m2.elements(bound):
-            if map_elem(s2, iso, pr1(x1)) != pr2(x2):
-                continue
-            count = sum(1 for z in p_elems if pb.p1(z) == x1 and pb.p2(z) == x2)
-            if count != 1:
-                return ((x1, x2), count)
+        for x2 in by_image.get(map_elem(s2, pb.quotient_iso, pr1(x1)), ()):
+            if fibres[x1, x2] != 1:
+                return ((x1, x2), fibres[x1, x2])
     return None
 
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .poset import PosetError, Quiver, _sections
-from .primon import MonoidError, _bounded_words, congruence_oracle
+from .primon import MonoidError, _bounded_words, _split_pair, congruence_oracle
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ def restrict_graph(quiver: Quiver, subset) -> Quiver:
 
 def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
     """Bounded congruence closures of the loop-chain quiver monoid and of
-    the chain-poset monoid agree under v_i <-> p_i; None if ok."""
+    the chain-poset monoid agree under v_i <-> p_i; None if ok, else words
+    (w1, w2), w1 first, that one closure joins and the other separates."""
     quiver = build_Er(r) if quiver is None else quiver
     _, graph_oracle = graph_monoid(quiver, bound)
     chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
@@ -127,12 +128,11 @@ def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
     gens_g = [f"v{i}" for i in range(r + 1)]
     gens_c = [f"p{i}" for i in range(r + 1)]
     words = list(_bounded_words(r + 1, bound))  # as many as chain_oracle, within its limit
-    for w1, w2 in itertools.combinations(words, 2):
-        g_eq = graph_oracle.equal(dict(zip(gens_g, w1)), dict(zip(gens_g, w2)))
-        c_eq = chain_oracle.equal(dict(zip(gens_c, w1)), dict(zip(gens_c, w2)))
-        if g_eq != c_eq:
-            return (w1, w2, g_eq, c_eq)
-    return None
+    return _split_pair(
+        words,
+        lambda w: graph_oracle.class_of(dict(zip(gens_g, w))),
+        lambda w: chain_oracle.class_of(dict(zip(gens_c, w))),
+    )
 
 
 def detect_Er(quiver: Quiver):

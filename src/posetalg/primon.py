@@ -263,13 +263,14 @@ class PrimitiveMonoid:
         non-negative int, which checks every verifier's bound."""
         _check_bound(max_size)
         out = []
-        for support in range(1 << len(self._names)):
-            slots = [i for i, bit in enumerate(self._bits) if bit & support]
-            if any(self._absorbers[i] & support for i in slots):
-                continue
-            names = [self._names[i] for i in slots]
-            ranges = [range(1, 2 if self._bits[i] & self._regular_mask else max_size + 1) for i in slots]
-            out += (MonElem(tuple(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
+        for k in range(min(max_size, len(self._names)) + 1):  # a support prime has coefficient >= 1
+            for slots in itertools.combinations(range(len(self._names)), k):
+                support = sum(self._bits[i] for i in slots)
+                if any(self._absorbers[i] & support for i in slots):
+                    continue
+                names = [self._names[i] for i in slots]
+                ranges = [range(1, 2 if self._bits[i] & self._regular_mask else max_size - k + 2) for i in slots]
+                out += (MonElem(tuple(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
         out.sort(key=lambda e: (e.size(), e.coeffs))
         return out
 
@@ -360,6 +361,19 @@ def _components(m: PrimitiveMonoid) -> list:
     return out
 
 
+def _split_pair(items, key1, key2):
+    """None when key1 and key2 partition the items alike, else a pair
+    (x, y), x first, that one key joins and the other separates.  One pass:
+    the partitions agree iff each item meets the same first class member
+    under both keys; where they first differ, the earlier one and the item split."""
+    first1, first2 = {}, {}
+    for i, item in enumerate(items):
+        j, k = first1.setdefault(key1(item), i), first2.setdefault(key2(item), i)
+        if j != k:
+            return items[min(j, k)], item
+    return None
+
+
 def check_refinement(m: PrimitiveMonoid, size_bound: int):
     """Check every x1 + x2 = y1 + y2 over elements of size <= size_bound for
     a 2x2 refinement; returns None once every equality is certified.
@@ -428,7 +442,7 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
             hit = memo[u, v] = m._add_vec(u, v)
         return hit
 
-    elems = [m._reduced(m._vec(e)) for e in m.elements(size_bound)]
+    elems = [m._vec(e) for e in m.elements(size_bound)]
     phi = {v: m._phi_vec(v) for v in elems}  # aligned with the core's indices
     by_sum = {}
     for x1, x2 in itertools.product(elems, repeat=2):
@@ -665,8 +679,12 @@ class CongruenceOracle:
             raise MonoidError(f"word exceeds oracle bound {self.bound}")
         return vec
 
+    def class_of(self, word):
+        """The representative word of the class that ``equal`` compares."""
+        return self._find(self._as_vec(word))
+
     def equal(self, w1, w2) -> bool:
-        return self._find(self._as_vec(w1)) == self._find(self._as_vec(w2))
+        return self.class_of(w1) == self.class_of(w2)
 
     def classes(self):
         buckets = {}

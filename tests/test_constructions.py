@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +20,27 @@ from posetalg.poset import (
     maximal_chains,
     parse_poset,
     poset_iso,
+    relation_iso,
 )
 from posetalg.primon import (
     CongruenceOracle,
     MonoidError,
     OrderIdeal,
     PrimePair,
+    PrimitiveMonoid,
     ZERO,
+    _rel_image,
+    congruence_oracle,
+    enumerate_prime_pairs,
     from_pair,
     from_poset,
     ideal_from_lower_set,
     monoid_iso,
+    presentation_of,
     quotient,
 )
 from posetalg.constructions import (
+    CrownedPushout,
     _glue_overlap,
     amalgam_pushout,
     assemble,
@@ -296,6 +304,115 @@ def test_pullback_universal_detects_corruption():
         pb.quotient_iso,
     )
     assert verify_pullback_universal(crippled, m1, n1, m2, n2, 2) is not None
+
+
+# -- the verifiers against the pairwise loops they replaced -----------------------
+
+
+def coequalizer_pairwise(m, ideal, phi, pushout, bound):
+    """verify_coequalizer as it was before the class-map comparison: the
+    projection and the oracle asked about every pair, kept as the oracle."""
+    pi = pushout.project
+    for i in ideal.elements(bound):
+        if pi(i) != pi(map_elem(m, {**{p: p for p in m.primes}, **phi}, i)):
+            return (i, "projection does not equalize the ideal identification")
+    gens, rels = presentation_of(m)
+    rels += [({g: 1}, {phi[g]: 1}) for g in sorted(ideal.prime_set)]
+    oracle = congruence_oracle(gens, rels, bound)
+    for x, y in itertools.combinations(m.elements(bound), 2):
+        if (pi(x) == pi(y)) != oracle.equal(x.as_dict(), y.as_dict()):
+            return (x, y)
+    return None
+
+
+def pullback_pairwise(pb, m1, n1, m2, n2, bound):
+    """verify_pullback_universal as it was before the fibre count: every
+    element of the pullback rescanned for each compatible pair."""
+    s1, pr1 = quotient(m1, n1)
+    s2, pr2 = quotient(m2, n2)
+    iso = pb.quotient_iso
+    p_elems = pb.monoid.elements(2 * bound)
+    for x1 in m1.elements(bound):
+        for x2 in m2.elements(bound):
+            if map_elem(s2, iso, pr1(x1)) != pr2(x2):
+                continue
+            count = sum(1 for z in p_elems if pb.p1(z) == x1 and pb.p2(z) == x2)
+            if count != 1:
+                return ((x1, x2), count)
+    return None
+
+
+def lower_prime_sets(m):
+    subsets = (frozenset(c) for k in range(len(m.primes) + 1) for c in itertools.combinations(m.primes, k))
+    return [s for s in subsets if all(m.strictly_below[p] <= s for p in s)]
+
+
+def coequalizer_cases(max_primes):
+    """Each crowned pushout of a catalogue monoid along two disjoint
+    isomorphic lower prime sets, and copies of it whose relation lacks one
+    pair."""
+    for pair in enumerate_prime_pairs(max_primes):
+        m = PrimitiveMonoid(pair)
+        for low1, low2 in itertools.permutations(lower_prime_sets(m), 2):
+            if low1 & low2 or len(low1) != len(low2):
+                continue
+            rel1, rel2 = (_rel_image(pair.rel, {p: p for p in low}) for low in (low1, low2))
+            phi = relation_iso(tuple(sorted(low1)), rel1, tuple(sorted(low2)), rel2)
+            if phi is None:
+                continue
+            i1, i2 = OrderIdeal(m, low1), OrderIdeal(m, low2)
+            good = crowned_pushout(m, i1, i2, phi)
+            yield m, i1, phi, good
+            q = good.monoid
+            for drop in sorted(q.pair.rel):
+                with contextlib.suppress(MonoidError):
+                    yield m, i1, phi, replace(good, monoid=PrimitiveMonoid(PrimePair(q.primes, q.pair.rel - {drop})))
+
+
+def test_verify_coequalizer_gives_the_pairwise_verdicts():
+    verdicts = Counter()
+    for m, ideal, phi, pushout in coequalizer_cases(3):
+        for bound in (2, 3):
+            split = verify_coequalizer(m, ideal, None, phi, pushout, bound)
+            assert (split is None) == (coequalizer_pairwise(m, ideal, phi, pushout, bound) is None)
+            if split is not None and split[1] != "projection does not equalize the ideal identification":
+                x, y = split
+                gens, rels = presentation_of(m)
+                oracle = congruence_oracle(gens, rels + [({g: 1}, {phi[g]: 1}) for g in ideal.prime_set], bound)
+                assert (pushout.project(x) == pushout.project(y)) != oracle.equal(x.as_dict(), y.as_dict())
+                elems = m.elements(bound)
+                assert elems.index(x) < elems.index(y)
+            verdicts[split is None] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def pullback_cases(max_primes):
+    """Each pullback of two catalogue monoids over ideals below every other
+    prime, and copies of it with one prime of its second projection
+    killed."""
+    sides = []
+    for pair in enumerate_prime_pairs(max_primes):
+        m = PrimitiveMonoid(pair)
+        for low in lower_prime_sets(m):
+            if all((p, q) in pair.rel for p in low for q in set(m.primes) - low):
+                sides.append((m, OrderIdeal(m, low)))
+    for (m1, n1), (m2, n2) in itertools.product(sides, repeat=2):
+        try:
+            pb = pullback_primitive(m1, n1, m2, n2)
+        except MonoidError:
+            continue  # the quotients are not isomorphic
+        yield pb, m1, n1, m2, n2
+        for t in sorted(t for t, p in pb.proj2.items() if p is not None):
+            yield replace(pb, proj2={**pb.proj2, t: None}), m1, n1, m2, n2
+
+
+def test_verify_pullback_universal_gives_the_pairwise_results():
+    verdicts = Counter()
+    for pb, m1, n1, m2, n2 in pullback_cases(2):
+        got = verify_pullback_universal(pb, m1, n1, m2, n2, 2)
+        assert got == pullback_pairwise(pb, m1, n1, m2, n2, 2)
+        verdicts[got is None] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # -- unfolding -------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver
-from posetalg.primon import MonoidError
+from posetalg.primon import CongruenceOracle, MonoidError, congruence_oracle
 from posetalg.graphmon import (
     build_Er,
     check_Er_equals_chain,
@@ -121,6 +122,76 @@ def test_Er_check_catches_corruption():
     e2 = build_Er(2)
     bad = Quiver(e2.vertices, tuple(a for a in e2.arrows if a[0] != "b2"))
     assert check_Er_equals_chain(2, 4, quiver=bad) is not None
+
+
+def er_oracles(r, bound, quiver):
+    """The two oracles check_Er_equals_chain compares, each with its
+    generators in index order."""
+    _, graph_oracle = graph_monoid(quiver, bound)
+    chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
+    chain_oracle = congruence_oracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
+    gens_g = [f"v{i}" for i in range(r + 1)]
+    gens_c = [f"p{i}" for i in range(r + 1)]
+    return (graph_oracle, gens_g), (chain_oracle, gens_c)
+
+
+def joined(oracle_gens, w1, w2):
+    oracle, gens = oracle_gens
+    return oracle.equal(dict(zip(gens, w1)), dict(zip(gens, w2)))
+
+
+def er_pairwise(r, bound, quiver):
+    """check_Er_equals_chain as it was before the class-map comparison:
+    both oracles asked about every pair of words, kept as the oracle."""
+    graph, chain = er_oracles(r, bound, quiver)
+    words = [tuple(w) for w in itertools.product(range(bound + 1), repeat=r + 1) if sum(w) <= bound]
+    for w1, w2 in itertools.combinations(words, 2):
+        g_eq, c_eq = joined(graph, w1, w2), joined(chain, w1, w2)
+        if g_eq != c_eq:
+            return (w1, w2, g_eq, c_eq)
+    return None
+
+
+def loop_chain_cases():
+    """The loop-chain quivers and copies of them with one arrow dropped or
+    one loop doubled, at every bound that fits their relations."""
+    for r in range(4):
+        e = build_Er(r)
+        quivers = [e]
+        quivers += [Quiver(e.vertices, tuple(a for a in e.arrows if a != drop)) for drop in e.arrows]
+        quivers += [Quiver(e.vertices, e.arrows + ((f"c{i}", v, v),)) for i, v in enumerate(e.vertices)]
+        for quiver in quivers:
+            for bound in range(2 + any(len(quiver.out_arrows(v)) > 2 for v in e.vertices), 5):
+                yield r, bound, quiver
+
+
+def test_Er_check_gives_the_pairwise_verdicts():
+    verdicts = set()
+    for r, bound, quiver in loop_chain_cases():
+        split = check_Er_equals_chain(r, bound, quiver=quiver)
+        assert (split is None) == (er_pairwise(r, bound, quiver) is None)
+        if split is not None:
+            w1, w2 = split
+            graph, chain = er_oracles(r, bound, quiver)
+            assert w1 < w2 and joined(graph, w1, w2) != joined(chain, w1, w2)
+        verdicts.add(split is None)
+    assert verdicts == {True, False}
+
+
+def test_Er_check_reads_each_class_once(monkeypatch):
+    # a comparison per pair of words would convert 4 * C(W, 2) = 2,002,000 words
+    calls = []
+    as_vec = CongruenceOracle._as_vec
+
+    def counted(self, word):
+        calls.append(word)
+        return as_vec(self, word)
+
+    monkeypatch.setattr(CongruenceOracle, "_as_vec", counted)
+    words = comb(9 + 1 + 4, 4)
+    assert words == 1001
+    assert check_Er_equals_chain(9, 4) is None
+    assert len(calls) <= 2 * words + 4
 
 
 def test_detect_Er():

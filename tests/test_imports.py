@@ -1,7 +1,7 @@
 """Every import in a package module is named in that module, and every
 module-level private function or class is named somewhere in the package
 outside its own definition, and only the modules named below build values
-through a trusted constructor.
+through a trusted constructor.  The ``test`` extra pins the tools CI installs.
 
 No linter ships with the package, so these checks parse each module with
 ``ast``.  ``__init__.py`` is exempt from the import check (its imports are
@@ -10,12 +10,14 @@ that only tests call belongs in the tests.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posetalg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "posetalg"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -100,3 +102,12 @@ def test_guard_finds_trusted_calls():
 def test_trusted_constructors_only_in_their_modules(module):
     for owner in trusted_calls((PACKAGE / module).read_text()):
         assert module in TRUSTED_CALLERS.get(owner, ()), f"{module} calls {owner}._trusted"
+
+
+def test_test_extra_pins_what_ci_installs():
+    # the test modules import hypothesis and sympy, so the extra names them
+    extra = re.search(r"^test = (\[.*\])$", (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    ci = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    install = re.search(r"pip install (.+)$", ci, re.M).group(1).split()
+    assert sorted(ast.literal_eval(extra)) == sorted(install)
+    assert {pin.partition("==")[0] for pin in install} == {"pytest", "hypothesis", "sympy"}

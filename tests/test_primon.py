@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -24,6 +25,7 @@ from posetalg.graphmon import check_Er_equals_chain, graph_monoid
 from posetalg.primon import (
     INF,
     ORACLE_WORD_LIMIT,
+    MonElem,
     MonoidError,
     OracleLimitError,
     OrderIdeal,
@@ -31,6 +33,7 @@ from posetalg.primon import (
     PrimitiveMonoid,
     ZERO,
     _components,
+    _split_pair,
     apw_graph_shape,
     check_refinement,
     check_separative,
@@ -548,6 +551,45 @@ def test_refinement_construction_on_random_pairs(pair):
     assert check_refinement(m, 2) is None
 
 
+def elements_over_all_supports(m, max_size):
+    """``elements`` as it was before the bounded support walk: every subset
+    of the primes, kept as the oracle."""
+    out = []
+    for support in range(1 << len(m._names)):
+        slots = [i for i, bit in enumerate(m._bits) if bit & support]
+        if any(m._absorbers[i] & support for i in slots):
+            continue
+        names = [m._names[i] for i in slots]
+        ranges = [range(1, 2 if m._bits[i] & m._regular_mask else max_size + 1) for i in slots]
+        out += (MonElem(tuple(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
+    out.sort(key=lambda e: (e.size(), e.coeffs))
+    return out
+
+
+def test_elements_match_the_walk_over_all_supports():
+    for m in small_catalogue(4):
+        for bound in range(5):
+            assert m.elements(bound) == elements_over_all_supports(m, bound)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_prime_pairs(), st.integers(0, 4))
+def test_elements_match_the_walk_over_all_supports_on_random_pairs(pair, bound):
+    m = PrimitiveMonoid(pair)
+    assert m.elements(bound) == elements_over_all_supports(m, bound)
+
+
+def test_elements_walk_only_the_small_supports():
+    # a walk over all 2^16 supports takes seconds; the supports of at most
+    # 2 primes are 137
+    m = from_pair(PrimePair(tuple(f"g{i:02d}" for i in range(16)), frozenset()))
+    start = time.perf_counter()
+    els = m.elements(2)
+    assert time.perf_counter() - start < 1.0
+    assert len(els) == 1 + 16 + 16 + comb(16, 2) == 153
+    assert els == sorted(set(els), key=lambda e: (e.size(), e.coeffs))
+
+
 def test_separativity():
     m = fig2_monoid()
     assert check_strongly_separative(m, 3) is None
@@ -660,6 +702,59 @@ def test_congruence_oracle_matches_reduce():
         els = m.elements(2)
         for x, y in itertools.product(els, repeat=2):
             assert orc.equal(x.as_dict(), y.as_dict()) == (x == y)
+
+
+def test_class_of_is_the_least_word_of_its_class():
+    gens, rels = presentation_of(fig2_monoid())
+    orc = congruence_oracle(gens, rels, 3)
+    for cls in orc.classes():
+        for w in cls:
+            assert orc.class_of(dict(zip(gens, w))) == min(cls)
+    assert orc.class_of({"p": 1, "a": 1}) == orc.class_of({"p": 1}) != orc.class_of({"a": 1})
+
+
+def pairwise_split(items, key1, key2):
+    """The agreement loop the bounded verifiers ran before ``_split_pair``:
+    both keys compared on every pair of items, kept as the oracle."""
+    for x, y in itertools.combinations(items, 2):
+        if (key1(x) == key1(y)) != (key2(x) == key2(y)):
+            return (x, y)
+    return None
+
+
+@st.composite
+def labellings(draw):
+    """Two class labellings of the same items; half the time the second
+    renames the classes of the first, so the partitions agree."""
+    labels1 = draw(st.lists(st.integers(0, 3), max_size=12))
+    if draw(st.booleans()):
+        rename = draw(st.permutations(range(4)))
+        return labels1, [rename[c] for c in labels1]
+    return labels1, draw(st.lists(st.integers(0, 3), min_size=len(labels1), max_size=len(labels1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(labellings())
+def test_split_pair_matches_the_pairwise_loop(labels):
+    labels1, labels2 = labels
+    items = list(range(len(labels1)))
+    read1, read2 = [], []
+    split = _split_pair(items, lambda i: read1.append(i) or labels1[i], lambda i: read2.append(i) or labels2[i])
+    assert (split is None) == (pairwise_split(items, labels1.__getitem__, labels2.__getitem__) is None)
+    assert read1 == read2 == items[: len(read1)]  # each key read once per item, in order
+    if split is None:
+        assert len(read1) == len(items)
+    else:
+        x, y = split
+        assert x < y and y == read1[-1] and (labels1[x] == labels1[y]) != (labels2[x] == labels2[y])
+
+
+def test_split_pair_on_agreeing_and_splitting_partitions():
+    words = ["a", "bb", "cc", "d", "ee"]
+    assert _split_pair([], len, str.upper) is None
+    assert _split_pair(words, len, lambda w: len(w) * 2) is None
+    assert _split_pair(words, len, lambda w: 0) == ("a", "bb")  # the constant key joins them
+    assert _split_pair(words, len, lambda w: w[0]) == ("bb", "cc")  # the first letter separates them
 
 
 def test_congruence_oracle_bound_guard():
