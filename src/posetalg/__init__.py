@@ -38,7 +38,6 @@ from .primon import (  # noqa: F401
     check_refinement,
     check_separative,
     check_strongly_separative,
-    congruence_oracle,
     from_pair,
     from_poset,
     ideal_from_lower_set,

@@ -29,6 +29,7 @@ from .poset import (
     lower_covers,
 )
 from .primon import (
+    CongruenceOracle,
     MonElem,
     MonoidError,
     OrderIdeal,
@@ -36,7 +37,6 @@ from .primon import (
     PrimitiveMonoid,
     _rel_image,
     _split_pair,
-    congruence_oracle,
     from_poset,
     monoid_iso,
     presentation_of,
@@ -97,7 +97,7 @@ def crowned_pushout(m: PrimitiveMonoid, ideal: OrderIdeal, ideal2: OrderIdeal, p
     return CrownedPushout(q_mon, pmap, OrderIdeal(q_mon, pi_set))
 
 
-def verify_coequalizer(m, ideal, ideal2, phi, pushout: CrownedPushout, bound: int):
+def verify_coequalizer(m, ideal, phi, pushout: CrownedPushout, bound: int):
     """Check the coequalizer property within a size bound.
 
     (a) the projection agrees on i and phi(i) for ideal elements <= bound;
@@ -113,7 +113,7 @@ def verify_coequalizer(m, ideal, ideal2, phi, pushout: CrownedPushout, bound: in
             return (i, "projection does not equalize the ideal identification")
     gens, rels = presentation_of(m)
     rels += [({g: 1}, {phi[g]: 1}) for g in sorted(ideal.prime_set)]
-    oracle = congruence_oracle(gens, rels, bound)
+    oracle = CongruenceOracle(gens, rels, bound)
     return _split_pair(m.elements(bound), pi, lambda x: oracle.class_of(x.as_dict()))
 
 

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .poset import PosetError, Quiver, _sections
-from .primon import MonoidError, _bounded_words, _split_pair, congruence_oracle
+from .primon import CongruenceOracle, MonoidError, _bounded_words, _split_pair
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def graph_monoid(quiver: Quiver, bound: int):
             rhs[r] = rhs.get(r, 0) + 1
         rels.append((v, tuple(sorted(rhs.items()))))
     pres = GraphMonoidPresentation(quiver, tuple(rels))
-    oracle = congruence_oracle(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound)
+    oracle = CongruenceOracle(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound)
     return pres, oracle
 
 
@@ -124,7 +124,7 @@ def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
     quiver = build_Er(r) if quiver is None else quiver
     _, graph_oracle = graph_monoid(quiver, bound)
     chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
-    chain_oracle = congruence_oracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
+    chain_oracle = CongruenceOracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
     gens_g = [f"v{i}" for i in range(r + 1)]
     gens_c = [f"p{i}" for i in range(r + 1)]
     words = list(_bounded_words(r + 1, bound))  # as many as chain_oracle, within its limit

@@ -16,6 +16,7 @@ ORACLE_WORD_LIMIT.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -241,6 +242,8 @@ class PrimitiveMonoid:
             self.check_prime(p)
             if n < 0:
                 raise MonoidError(f"negative coefficient {n!r} of prime {p!r}")
+            if n % 1:
+                raise MonoidError(f"coefficient {n!r} of prime {p!r} is not an integer")
             if n > 0:
                 vec[self._index[p]] = n
         return self._elem(self._reduced(vec))
@@ -434,14 +437,7 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
             check_refinement(PrimitiveMonoid(factor), size_bound)
         return None
     n = len(m.primes)
-    memo = {}
-
-    def add(u, v):
-        hit = memo.get((u, v))
-        if hit is None:
-            hit = memo[u, v] = m._add_vec(u, v)
-        return hit
-
+    add = functools.cache(m._add_vec)
     elems = [m._vec(e) for e in m.elements(size_bound)]
     phi = {v: m._phi_vec(v) for v in elems}  # aligned with the core's indices
     by_sum = {}
@@ -612,18 +608,21 @@ class CongruenceOracle:
     words of total degree <= bound.
 
     The congruence closure is computed by union-find over the bounded word
-    set: every rewrite w = x + u ~ x + v with both sides inside the bound is
-    an edge.  Equality verdicts are sound; inequality only means "not equal
-    within the bound".  A word, in a relation or a query, names only
-    generators and gives each a non-negative integer count, or MonoidError
-    is raised.  The bound must be a non-negative int, and an oracle that
-    would need more than ORACLE_WORD_LIMIT words raises OracleLimitError
-    before it builds any.
+    set: for each relation (u, v), every rewrite x + u ~ x + v with both
+    sides inside the bound is an edge, and each class is represented by its
+    least word.  Equality verdicts are sound; inequality only means "not
+    equal within the bound".  The generators are distinct, and a word, in a
+    relation or a query, names only generators and gives each a
+    non-negative integer count, or MonoidError is raised.  The bound must
+    be a non-negative int, and an oracle that would need more than
+    ORACLE_WORD_LIMIT words raises OracleLimitError before it builds any.
     """
 
     def __init__(self, generators, relations, bound: int):
         _reject_bare_string(generators, "generators", MonoidError)
         self.generators = tuple(generators)
+        if len(set(self.generators)) != len(self.generators):
+            raise MonoidError("duplicate generators")
         _check_bound(bound)
         need = comb(len(self.generators) + bound, bound)
         if need > ORACLE_WORD_LIMIT:
@@ -633,11 +632,8 @@ class CongruenceOracle:
             )
         self.bound = bound
         index = {g: i for i, g in enumerate(self.generators)}
-        rels = []
-        for u, v in relations:
-            rels.append((self._vec(u, index), self._vec(v, index)))
-        words = list(_bounded_words(len(self.generators), bound))
-        parent = {w: w for w in words}
+        rels = [(self._vec(u, index), self._vec(v, index)) for u, v in relations]
+        parent = {w: w for w in _bounded_words(len(self.generators), bound)}
 
         def find(w):
             while parent[w] != w:
@@ -645,18 +641,13 @@ class CongruenceOracle:
                 w = parent[w]
             return w
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for w in words:
-            for u, v in rels:
-                if all(wi >= ui for wi, ui in zip(w, u)):
-                    x = tuple(wi - ui for wi, ui in zip(w, u))
-                    img = tuple(xi + vi for xi, vi in zip(x, v))
-                    if sum(img) <= bound:
-                        union(w, img)
+        # the least word of a class stays its root, whatever the join order
+        for u, v in rels:
+            for x in _bounded_words(len(self.generators), bound - max(sum(u), sum(v))):
+                ra = find(tuple(map(operator.add, x, u)))
+                rb = find(tuple(map(operator.add, x, v)))
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
         self._find = find
         self._index = index
 
@@ -680,7 +671,7 @@ class CongruenceOracle:
         return vec
 
     def class_of(self, word):
-        """The representative word of the class that ``equal`` compares."""
+        """The least word of the class, which ``equal`` compares."""
         return self._find(self._as_vec(word))
 
     def equal(self, w1, w2) -> bool:
@@ -691,10 +682,6 @@ class CongruenceOracle:
         for w in _bounded_words(len(self.generators), self.bound):
             buckets.setdefault(self._find(w), []).append(w)
         return sorted(buckets.values())
-
-
-def congruence_oracle(generators, relations, bound: int) -> CongruenceOracle:
-    return CongruenceOracle(generators, relations, bound)
 
 
 def presentation_of(m: PrimitiveMonoid):

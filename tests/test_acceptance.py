@@ -142,7 +142,7 @@ def test_criterion_05_crowned_pushout():
         qz, _ = quotient(out.monoid, out.ideal)
         pii, _ = quotient(p2, ideal_from_lower_set(p2, {"b1", "b2"}))
         assert monoid_iso(qz, pii) is not None
-        assert verify_coequalizer(p2, i1, i2, phi, out, 4) is None
+        assert verify_coequalizer(p2, i1, phi, out, 4) is None
 
 
 def test_criterion_06_graph_monoids():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver
-from posetalg.primon import CongruenceOracle, MonoidError, congruence_oracle
+from posetalg.primon import CongruenceOracle, MonoidError
 from posetalg.graphmon import (
     build_Er,
     check_Er_equals_chain,
@@ -129,7 +129,7 @@ def er_oracles(r, bound, quiver):
     generators in index order."""
     _, graph_oracle = graph_monoid(quiver, bound)
     chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
-    chain_oracle = congruence_oracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
+    chain_oracle = CongruenceOracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
     gens_g = [f"v{i}" for i in range(r + 1)]
     gens_c = [f"p{i}" for i in range(r + 1)]
     return (graph_oracle, gens_g), (chain_oracle, gens_c)

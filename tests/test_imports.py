@@ -6,7 +6,8 @@ through a trusted constructor.  The ``test`` extra pins the tools CI installs.
 No linter ships with the package, so these checks parse each module with
 ``ast``.  ``__init__.py`` is exempt from the import check (its imports are
 re-exports), and so are ``from __future__`` imports.  A private helper
-that only tests call belongs in the tests.
+that only tests call belongs in the tests.  Every Python file under
+``src``, ``tests`` and ``perfbench`` must parse under the 3.10 grammar.
 """
 
 import ast
@@ -111,3 +112,31 @@ def test_test_extra_pins_what_ci_installs():
     install = re.search(r"pip install (.+)$", ci, re.M).group(1).split()
     assert sorted(ast.literal_eval(extra)) == sorted(install)
     assert {pin.partition("==")[0] for pin in install} == {"pytest", "hypothesis", "sympy"}
+
+
+
+# pyproject asks for Python >= 3.10, so every source file is parsed under
+# the 3.10 grammar whatever interpreter runs the suite.  This checks syntax
+# only (no ``except*``, no PEP 695 type parameters), not stdlib APIs.
+PYTHON_SOURCES = sorted(
+    p.relative_to(ROOT).as_posix() for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+
+
+def parses_as_python_3_10(source):
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_guard_flags_newer_grammar():
+    assert not parses_as_python_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert not parses_as_python_3_10("def first[T](xs: list[T]) -> T:\n    return xs[0]\n")
+    assert parses_as_python_3_10("match x:\n    case [first, *_]:\n        pass\n")
+
+
+@pytest.mark.parametrize("path", PYTHON_SOURCES)
+def test_sources_parse_as_python_3_10(path):
+    assert parses_as_python_3_10((ROOT / path).read_text()), path

@@ -21,9 +21,10 @@ from posetalg.poset import (
     relation_iso,
     transitive_closure,
 )
-from posetalg.graphmon import check_Er_equals_chain, graph_monoid
+from posetalg.graphmon import build_Er, check_Er_equals_chain, graph_monoid
 from posetalg.primon import (
     INF,
+    CongruenceOracle,
     ORACLE_WORD_LIMIT,
     MonElem,
     MonoidError,
@@ -32,13 +33,13 @@ from posetalg.primon import (
     PrimePair,
     PrimitiveMonoid,
     ZERO,
+    _bounded_words,
     _components,
     _split_pair,
     apw_graph_shape,
     check_refinement,
     check_separative,
     check_strongly_separative,
-    congruence_oracle,
     enumerate_prime_pairs,
     from_pair,
     from_poset,
@@ -197,6 +198,16 @@ def test_reduce_rejects_negative_coefficients():
     with pytest.raises(MonoidError, match="negative coefficient -2 of prime 'a'"):
         m.reduce({"a": -2, "b": 1})
     assert m.reduce({"a": 0, "b": 1}) == m.gen("b")
+
+
+def test_reduce_rejects_non_integral_coefficients():
+    # the oracle's rule: a count n with n % 1 is not a word's count
+    m = fig2_monoid()
+    with pytest.raises(MonoidError, match="coefficient 1.5 of prime 'a' is not an integer"):
+        m.reduce({"a": 1.5})
+    with pytest.raises(MonoidError, match="coefficient inf of prime 'b' is not an integer"):
+        m.reduce({"a": 1, "b": INF})
+    assert m.reduce({"a": 2.0}) == m.reduce({"a": 2})
 
 
 def test_add_equal_leq():
@@ -676,20 +687,20 @@ def test_order_queries_over_pair_catalogue():
 
 def test_congruence_oracle_fig2():
     gens, rels = presentation_of(fig2_monoid())
-    orc = congruence_oracle(gens, rels, 4)
+    orc = CongruenceOracle(gens, rels, 4)
     assert orc.equal({"p": 1, "a": 1}, {"p": 1})
     assert not orc.equal({"a": 1}, {"b": 1})
 
 
 def test_congruence_oracle_no_relations():
-    orc = congruence_oracle(["x", "y"], [], 3)
+    orc = CongruenceOracle(["x", "y"], [], 3)
     assert orc.equal({"x": 1}, {"x": 1})
     assert not orc.equal({"x": 1}, {"y": 1})
     assert len(orc.classes()) == 10  # all words of degree <= 3 are distinct
 
 
 def test_congruence_oracle_graph_relation():
-    orc = congruence_oracle(["v0", "v1"], [({"v1": 1}, {"v1": 1, "v0": 1})], 4)
+    orc = CongruenceOracle(["v0", "v1"], [({"v1": 1}, {"v1": 1, "v0": 1})], 4)
     assert orc.equal({"v1": 1}, {"v1": 1, "v0": 1})
     assert orc.equal({"v1": 1}, {"v1": 1, "v0": 3})
     assert not orc.equal({"v0": 1}, {"v1": 1})
@@ -698,7 +709,7 @@ def test_congruence_oracle_graph_relation():
 def test_congruence_oracle_matches_reduce():
     for m in small_catalogue(3):
         gens, rels = presentation_of(m)
-        orc = congruence_oracle(gens, rels, 4)
+        orc = CongruenceOracle(gens, rels, 4)
         els = m.elements(2)
         for x, y in itertools.product(els, repeat=2):
             assert orc.equal(x.as_dict(), y.as_dict()) == (x == y)
@@ -706,11 +717,109 @@ def test_congruence_oracle_matches_reduce():
 
 def test_class_of_is_the_least_word_of_its_class():
     gens, rels = presentation_of(fig2_monoid())
-    orc = congruence_oracle(gens, rels, 3)
+    orc = CongruenceOracle(gens, rels, 3)
     for cls in orc.classes():
         for w in cls:
             assert orc.class_of(dict(zip(gens, w))) == min(cls)
     assert orc.class_of({"p": 1, "a": 1}) == orc.class_of({"p": 1}) != orc.class_of({"a": 1})
+
+
+def wordwise_classes(generators, relations, bound):
+    """The classes of CongruenceOracle as it was built before its rewrites
+    were listed per relation: every bounded word tested against every
+    relation, kept as the reference."""
+    index = {g: i for i, g in enumerate(generators)}
+    rels = [(CongruenceOracle._vec(u, index), CongruenceOracle._vec(v, index)) for u, v in relations]
+    words = list(_bounded_words(len(generators), bound))
+    parent = {w: w for w in words}
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for w in words:
+        for u, v in rels:
+            if all(wi >= ui for wi, ui in zip(w, u)):
+                x = tuple(wi - ui for wi, ui in zip(w, u))
+                img = tuple(xi + vi for xi, vi in zip(x, v))
+                if sum(img) <= bound:
+                    union(w, img)
+    buckets = {}
+    for w in words:
+        buckets.setdefault(find(w), []).append(w)
+    return sorted(buckets.values())
+
+
+def assert_classes_match_wordwise(generators, relations, bound):
+    orc = CongruenceOracle(generators, relations, bound)
+    classes = orc.classes()
+    assert classes == wordwise_classes(generators, relations, bound)
+    for cls in classes:
+        assert orc.class_of(dict(zip(generators, cls[-1]))) == cls[0]  # the least word represents it
+
+
+@pytest.mark.parametrize("bound", range(5))
+def test_oracle_classes_match_wordwise_on_pair_presentations(bound):
+    for pair in enumerate_prime_pairs(4):
+        assert_classes_match_wordwise(*presentation_of(PrimitiveMonoid(pair)), bound)
+
+
+def graph_variants(r):
+    """E_r, and each copy of it with one arrow dropped or one loop doubled."""
+    q = build_Er(r)
+    yield q
+    for arrow in q.arrows:
+        yield Quiver(q.vertices, tuple(a for a in q.arrows if a != arrow))
+        name, s, t = arrow
+        if s == t:
+            yield Quiver(q.vertices, q.arrows + ((name + "'", s, t),))
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_oracle_classes_match_wordwise_on_graph_monoids(r):
+    cases = 0
+    for quiver in graph_variants(r):
+        for bound in range(3, 5):
+            pres, _ = graph_monoid(quiver, bound)
+            assert_classes_match_wordwise(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in pres.relations], bound)
+            cases += 1
+    assert cases == 2 * (1 + 3 * r)
+
+
+def random_word(rng, generators):
+    return {g: rng.randrange(4) for g in generators if rng.random() < 0.6}
+
+
+def test_oracle_classes_match_wordwise_on_random_presentations():
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(400):
+        gens = [f"x{i}" for i in range(rng.randrange(5))]
+        bound = rng.randrange(5)
+        rels = []
+        for _ in range(rng.randrange(5)):
+            u = random_word(rng, gens)
+            rels.append((u, dict(u) if rng.random() < 0.15 else random_word(rng, gens)))
+        assert_classes_match_wordwise(gens, rels, bound)
+        for u, v in rels:
+            seen.add("empty" if not sum(u.values()) or not sum(v.values()) else "nonempty")
+            seen.add("u = v" if u == v else "u != v")
+            seen.add("over" if max(sum(u.values()), sum(v.values())) > bound else "within")
+    assert seen == {"empty", "nonempty", "u = v", "u != v", "over", "within"}
+
+
+def test_congruence_oracle_rejects_repeated_generators():
+    with pytest.raises(MonoidError, match="duplicate generators"):
+        CongruenceOracle(["a", "a"], [], 2)
+    with pytest.raises(MonoidError, match="duplicate generators"):
+        CongruenceOracle(["a", "b", "a"], [({"a": 1}, {"b": 1})], 2)
 
 
 def pairwise_split(items, key1, key2):
@@ -758,7 +867,7 @@ def test_split_pair_on_agreeing_and_splitting_partitions():
 
 
 def test_congruence_oracle_bound_guard():
-    orc = congruence_oracle(["x"], [], 2)
+    orc = CongruenceOracle(["x"], [], 2)
     with pytest.raises(MonoidError):
         orc.equal({"x": 3}, {"x": 3})
 
@@ -770,7 +879,7 @@ def test_congruence_oracle_word_limit():
     gens = [f"v{i}" for i in range(k)]
     need = f"needs {comb(k + 4, 4)} words, over the limit of {ORACLE_WORD_LIMIT}"
     with pytest.raises(OracleLimitError, match=f"bound 4 on {k} generators {need}"):
-        congruence_oracle(gens, [], 4)
+        CongruenceOracle(gens, [], 4)
     with pytest.raises(OracleLimitError, match=need):
         graph_monoid(Quiver(tuple(gens), ()), 4)
     with pytest.raises(OracleLimitError, match=need):
@@ -787,11 +896,11 @@ def test_verifiers_reject_a_bound_that_is_not_a_non_negative_int(bound):
             with pytest.raises(MonoidError, match=f"bound {bound!r} is not a non-negative int"):
                 check(*args)
     with pytest.raises(MonoidError, match="is not a non-negative int"):
-        congruence_oracle(["a"], [], bound)
+        CongruenceOracle(["a"], [], bound)
 
 
 def test_congruence_oracle_rejects_bad_words():
-    orc = congruence_oracle(["a", "b"], [], 3)
+    orc = CongruenceOracle(["a", "b"], [], 3)
     with pytest.raises(MonoidError, match="unknown generator 'zz'"):
         orc.equal({"zz": 1}, {"b": 1})
     with pytest.raises(MonoidError, match="count -1 of generator 'a'"):
@@ -805,11 +914,11 @@ def test_congruence_oracle_rejects_bad_words():
 
 def test_congruence_oracle_rejects_bad_relations():
     with pytest.raises(MonoidError, match="count -1 of generator 'a'"):
-        congruence_oracle(["a", "b"], [({"a": -1}, {})], 3)
+        CongruenceOracle(["a", "b"], [({"a": -1}, {})], 3)
     with pytest.raises(MonoidError, match="count 0.5 of generator 'b'"):
-        congruence_oracle(["a", "b"], [({"a": 1}, {"b": 0.5})], 3)
+        CongruenceOracle(["a", "b"], [({"a": 1}, {"b": 0.5})], 3)
     with pytest.raises(MonoidError, match="unknown generator 'zz'"):
-        congruence_oracle(["a", "b"], [({"zz": 1}, {})], 3)
+        CongruenceOracle(["a", "b"], [({"zz": 1}, {})], 3)
 
 
 # -- iso and JSON -----------------------------------------------------------------
