@@ -236,13 +236,17 @@ class PrimitiveMonoid:
     # -- elements ----------------------------------------------------------
 
     def reduce(self, word: dict) -> MonElem:
-        """Canonical form: drop absorbed primes, clip regular coefficients."""
+        """Canonical form: drop absorbed primes, clip regular coefficients.
+        An integral count of another type is stored as its int, so an
+        element has one rendering; a bool is not a count."""
         vec = [0] * len(self._names)
         for p, n in word.items():
             self.check_prime(p)
+            if type(n) is not int and not isinstance(n, bool) and not n % 1:
+                n = int(n)
             if n < 0:
                 raise MonoidError(f"negative coefficient {n!r} of prime {p!r}")
-            if n % 1:
+            if type(n) is not int:
                 raise MonoidError(f"coefficient {n!r} of prime {p!r} is not an integer")
             if n > 0:
                 vec[self._index[p]] = n
@@ -613,7 +617,8 @@ class CongruenceOracle:
     least word.  Equality verdicts are sound; inequality only means "not
     equal within the bound".  The generators are distinct, and a word, in a
     relation or a query, names only generators and gives each a
-    non-negative integer count, or MonoidError is raised.  The bound must
+    non-negative integer count (not a bool; an integral float or Fraction
+    is read as its int), or MonoidError is raised.  The bound must
     be a non-negative int, and an oracle that would need more than
     ORACLE_WORD_LIMIT words raises OracleLimitError before it builds any.
     """
@@ -659,7 +664,9 @@ class CongruenceOracle:
                 i = index[g]
             except KeyError:
                 raise MonoidError(f"unknown generator {g!r}") from None
-            if n < 0 or n % 1:
+            if type(n) is not int and not isinstance(n, bool) and not n % 1:
+                n = int(n)
+            if type(n) is not int or n < 0:
                 raise MonoidError(f"count {n!r} of generator {g!r} is not a non-negative integer")
             vec[i] += n
         return tuple(vec)

@@ -375,8 +375,13 @@ def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepV
 
     Acts as the corner inverse at the polynomial's vertex (leaves rooted
     elsewhere are annihilated); exact on coefficients whose slot degree is
-    at most depth minus the polynomial's slot degree.
+    at most depth minus the polynomial's slot degree.  No series term g_a
+    holds the slot variable z, so coeff * g_a has the slot degrees of coeff
+    and drop-shifting it by a > deg_z(coeff) gives zero: each slot's series
+    stops at the top slot degree its coefficients reach, or at depth.
     """
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise AlgebraError(f"depth {depth!r} is not a non-negative int")
     P = space.poset
     if f.poly.is_zero():
         raise AlgebraError("cannot invert zero")
@@ -384,15 +389,17 @@ def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepV
         raise AlgebraError("valuation gate: some cover variable divides the polynomial")
     _check_space(space, vec)
     p = f.vertex
-    series_cache = {}
+    corner = [(path, coeff) for path, coeff in vec.coeffs.items() if path[0][0] == p]
+    need = {}
+    for path, coeff in corner:
+        j = path[0][1]
+        top = max(e for _, _, e in _slot_exponents(coeff, zvar(p, j)))
+        need[j] = max(need.get(j, 0), min(top, depth))
+    series = {j: _inverse_series(P, f, j, n) for j, n in need.items()}
     out = {}
-    for path, coeff in vec.coeffs.items():
-        root, j = path[0]
-        if root != p:
-            continue
-        if j not in series_cache:
-            series_cache[j] = _inverse_series(P, f, j, depth)
-        gs = series_cache[j]
+    for path, coeff in corner:
+        j = path[0][1]
+        gs = series[j]
         zeta = zvar(p, j)
         shifted = (_drop_shift(coeff * g, zeta, times=a) for a, g in enumerate(gs[1:], start=1))
         out[path] = sum(shifted, coeff * gs[0])

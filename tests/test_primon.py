@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -208,6 +209,24 @@ def test_reduce_rejects_non_integral_coefficients():
     with pytest.raises(MonoidError, match="coefficient inf of prime 'b' is not an integer"):
         m.reduce({"a": 1, "b": INF})
     assert m.reduce({"a": 2.0}) == m.reduce({"a": 2})
+
+
+@pytest.mark.parametrize("count", [2.0, Fraction(2)], ids=["float", "Fraction"])
+def test_reduce_stores_an_integral_count_as_an_int(count):
+    # one element, one rendering: the count prints and serializes as 2
+    m = fig2_monoid()
+    x, two = m.reduce({"a": count, "p": 0}), m.reduce({"a": 2})
+    assert x.coeffs == two.coeffs == (("a", 2),)
+    assert all(type(n) is int for _, n in x.coeffs)
+    assert str(x) == str(two) == "2*a"
+    assert json.dumps(monoid_to_json(m, [x])) == json.dumps(monoid_to_json(m, [two]))
+
+
+def test_reduce_rejects_a_bool_coefficient():
+    m = fig2_monoid()
+    for flag in (True, False):
+        with pytest.raises(MonoidError, match=f"coefficient {flag} of prime 'a' is not an integer"):
+            m.reduce({"a": flag})
 
 
 def test_add_equal_leq():
@@ -910,6 +929,27 @@ def test_congruence_oracle_rejects_bad_words():
     with pytest.raises(MonoidError, match="count -1 of generator 'b'"):
         orc.equal({"a": 1}, {"a": 2, "b": -1})
     assert orc.equal({"a": 1, "b": 0}, {"a": 1})
+
+
+def test_congruence_oracle_stores_an_integral_count_as_an_int():
+    gens, rels = presentation_of(fig2_monoid())
+    orc = CongruenceOracle(gens, rels, 3)
+    for count in (2.0, Fraction(2)):
+        word = orc.class_of({"a": count})
+        assert word == orc.class_of({"a": 2})
+        assert all(type(n) is int for n in word)
+    floats = CongruenceOracle(["a", "b"], [({"a": 2.0}, {"b": Fraction(1)})], 3)
+    assert floats.classes() == CongruenceOracle(["a", "b"], [({"a": 2}, {"b": 1})], 3).classes()
+    assert all(type(n) is int for cls in floats.classes() for word in cls for n in word)
+
+
+def test_congruence_oracle_rejects_a_bool_count():
+    orc = CongruenceOracle(["a", "b"], [], 3)
+    for flag in (True, False):
+        with pytest.raises(MonoidError, match=f"count {flag} of generator 'a' is not a non-negative integer"):
+            orc.class_of({"a": flag})
+        with pytest.raises(MonoidError, match=f"count {flag} of generator 'b' is not a non-negative integer"):
+            CongruenceOracle(["a", "b"], [({"a": 1}, {"b": flag})], 3)
 
 
 def test_congruence_oracle_rejects_bad_relations():

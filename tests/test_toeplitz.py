@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from posetalg.toeplitz import (
     RepError,
     RepVector,
     SigmaPoly,
+    _drop_shift,
     _factor_bottom,
+    _inverse_series,
     _word_root,
     act,
     act_element,
@@ -528,6 +531,124 @@ def test_invert_sigma_rejects_foreign_vectors():
         invert_sigma(build_space(FIG2), f, leaf_vector(SPACE, (("a", 0),)), 3)
 
 
+@pytest.mark.parametrize("depth", [-1, True, 2.5, "3", None])
+def test_invert_sigma_rejects_a_depth_that_is_not_a_non_negative_int(depth):
+    f = sigma_poly(FIG2, "p", {(): 1, ("a",): -1})
+    message = re.escape(f"depth {depth!r} is not a non-negative int")
+    with pytest.raises(AlgebraError, match=message):
+        invert_sigma(SPACE, f, leaf_vector(SPACE, (("p", 1), ("a", 0))), depth)
+    for check in (check_corner_inverse_identity, check_alphabar_inverse_identity):
+        with pytest.raises(AlgebraError, match=message):
+            check(SPACE, f, "a", depth)
+
+
+def test_invert_sigma_checks_the_slot_at_every_depth():
+    f = sigma_poly(FIG2, "p", {(): 1, ("a",): -1})
+    path, z = (("p", 1), ("a", 0)), zvar("p", 1)
+    negative = leaf_vector(SPACE, path, Poly.var(z, -1))
+    slot_den = leaf_vector(SPACE, path, RatFunc(Poly({(): 1, ((z, 1),): 1})).inverse())
+    for v, text in ((negative, "negative power of"), (slot_den, "denominator depends on")):
+        message = f"{text} the polynomial slot {z}"
+        for depth in range(4):
+            with pytest.raises(RepError) as new:
+                invert_sigma(SPACE, f, v, depth)
+            assert str(new.value) == message
+            if depth:
+                with pytest.raises(RepError) as old:
+                    _full_series_inverse(SPACE, f, v, depth)
+                assert str(old.value) == message
+
+
+def _full_series_inverse(space, f, vec, depth):
+    """The reference: invert_sigma with every slot's series run to depth,
+    however low the slot degrees of the vector's coefficients are.  It
+    skips invert_sigma's gates, so f must be admissible."""
+    p = f.vertex
+    series = {}
+    out = {}
+    for path, coeff in vec.coeffs.items():
+        root, j = path[0]
+        if root != p:
+            continue
+        if j not in series:
+            series[j] = _inverse_series(space.poset, f, j, depth)
+        gs = series[j]
+        zeta = zvar(p, j)
+        shifted = (_drop_shift(coeff * g, zeta, times=a) for a, g in enumerate(gs[1:], start=1))
+        out[path] = sum(shifted, coeff * gs[0])
+    return RepVector._trusted(space, out)
+
+
+def test_invert_sigma_matches_the_full_series_on_the_digest_family():
+    for poset, f in _digest_family():
+        if f.valuation(poset):
+            continue
+        space = build_space(poset)
+        for v in sample_vectors(space, 3):
+            for depth in range(7):
+                assert repr(invert_sigma(space, f, v, depth)) == repr(_full_series_inverse(space, f, v, depth))
+
+
+def _reference_polys(poset, p):
+    """Admissible polynomials at p: Laurent scalars at a minimal vertex,
+    else ones with t-coefficients, a mixed monomial and a square."""
+    covers = lower_covers(poset, p)
+    t1 = (("t", 1), 1)
+    if not covers:
+        return [SigmaPoly(p, Poly({(): 2, (t1,): -1})), SigmaPoly(p, Poly({(): 3}))]
+    x = [("x", q) for q in covers]
+    return [
+        sigma_poly(poset, p, {(): 1, (covers[0],): -1}),
+        SigmaPoly(p, Poly({(): 2, ((x[0], 1), t1): Fraction(-1, 2), ((x[-1], 2),): 3})),
+        SigmaPoly(p, Poly({(): 1, tuple(sorted((xq, 1) for xq in x)): 1, ((x[-1], 1), t1): -2})),
+    ]
+
+
+def _reference_coeff(path, d):
+    """(z^d + 2 t1 z^(d // 2) + w) / (1 + t1) for the path's slot variable
+    z (t3 at a minimal vertex), with w a deeper slot variable of the path,
+    or t2 on a short path."""
+    z = Poly.var(zvar(*path[0])) if path[0][1] else t_poly(3)
+    deeper = [zvar(u, j) for u, j in path[1:] if j]
+    w = Poly.var(deeper[0]) if deeper else t_poly(2)
+    num = z**d + z ** (d // 2) * t_poly(1).scale(2) + w
+    return RatFunc(num) / RatFunc(Poly({(): 1, ((("t", 1), 1),): 1}))
+
+
+def _down_set_shape(paths):
+    """The leaf paths of a vertex with the vertices renamed in order of
+    first appearance: the labelled down-set below it, up to names."""
+    names = {}
+    return tuple(tuple((names.setdefault(u, len(names)), j) for u, j in path) for path in paths)
+
+
+def test_invert_sigma_matches_the_full_series_at_every_minimal_and_forked_vertex():
+    # slot degrees 0, 2 and 5 against depths 0..4 put each coefficient's top
+    # slot degree above, at and below the depth; the sums mix slots and roots.
+    # The inverse at p reads only the down-set below p, so each labelled
+    # down-set is checked once.
+    seen = set()
+    for n in range(6):
+        for poset in enumerate_posets(n):
+            space = build_space(poset)
+            leaves = space.all_leaves()
+            everywhere = RepVector(space, {path: _reference_coeff(path, 1) for path in leaves})
+            for p in poset.elements:
+                mine = [path for path in leaves if path[0][0] == p]
+                shape = _down_set_shape(mine)
+                if poset.n_covers(p) == 1 or shape in seen:
+                    continue
+                seen.add(shape)
+                vectors = [leaf_vector(space, path, _reference_coeff(path, d)) for path in mine for d in (0, 2, 5)]
+                vectors.append(RepVector(space, {path: _reference_coeff(path, 3 * i) for i, path in enumerate(mine)}))
+                vectors.append(everywhere)
+                for f in _reference_polys(poset, p):
+                    for v in vectors:
+                        for depth in range(5):
+                            got = invert_sigma(space, f, v, depth)
+                            assert repr(got) == repr(_full_series_inverse(space, f, v, depth)), (poset, p, f, v, depth)
+
+
 def test_sample_inverses_round_trip():
     fs = [
         sigma_poly(FIG2, "p", {(): 1}),
@@ -582,6 +703,19 @@ def test_relation_suite_covers_all_families():
 # -- behaviour digest -------------------------------------------------------------
 
 
+def _digest_family():
+    """The polynomials the digest pins; it inverts the admissible ones."""
+    t1x = lambda q: ((("t", 1), 1), (("x", q), 1))  # noqa: E731
+    return [
+        (FIG2, sigma_poly(FIG2, "p", {(): 1, ("a",): -1})),
+        (FIG2, sigma_poly(FIG2, "p", {(): 1, ("a",): 1, ("b", "b"): 2})),
+        (FIG2, SigmaPoly("p", Poly({(): 1, t1x("a"): Fraction(-1, 2), t1x("b"): 3}))),
+        (_claw(), sigma_poly(_claw(), "p", {(): 2, ("a", "b"): 1, ("c",): Fraction(1, 2)})),
+        (_claw(), sigma_poly(_claw(), "p", {("b", "c"): 1, ("a",): 1, ("b", "b", "c"): 2})),
+        (_claw(), sigma_poly(_claw(), "p", {("a", "c"): 1, ("b",): -1, ("a", "a", "c", "c"): 1})),
+    ]
+
+
 def test_algebra_outputs_digest():
     # Pins every generator action (and betabar after each beta) over all
     # posets with n <= 5, plus the truncated inverses, element forms and
@@ -601,16 +735,7 @@ def test_algebra_outputs_digest():
                     h.update(repr((gen, out)).encode())
                     if gen[0] == "beta":
                         h.update(repr(act(space, ("betabar",) + gen[1:], out)).encode())
-    t1x = lambda q: ((("t", 1), 1), (("x", q), 1))  # noqa: E731
-    family = [
-        (FIG2, sigma_poly(FIG2, "p", {(): 1, ("a",): -1})),
-        (FIG2, sigma_poly(FIG2, "p", {(): 1, ("a",): 1, ("b", "b"): 2})),
-        (FIG2, SigmaPoly("p", Poly({(): 1, t1x("a"): Fraction(-1, 2), t1x("b"): 3}))),
-        (_claw(), sigma_poly(_claw(), "p", {(): 2, ("a", "b"): 1, ("c",): Fraction(1, 2)})),
-        (_claw(), sigma_poly(_claw(), "p", {("b", "c"): 1, ("a",): 1, ("b", "b", "c"): 2})),
-        (_claw(), sigma_poly(_claw(), "p", {("a", "c"): 1, ("b",): -1, ("a", "a", "c", "c"): 1})),
-    ]
-    for poset, f in family:
+    for poset, f in _digest_family():
         space = build_space(poset)
         h.update(repr(f.as_element(poset)).encode())
         for q in lower_covers(poset, f.vertex):
