@@ -38,9 +38,7 @@ from .primon import (  # noqa: F401
     check_refinement,
     check_separative,
     check_strongly_separative,
-    from_pair,
     from_poset,
-    ideal_from_lower_set,
     monoid_iso,
     order_ideal,
     quotient,

@@ -38,20 +38,11 @@ from .primon import (
     _rel_image,
     _split_pair,
     from_poset,
+    map_elem,
     monoid_iso,
     presentation_of,
     quotient,
 )
-
-
-def map_elem(dst: PrimitiveMonoid, pmap: dict, x: MonElem) -> MonElem:
-    """Apply a prime map (prime -> prime or None) to a reduced element."""
-    word = {}
-    for p, n in x.coeffs:
-        q = pmap[p]
-        if q is not None:
-            word[q] = word.get(q, 0) + n
-    return dst.reduce(word)
 
 
 def _check_ideal_iso(m_src, src_primes, m_dst, dst_primes, phi):
@@ -77,8 +68,8 @@ class CrownedPushout:
         return map_elem(self.monoid, self.projection, x)
 
 
-def crowned_pushout(m: PrimitiveMonoid, ideal: OrderIdeal, ideal2: OrderIdeal, phi: dict) -> CrownedPushout:
-    """Coequalizer identifying ideal with ideal2 through phi.
+def crowned_pushout(ideal: OrderIdeal, ideal2: OrderIdeal, phi: dict) -> CrownedPushout:
+    """Coequalizer identifying ideal with ideal2, ideals of one monoid m, through phi.
 
     The result lives on the primes of m minus ideal2's.  Its relation is the
     image of m's under the projection, which sends phi[x] to x and fixes the
@@ -86,6 +77,9 @@ def crowned_pushout(m: PrimitiveMonoid, ideal: OrderIdeal, ideal2: OrderIdeal, p
     inherited relation plus (x, y) whenever x is an ideal prime, y is outside
     both and (phi[x], y) holds in m.  Freeness of surviving primes is untouched.
     """
+    m = ideal.monoid
+    if ideal2.monoid is not m:
+        raise MonoidError("crowned pushout needs two ideals of one monoid")
     pi_set, pi2_set = ideal.prime_set, ideal2.prime_set
     if pi_set & pi2_set:
         raise MonoidError("crowned pushout needs disjoint ideals")
@@ -97,7 +91,7 @@ def crowned_pushout(m: PrimitiveMonoid, ideal: OrderIdeal, ideal2: OrderIdeal, p
     return CrownedPushout(q_mon, pmap, OrderIdeal(q_mon, pi_set))
 
 
-def verify_coequalizer(m, ideal, phi, pushout: CrownedPushout, bound: int):
+def verify_coequalizer(ideal: OrderIdeal, phi: dict, pushout: CrownedPushout, bound: int):
     """Check the coequalizer property within a size bound.
 
     (a) the projection agrees on i and phi(i) for ideal elements <= bound;
@@ -106,7 +100,7 @@ def verify_coequalizer(m, ideal, phi, pushout: CrownedPushout, bound: int):
     Returns None if ok, else (i, reason) for (a), or for (b) a pair (x, y),
     x first in element order, that one side joins and the other separates.
     """
-    pi = pushout.project
+    m, pi = ideal.monoid, pushout.project
     phi_map = {p: phi.get(p, p) for p in m.primes}
     for i in ideal.elements(bound):
         if pi(i) != pi(map_elem(m, phi_map, i)):
@@ -135,14 +129,13 @@ class AmalgamPushout:
         return map_elem(self.monoid, self.inj2, x)
 
 
-def amalgam_pushout(m: PrimitiveMonoid, n: PrimitiveMonoid, ideal: OrderIdeal, phi: dict) -> AmalgamPushout:
-    """Pushout of m and n along an order-ideal isomorphism phi.
+def amalgam_pushout(ideal: OrderIdeal, n: PrimitiveMonoid, phi: dict) -> AmalgamPushout:
+    """Pushout of the ideal's monoid m and n along an isomorphism phi onto an ideal of n.
 
     Realized as the crowned pushout of the product monoid along the two
     ideal copies; the injections tag primes with @1/@2.
     """
-    if ideal.monoid is not m:
-        raise MonoidError("ideal must belong to the first monoid")
+    m = ideal.monoid
     image = frozenset(phi.values())
     _check_ideal_iso(m, ideal.prime_set, n, image, phi)
     OrderIdeal(n, image)  # validates the image is an order-ideal of n
@@ -155,7 +148,7 @@ def amalgam_pushout(m: PrimitiveMonoid, n: PrimitiveMonoid, ideal: OrderIdeal, p
     left = OrderIdeal(prod, {inj1[p] for p in ideal.prime_set})
     right = OrderIdeal(prod, {tag2[q] for q in image})
     tagged_phi = {inj1[p]: tag2[phi[p]] for p in ideal.prime_set}
-    pushed = crowned_pushout(prod, left, right, tagged_phi)
+    pushed = crowned_pushout(left, right, tagged_phi)
 
     inv = {v: k for k, v in phi.items()}
     inj2 = {q: (inj1[inv[q]] if q in image else tag2[q]) for q in n.primes}
@@ -183,23 +176,22 @@ class PullbackPrimitive:
         return map_elem(self.m2, self.proj2, x)
 
 
-def pullback_primitive(m1, n1: OrderIdeal, m2, n2: OrderIdeal, iso: dict | None = None) -> PullbackPrimitive:
-    """Pullback of m1 -> S <- m2 where S is the common ideal quotient.
+def pullback_primitive(n1: OrderIdeal, n2: OrderIdeal, iso: dict | None = None) -> PullbackPrimitive:
+    """Pullback of m1 -> S <- m2, the monoids of n1 and n2, over their common ideal quotient S.
 
     Requires every ideal prime to sit below every non-ideal prime in its
     monoid (validated); the primes of the result are the disjoint union of
     the quotient's and the two ideals', with every ideal prime below every
     quotient prime.
     """
+    m1, m2 = n1.monoid, n2.monoid
     for m, n in ((m1, n1), (m2, n2)):
         for p in n.prime_set:
             for q in set(m.primes) - n.prime_set:
                 if (p, q) not in m.pair.rel:
-                    raise MonoidError(
-                        f"pullback hypothesis fails: ideal prime {p!r} not below {q!r}"
-                    )
-    s1, _ = quotient(m1, n1)
-    s2, _ = quotient(m2, n2)
+                    raise MonoidError(f"pullback hypothesis fails: ideal prime {p!r} not below {q!r}")
+    s1, _ = quotient(n1)
+    s2, _ = quotient(n2)
     if iso is None:
         iso = monoid_iso(s1, s2)
         if iso is None:
@@ -225,18 +217,18 @@ def pullback_primitive(m1, n1: OrderIdeal, m2, n2: OrderIdeal, iso: dict | None 
     return PullbackPrimitive(pb, m1, m2, proj1, proj2, ideal, iso)
 
 
-def verify_pullback_universal(pb: PullbackPrimitive, m1, n1, m2, n2, bound: int):
+def verify_pullback_universal(pb: PullbackPrimitive, n1: OrderIdeal, n2: OrderIdeal, bound: int):
     """Every compatible pair of elements has exactly one preimage (<= bound).
 
     Returns None if ok, else ((x1, x2), count); each fibre is counted once.
     """
-    _, pr1 = quotient(m1, n1)
-    s2, pr2 = quotient(m2, n2)
+    _, pr1 = quotient(n1)
+    s2, pr2 = quotient(n2)
     by_image = {}
-    for x2 in m2.elements(bound):
+    for x2 in n2.monoid.elements(bound):
         by_image.setdefault(pr2(x2), []).append(x2)
     fibres = Counter((pb.p1(z), pb.p2(z)) for z in pb.monoid.elements(2 * bound))
-    for x1 in m1.elements(bound):
+    for x1 in n1.monoid.elements(bound):
         for x2 in by_image.get(map_elem(s2, pb.quotient_iso, pr1(x1)), ()):
             if fibres[x1, x2] != 1:
                 return ((x1, x2), fibres[x1, x2])

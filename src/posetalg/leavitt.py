@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset import LabelledPoset, lower_covers
+from .poset import LabelledPoset, _reject_bare_string, _require_cover, lower_covers
 from .ratfunc import Poly, poly_str, t_poly
 
 # Step = (upper vertex, lower cover, exponent >= 0)
@@ -165,7 +165,7 @@ def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:
         return AlgElement(P, {_unit_key(P, p): Poly.const(1)})
     if kind == "epq":
         p, q = args
-        _require_cover(P, p, q)
+        _require_cover(P, p, q, AlgebraError)
         return AlgElement(P, {TermKey(((p, q, 0),), q, (), ((p, q, 0),)): Poly.const(1)})
     if kind == "eprime":
         (p,) = args
@@ -175,16 +175,16 @@ def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:
         return out
     if kind in ("alpha", "alphabar"):
         p, q = args
-        _require_cover(P, p, q)
+        _require_cover(P, p, q, AlgebraError)
         e = 1 if kind == "alpha" else -1
         return AlgElement(P, {TermKey((), p, ((q, e),), ()): Poly.const(1)})
     if kind == "beta":
         p, q = args
-        _require_cover(P, p, q)
+        _require_cover(P, p, q, AlgebraError)
         return AlgElement(P, {TermKey(((p, q, 0),), q, (), ()): Poly.const(1)})
     if kind == "betabar":
         p, q = args
-        _require_cover(P, p, q)
+        _require_cover(P, p, q, AlgebraError)
         return AlgElement(P, {TermKey((), q, (), ((p, q, 0),)): Poly.const(1)})
     if kind == "t":
         (i,) = args
@@ -201,11 +201,6 @@ def scalar_element(poset, coeff: Poly) -> AlgElement:
 
 def one(poset) -> AlgElement:
     return scalar_element(poset, Poly.const(1))
-
-
-def _require_cover(poset, p, q):
-    if q not in lower_covers(poset, p):
-        raise AlgebraError(f"{q!r} is not a lower cover of {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +335,7 @@ def grade(x: AlgElement) -> dict:
 
 def in_ideal(x: AlgElement, lower_set) -> bool:
     """True iff every graded component ends inside the lower set."""
+    _reject_bare_string(lower_set, "lower set", AlgebraError)
     members = set(getattr(lower_set, "members", lower_set))
     return all(key.mid in members for key in x.terms)
 
@@ -347,6 +343,7 @@ def in_ideal(x: AlgElement, lower_set) -> bool:
 def project_mod_ideal(x: AlgElement, lower_set) -> AlgElement:
     """Quotient by the ideal of a lower set: drop the components ending in
     it (equivalently, impose e(p,q) = beta_{p,q} = 0 for covers q inside)."""
+    _reject_bare_string(lower_set, "lower set", AlgebraError)
     members = set(getattr(lower_set, "members", lower_set))
     return AlgElement(x.poset, {k: c for k, c in x.terms.items() if k.mid not in members})
 

@@ -301,9 +301,9 @@ def down_set(poset: LabelledPoset, p: str) -> LowerSet:
     return LowerSet(poset, poset.strict[p] | {p})
 
 
-def boundary(poset: LabelledPoset, lset: LowerSet) -> frozenset[str]:
-    """A together with every p that has some lower cover inside A."""
-    a = lset.members
+def boundary(lset: LowerSet) -> frozenset[str]:
+    """A together with every p of its poset that has some lower cover inside A."""
+    a, poset = lset.members, lset.poset
     extra = {p for p in poset.elements if set(lower_covers(poset, p)) & a}
     return frozenset(a | extra)
 
@@ -316,6 +316,12 @@ def lower_covers(poset: LabelledPoset, p: str) -> tuple[str, ...]:
     """The lower covers of p in label order."""
     poset.check(p)
     return poset.labels.get(p, ())
+
+
+def _require_cover(poset, p, q, error):
+    """Raise the given error type unless q is a lower cover of p."""
+    if q not in lower_covers(poset, p):
+        raise error(f"{q!r} is not a lower cover of {p!r}")
 
 
 def _descents(poset: LabelledPoset, p: str):

@@ -94,6 +94,20 @@ def _rel_image(rel, pmap) -> frozenset:
     return frozenset((q, p) for q, p in pairs if q is not None and p is not None)
 
 
+def map_elem(dst: PrimitiveMonoid, pmap: dict, x: MonElem) -> MonElem:
+    """The image in dst of a reduced element under a prime map (prime ->
+    prime or None), the element rule of _rel_image: a prime sent to None
+    drops out, and a prime the map omits raises MonoidError naming it."""
+    word = {}
+    for p, n in x.coeffs:
+        if p not in pmap:
+            raise MonoidError(f"prime {p!r} is outside the prime map")
+        q = pmap[p]
+        if q is not None:
+            word[q] = word.get(q, 0) + n
+    return dst.reduce(word)
+
+
 @dataclass(frozen=True)
 class MonElem:
     """Reduced word of a primitive monoid: sorted (prime, coeff>0) pairs."""
@@ -126,7 +140,7 @@ class PhiTuple:
     """Value of the counting-map tuple; entries are ints or INF, by prime name.
 
     Tuples of one monoid are aligned, so ``add`` and ``leq`` work entry by
-    entry."""
+    entry; they raise MonoidError on tuples of different prime names."""
 
     values: tuple[tuple[str, int | float], ...]
 
@@ -136,11 +150,16 @@ class PhiTuple:
                 return v
         raise KeyError(p)
 
+    def _aligned(self, other):
+        if [p for p, _ in self.values] != [q for q, _ in other.values]:
+            raise MonoidError("counting tuples of different monoids")
+        return zip(self.values, other.values)
+
     def add(self, other):
-        return PhiTuple(tuple((p, v + w) for (p, v), (_, w) in zip(self.values, other.values)))
+        return PhiTuple(tuple((p, v + w) for (p, v), (_, w) in self._aligned(other)))
 
     def leq(self, other):
-        return all(v <= w for (_, v), (_, w) in zip(self.values, other.values))
+        return all(v <= w for (_, v), (_, w) in self._aligned(other))
 
 
 class PrimitiveMonoid:
@@ -182,9 +201,6 @@ class PrimitiveMonoid:
     def is_free(self, p) -> bool:
         self.check_prime(p)
         return p not in self.regular
-
-    def is_regular(self, p) -> bool:
-        return not self.is_free(p)
 
     # -- the dense core ----------------------------------------------------
 
@@ -282,10 +298,6 @@ class PrimitiveMonoid:
         return out
 
 
-def from_pair(pair: PrimePair) -> PrimitiveMonoid:
-    return PrimitiveMonoid(pair)
-
-
 def from_poset(poset: LabelledPoset) -> PrimitiveMonoid:
     """All primes free: the relation is the strict order of the poset."""
     rel = frozenset((q, p) for p in poset.elements for q in poset.strict[p])
@@ -326,24 +338,16 @@ def order_ideal(m: PrimitiveMonoid, a: MonElem) -> OrderIdeal:
     return OrderIdeal(m, closure)
 
 
-def ideal_from_lower_set(m: PrimitiveMonoid, prime_set) -> OrderIdeal:
-    return OrderIdeal(m, prime_set)
-
-
-def quotient(m: PrimitiveMonoid, ideal: OrderIdeal):
-    """The ideal quotient, with the projection on elements.
-
-    The quotient prime pair is the restriction to the surviving primes; the
-    projection restricts a reduced word and re-reduces.
+def quotient(ideal: OrderIdeal):
+    """The quotient of the ideal's monoid by it, with the projection on
+    elements: both are images under the prime map that sends the ideal's
+    primes to None and fixes the rest.
     """
-    survivors = tuple(p for p in m.primes if p not in ideal.prime_set)
-    keep = {p: p for p in survivors}
-    mq = PrimitiveMonoid(PrimePair(survivors, _rel_image(m.pair.rel, keep)))
-
-    def project(x: MonElem) -> MonElem:
-        return mq.reduce({p: n for p, n in x.coeffs if p in keep})
-
-    return mq, project
+    m = ideal.monoid
+    pmap = {p: None if p in ideal.prime_set else p for p in m.primes}
+    survivors = tuple(p for p in m.primes if pmap[p] is not None)
+    mq = PrimitiveMonoid(PrimePair(survivors, _rel_image(m.pair.rel, pmap)))
+    return mq, functools.partial(map_elem, mq, pmap)
 
 
 # ---------------------------------------------------------------------------

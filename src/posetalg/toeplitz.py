@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poset import LabelledPoset, _descents, lower_covers
+from .poset import LabelledPoset, _descents, _require_cover, lower_covers
 from .ratfunc import Poly, RatFunc, mono_exponent, t_poly
 from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
 
@@ -194,11 +194,6 @@ def _check_space(space, vec):
         raise RepError("vector belongs to a different space (context mismatch)")
 
 
-def _check_cover(poset, p, q):
-    if q not in lower_covers(poset, p):
-        raise RepError(f"{q!r} is not a lower cover of {p!r}")
-
-
 def act(space: Space, gen, vec: RepVector) -> RepVector:
     """Right action of one generator; gen is a tuple such as ("e", p),
     ("epq", p, q), ("alpha", p, q), ("alphabar", p, q), ("beta", p, q),
@@ -217,7 +212,7 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
         return RepVector._trusted(space, {path: c for path, c in vec.coeffs.items() if path[0][0] == p})
 
     p, q = gen[1], gen[2]
-    _check_cover(P, p, q)
+    _require_cover(P, p, q, RepError)
     slot = P.label_index(p, q)
     z = zvar(p, slot)
     if kind == "alphabar":
@@ -297,11 +292,11 @@ def act_element(space: Space, x: AlgElement, vec: RepVector) -> RepVector:
         if corner is None:
             P.check(root)
             for u, v, _ in key.left:
-                _check_cover(P, u, v)
+                _require_cover(P, u, v, RepError)
             for q, _ in key.powers:
-                _check_cover(P, key.mid, q)
+                _require_cover(P, key.mid, q, RepError)
             for u, v, _ in key.right:
-                _check_cover(P, u, v)
+                _require_cover(P, u, v, RepError)
             continue
         word = []
         for u, v, m in key.left:
@@ -413,15 +408,9 @@ def _inverse_series(poset, f: SigmaPoly, j, depth):
         return [RatFunc(f.poly).inverse()]
     p = f.vertex
     covers = lower_covers(poset, p)
-    xj = ("x", covers[j - 1])
-    buckets = f.poly.split_by(xj)
-    fbar = {}
-    for b, part in buckets.items():
-        mapping = {}
-        for q in covers:
-            if ("x", q) in part.variables():
-                mapping[("x", q)] = (zvar(p, poset.label_index(p, q)), -1)
-        fbar[b] = RatFunc(part.subst_monomials(mapping))
+    mapping = {("x", q): (zvar(p, i), -1) for i, q in enumerate(covers, 1)}
+    buckets = f.poly.split_by(("x", covers[j - 1]))
+    fbar = {b: RatFunc(part.subst_monomials(mapping)) for b, part in buckets.items()}
     g0 = fbar[0].inverse()
     gs = [g0]
     maxdeg = max(fbar)

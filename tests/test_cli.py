@@ -7,6 +7,8 @@ import pytest
 
 from posetalg.cli import main
 
+pytestmark = pytest.mark.hashseed
+
 FIG2_DSL = "elems p a b; covers a<p b<p; labels p:[a,b]\n"
 SINGLETON_DSL = "elems x\n"
 E1_DSL = "vertices v0 v1; arrows a1:v1->v1 b1:v1->v0\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import fig2_poset, lower_covers, make_poset
+from posetalg.poset import LowerSet, fig2_poset, lower_covers, make_poset
 from posetalg.ratfunc import Poly, t_poly
 from posetalg.leavitt import (
     AlgElement,
@@ -334,6 +334,16 @@ def test_project_mod_ideal():
     assert project_mod_ideal(x, set()) == x
     assert project_mod_ideal(g("beta", "p", "a"), {"a"}).is_zero()
     assert project_mod_ideal(g("epq", "p", "a"), {"a"}).is_zero()
+
+
+def test_ideal_functions_reject_a_bare_string():
+    poset = make_poset(["a1", "b1", "p1"], [("a1", "p1"), ("b1", "p1")])
+    x = generator(poset, "e", "a1")
+    for f in (in_ideal, project_mod_ideal):
+        with pytest.raises(AlgebraError, match="lower set 'a1' is a bare string"):
+            f(x, "a1")
+    assert in_ideal(x, {"a1"}) and in_ideal(x, LowerSet(poset, {"a1"}))
+    assert project_mod_ideal(x, {"a1"}).is_zero() and project_mod_ideal(x, LowerSet(poset, {"a1"})).is_zero()
 
 
 def test_project_is_ring_hom_on_samples():

@@ -32,7 +32,7 @@ from posetalg.poset import (
     to_dot,
 )
 from posetalg.constructions import build_F
-from posetalg.primon import PrimePair, from_pair, monoid_iso
+from posetalg.primon import PrimePair, PrimitiveMonoid, monoid_iso
 
 
 def diamond():
@@ -222,9 +222,9 @@ def test_down_set_and_boundary():
     poset = fig2_poset()
     assert down_set(poset, "p").sorted() == ("a", "b", "p")
     assert down_set(poset, "a").sorted() == ("a",)
-    assert boundary(poset, LowerSet(poset, frozenset({"a"}))) == {"a", "p"}
+    assert boundary(LowerSet(poset, frozenset({"a"}))) == {"a", "p"}
     d = diamond()
-    assert boundary(d, LowerSet(d, frozenset({"b"}))) == {"b", "q1", "q2"}
+    assert boundary(LowerSet(d, frozenset({"b"}))) == {"b", "q1", "q2"}
 
 
 def test_lower_set_freezes_its_members():
@@ -366,7 +366,7 @@ def test_complete_hom_respects_labels():
 
 def test_poset_pair_iso():
     def iso(x, y):
-        return monoid_iso(from_pair(x), from_pair(y))
+        return monoid_iso(PrimitiveMonoid(x), PrimitiveMonoid(y))
 
     fig2 = fig2_poset()
     rel = frozenset((q, p) for p in fig2.elements for q in fig2.strict[p])

@@ -102,6 +102,7 @@ def _level_leaves(poset):
     return leaves
 
 
+@pytest.mark.hashseed
 def test_build_space_matches_level_recursion():
     posets = [poset for n in range(7) for poset in enumerate_posets(n)] + [FIG2, _claw(), diamond()]
     for poset in posets:
@@ -173,6 +174,7 @@ def test_e_nonzero_for_every_vertex():
 # -- relation suite ------------------------------------------------------------
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize(
     "poset",
     [FIG2, chain(1), chain(2), chain(3), diamond()],
@@ -579,6 +581,7 @@ def _full_series_inverse(space, f, vec, depth):
     return RepVector._trusted(space, out)
 
 
+@pytest.mark.hashseed
 def test_invert_sigma_matches_the_full_series_on_the_digest_family():
     for poset, f in _digest_family():
         if f.valuation(poset):
@@ -622,6 +625,7 @@ def _down_set_shape(paths):
     return tuple(tuple((names.setdefault(u, len(names)), j) for u, j in path) for path in paths)
 
 
+@pytest.mark.hashseed
 def test_invert_sigma_matches_the_full_series_at_every_minimal_and_forked_vertex():
     # slot degrees 0, 2 and 5 against depths 0..4 put each coefficient's top
     # slot degree above, at and below the depth; the sums mix slots and roots.
@@ -716,6 +720,7 @@ def _digest_family():
     ]
 
 
+@pytest.mark.hashseed
 def test_algebra_outputs_digest():
     # Pins every generator action (and betabar after each beta) over all
     # posets with n <= 5, plus the truncated inverses, element forms and
