@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset import LabelledPoset, _reject_bare_string, _require_cover, lower_covers
+from .poset import LabelledPoset, LowerSet, PosetError, _require_cover, lower_covers
 from .ratfunc import Poly, poly_str, t_poly
 
 # Step = (upper vertex, lower cover, exponent >= 0)
@@ -333,18 +333,29 @@ def grade(x: AlgElement) -> dict:
     return {pair: AlgElement(x.poset, terms) for pair, terms in out.items()}
 
 
+def _ideal_members(x: AlgElement, lower_set) -> frozenset:
+    """The members of a lower set of x's poset, given as a LowerSet of it or
+    as a down-closed collection of its elements; else AlgebraError."""
+    if isinstance(lower_set, LowerSet):
+        if lower_set.poset != x.poset:
+            raise AlgebraError("the lower set belongs to another poset")
+        return lower_set.members
+    try:
+        return LowerSet(x.poset, lower_set).members
+    except (PosetError, TypeError) as err:
+        raise AlgebraError(str(err)) from None
+
+
 def in_ideal(x: AlgElement, lower_set) -> bool:
     """True iff every graded component ends inside the lower set."""
-    _reject_bare_string(lower_set, "lower set", AlgebraError)
-    members = set(getattr(lower_set, "members", lower_set))
+    members = _ideal_members(x, lower_set)
     return all(key.mid in members for key in x.terms)
 
 
 def project_mod_ideal(x: AlgElement, lower_set) -> AlgElement:
     """Quotient by the ideal of a lower set: drop the components ending in
     it (equivalently, impose e(p,q) = beta_{p,q} = 0 for covers q inside)."""
-    _reject_bare_string(lower_set, "lower set", AlgebraError)
-    members = set(getattr(lower_set, "members", lower_set))
+    members = _ideal_members(x, lower_set)
     return AlgElement(x.poset, {k: c for k, c in x.terms.items() if k.mid not in members})
 
 
@@ -494,8 +505,12 @@ def _parse_factor(poset, toks, i):
         if negative and n:
             base = _invert_scalar(base)
         acc = one(poset)
-        for _ in range(n):
-            acc = acc * base
+        while n:  # repeated squaring: the product is associative and exact
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            if n:
+                base = base * base
         base = acc
     return base, i
 

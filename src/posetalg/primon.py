@@ -108,31 +108,41 @@ def map_elem(dst: PrimitiveMonoid, pmap: dict, x: MonElem) -> MonElem:
     return dst.reduce(word)
 
 
+def _aligned(names, x, error):
+    """x's vector if its prime names are these (this tuple or an equal one)."""
+    if x.names is names or x.names == names:
+        return x.vec
+    raise MonoidError(error)
+
+
 @dataclass(frozen=True)
 class MonElem:
-    """Reduced word of a primitive monoid: sorted (prime, coeff>0) pairs."""
+    """Reduced element of a primitive monoid: its coefficient vector over
+    the monoid's primes sorted by name, ``names``."""
 
-    coeffs: tuple[tuple[str, int], ...]
+    names: tuple[str, ...]
+    vec: tuple[int, ...]
+
+    @property
+    def coeffs(self):  # the sorted (prime, coeff>0) pairs
+        return tuple(itertools.compress(zip(self.names, self.vec), self.vec))
 
     def support(self):
-        return tuple(p for p, _ in self.coeffs)
+        return tuple(itertools.compress(self.names, self.vec))
 
     def size(self):
-        return sum(n for _, n in self.coeffs)
+        return sum(self.vec)
 
     def is_zero(self):
-        return not self.coeffs
+        return not any(self.vec)
 
     def as_dict(self):
-        return dict(self.coeffs)
+        return dict(itertools.compress(zip(self.names, self.vec), self.vec))
 
     def __str__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         return " + ".join(p if n == 1 else f"{n}*{p}" for p, n in self.coeffs)
-
-
-ZERO = MonElem(())
 
 
 @dataclass(frozen=True)
@@ -142,33 +152,33 @@ class PhiTuple:
     Tuples of one monoid are aligned, so ``add`` and ``leq`` work entry by
     entry; they raise MonoidError on tuples of different prime names."""
 
-    values: tuple[tuple[str, int | float], ...]
+    names: tuple[str, ...]
+    vec: tuple[int | float, ...]
+
+    @property
+    def values(self):  # the (prime, value) pairs by prime name
+        return tuple(zip(self.names, self.vec))
 
     def __getitem__(self, p):
-        for q, v in self.values:
-            if q == p:
-                return v
-        raise KeyError(p)
-
-    def _aligned(self, other):
-        if [p for p, _ in self.values] != [q for q, _ in other.values]:
-            raise MonoidError("counting tuples of different monoids")
-        return zip(self.values, other.values)
+        return dict(self.values)[p]
 
     def add(self, other):
-        return PhiTuple(tuple((p, v + w) for (p, v), (_, w) in self._aligned(other)))
+        w = _aligned(self.names, other, "counting tuples of different monoids")
+        return PhiTuple(self.names, tuple(map(operator.add, self.vec, w)))
 
     def leq(self, other):
-        return all(v <= w for (_, v), (_, w) in self._aligned(other))
+        w = _aligned(self.names, other, "counting tuples of different monoids")
+        return all(map(operator.le, self.vec, w))
 
 
 class PrimitiveMonoid:
     """The abelian monoid presented by a PrimePair.
 
-    Elements live in one dense core: coefficient vectors over the primes
-    sorted by name, reduced with one absorber bitmask per prime.  ``_elem``
-    is the only way from a vector to the public MonElem, so every element
-    lists its primes by name.
+    An element is one dense vector: its coefficients over the primes
+    sorted by name, reduced with one absorber bitmask per prime.  Every
+    MonElem and PhiTuple of the monoid holds its name tuple, so ``add`` and
+    ``phi`` read the vector of an element whose names are equal and raise
+    MonoidError on one of another prime set.
     """
 
     def __init__(self, pair: PrimePair):
@@ -204,16 +214,6 @@ class PrimitiveMonoid:
 
     # -- the dense core ----------------------------------------------------
 
-    def _vec(self, x: MonElem) -> tuple:
-        """The coefficient vector of an element, summed by prime name."""
-        vec = [0] * len(self._names)
-        for p, n in x.coeffs:
-            try:
-                vec[self._index[p]] += n
-            except KeyError:
-                self.check_prime(p)
-        return tuple(vec)
-
     def _support(self, vec) -> int:
         support = 0
         for bit, c in zip(self._bits, vec):
@@ -246,9 +246,6 @@ class PrimitiveMonoid:
             ]
         )
 
-    def _elem(self, vec) -> MonElem:
-        return MonElem(tuple([(p, c) for p, c in zip(self._names, vec) if c]))
-
     # -- elements ----------------------------------------------------------
 
     def reduce(self, word: dict) -> MonElem:
@@ -266,17 +263,20 @@ class PrimitiveMonoid:
                 raise MonoidError(f"coefficient {n!r} of prime {p!r} is not an integer")
             if n > 0:
                 vec[self._index[p]] = n
-        return self._elem(self._reduced(vec))
+        return MonElem(self._names, self._reduced(vec))
 
     def gen(self, p) -> MonElem:
         return self.reduce({p: 1})
 
     def add(self, x: MonElem, y: MonElem) -> MonElem:
-        return self._elem(self._add_vec(self._vec(x), self._vec(y)))
+        error = "element of another monoid"
+        u, v = _aligned(self._names, x, error), _aligned(self._names, y, error)
+        return MonElem(self._names, self._add_vec(u, v))
 
     def phi(self, x: MonElem) -> PhiTuple:
         """The counting-map tuple of an element."""
-        return PhiTuple(tuple(zip(self._names, self._phi_vec(self._vec(x)))))
+        vec = _aligned(self._names, x, "element of another monoid")
+        return PhiTuple(self._names, self._phi_vec(vec))
 
     # -- enumeration -------------------------------------------------------
 
@@ -285,15 +285,15 @@ class PrimitiveMonoid:
         size and then coefficients; MonoidError unless max_size is a
         non-negative int, which checks every verifier's bound."""
         _check_bound(max_size)
-        out = []
-        for k in range(min(max_size, len(self._names)) + 1):  # a support prime has coefficient >= 1
-            for slots in itertools.combinations(range(len(self._names)), k):
+        out, n, regular = [], len(self._names), self._regular_mask
+        for k in range(min(max_size, n) + 1):  # a support prime has coefficient >= 1
+            for slots in itertools.combinations(range(n), k):
                 support = sum(self._bits[i] for i in slots)
                 if any(self._absorbers[i] & support for i in slots):
                     continue
-                names = [self._names[i] for i in slots]
-                ranges = [range(1, 2 if self._bits[i] & self._regular_mask else max_size - k + 2) for i in slots]
-                out += (MonElem(tuple(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
+                top = max_size - k + 2  # 0 off the support: the product yields whole vectors
+                ranges = [range(1, 2 if b & regular else top) if b & support else (0,) for b in self._bits]
+                out += (MonElem(self._names, c) for c in itertools.product(*ranges) if sum(c) <= max_size)
         out.sort(key=lambda e: (e.size(), e.coeffs))
         return out
 
@@ -446,7 +446,7 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
         return None
     n = len(m.primes)
     add = functools.cache(m._add_vec)
-    elems = [m._vec(e) for e in m.elements(size_bound)]
+    elems = [e.vec for e in m.elements(size_bound)]
     phi = {v: m._phi_vec(v) for v in elems}  # aligned with the core's indices
     by_sum = {}
     for x1, x2 in itertools.product(elems, repeat=2):
@@ -528,7 +528,7 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
                     or add(z11, z21) != y1
                     or add(z12, z22) != y2
                 ):
-                    x1, x2, y1, y2 = (term(m._elem(v)) for v in (x1, x2, y1, y2))
+                    x1, x2, y1, y2 = (term(MonElem(m._names, v)) for v in (x1, x2, y1, y2))
                     raise MonoidError(
                         f"the constructed refinement of {x1} + {x2} = {y1} + {y2} fails its check: "
                         "the prime pair is not valid"
@@ -544,14 +544,13 @@ def check_separative(m: PrimitiveMonoid, bound: int):
     one a scan over all ordered pairs would return.
     """
     elems = m.elements(bound)
-    vecs = [m._vec(a) for a in elems]
-    doubles = [m._add_vec(v, v) for v in vecs]
+    doubles = [m._add_vec(a.vec, a.vec) for a in elems]
     by_double = {}
-    for b, vb, bb in zip(elems, vecs, doubles):
-        by_double.setdefault(bb, []).append((b, vb))
-    for a, va, aa in zip(elems, vecs, doubles):
-        for b, vb in by_double[aa]:
-            if b != a and m._add_vec(va, vb) == aa:
+    for b, bb in zip(elems, doubles):
+        by_double.setdefault(bb, []).append(b)
+    for a, aa in zip(elems, doubles):
+        for b in by_double[aa]:
+            if b != a and m._add_vec(a.vec, b.vec) == aa:
                 return (a, b)
     return None
 
@@ -566,17 +565,16 @@ def check_strongly_separative(m: PrimitiveMonoid, bound: int):
     pairs would return.
     """
     elems = m.elements(bound)
-    vecs = [m._vec(a) for a in elems]
     by_free = {}  # free indices -> {their coefficients: elements}
-    for a, va in zip(elems, vecs):
-        aa = m._add_vec(va, va)
+    for a in elems:
+        aa = m._add_vec(a.vec, a.vec)
         free = tuple(i for i, c in enumerate(aa) if c and not m._regular_mask >> i & 1)
         if free not in by_free:
             groups = by_free[free] = {}
-            for b, vb in zip(elems, vecs):
-                groups.setdefault(tuple(vb[i] for i in free), []).append((b, vb))
-        for b, vb in by_free[free].get(tuple(aa[i] - va[i] for i in free), ()):
-            if b != a and m._add_vec(va, vb) == aa:
+            for b in elems:
+                groups.setdefault(tuple(b.vec[i] for i in free), []).append(b)
+        for b in by_free[free].get(tuple(aa[i] - a.vec[i] for i in free), ()):
+            if b != a and m._add_vec(a.vec, b.vec) == aa:
                 return (a, b)
     return None
 

@@ -28,7 +28,6 @@ from posetalg.primon import (
     OrderIdeal,
     PrimePair,
     PrimitiveMonoid,
-    ZERO,
     _rel_image,
     enumerate_prime_pairs,
     from_poset,

@@ -20,6 +20,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "posetalg"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYTHON_SOURCES = sorted(
+    p.relative_to(ROOT).as_posix() for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def unused_imports(source):
@@ -105,6 +108,29 @@ def test_trusted_constructors_only_in_their_modules(module):
         assert module in TRUSTED_CALLERS.get(owner, ()), f"{module} calls {owner}._trusted"
 
 
+# An element or counting tuple holds its monoid's name tuple and vector,
+# so only the monoid core builds one; everything else asks the monoid.
+ELEMENT_CLASSES = {"MonElem", "PhiTuple"}
+
+
+def element_constructions(source):
+    """The element classes called in the source, bare or as an attribute."""
+    calls = (n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call))
+    names = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+    return names & ELEMENT_CLASSES
+
+
+def test_guard_finds_element_constructions():
+    source = "x = MonElem(names, (1, 0))\ny = pa.primon.PhiTuple(names, vec)\nz = m.reduce({})\nt = MonElem\n"
+    assert element_constructions(source) == {"MonElem", "PhiTuple"}
+    assert element_constructions("x = m.phi(m.gen('a')).values\n") == set()
+
+
+@pytest.mark.parametrize("path", [p for p in PYTHON_SOURCES if p != "src/posetalg/primon.py"])
+def test_elements_are_built_only_in_the_monoid_core(path):
+    assert element_constructions((ROOT / path).read_text()) == set(), path
+
+
 def test_test_extra_pins_what_ci_installs():
     # the test modules import hypothesis and sympy, so the extra names them
     extra = re.search(r"^test = (\[.*\])$", (ROOT / "pyproject.toml").read_text(), re.M).group(1)
@@ -118,9 +144,6 @@ def test_test_extra_pins_what_ci_installs():
 # pyproject asks for Python >= 3.10, so every source file is parsed under
 # the 3.10 grammar whatever interpreter runs the suite.  This checks syntax
 # only (no ``except*``, no PEP 695 type parameters), not stdlib APIs.
-PYTHON_SOURCES = sorted(
-    p.relative_to(ROOT).as_posix() for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
-)
 
 
 def parses_as_python_3_10(source):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -346,6 +347,26 @@ def test_ideal_functions_reject_a_bare_string():
     assert project_mod_ideal(x, {"a1"}).is_zero() and project_mod_ideal(x, LowerSet(poset, {"a1"})).is_zero()
 
 
+def test_ideal_functions_take_only_lower_sets_of_the_poset():
+    # a LowerSet of another poset, an id that is no element and a set that
+    # is not down-closed each raise; a lower set of the poset is accepted
+    chain = make_poset(["a", "b"], [("a", "b")])
+    e_a, e_p = g("e", "a"), g("e", "p")
+    bad = [
+        (e_a, LowerSet(chain, {"a"}), "another poset"),
+        (e_a, {"a", "nosuch"}, "nosuch"),
+        (e_p, {"p"}, "not downward closed"),
+        (e_a, 5, None),
+    ]
+    for f in (in_ideal, project_mod_ideal):
+        for x, lower, message in bad:
+            with pytest.raises(AlgebraError, match=message):
+                f(x, lower)
+    for lower in ({"a"}, frozenset({"a"}), ["a"], LowerSet(FIG2, {"a"}), LowerSet(fig2_poset(), {"a"})):
+        assert in_ideal(e_a, lower) and not in_ideal(e_p, lower)
+        assert project_mod_ideal(e_a + e_p, lower) == e_p
+
+
 def test_project_is_ring_hom_on_samples():
     rng = random.Random(13)
     for lower in ({"a"}, {"b"}, {"a", "b"}):
@@ -444,6 +465,32 @@ def test_parse_binary_minus_before_a_number():
     for text in ("t1^t2", "t1^1/2", "t1^"):
         with pytest.raises(AlgebraError, match="integer exponent"):
             parse_element(FIG2, text)
+
+
+def test_parse_power_of_a_large_exponent():
+    # repeated squaring takes about log2(n) products, not n
+    def too_slow(signum, frame):
+        raise TimeoutError("t1^100000 took over a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(1)
+    try:
+        x = parse_element(FIG2, "t1^100000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert x == scalar_element(FIG2, t_poly(1, 100000))
+
+
+def test_parse_power_matches_the_repeated_product():
+    base_text = "(a[p,a] + t1 * e[p] - 2 * B[p,a] + e[p,b])"
+    base = parse_element(FIG2, base_text)
+    for n in range(7):
+        acc = one(FIG2)
+        for _ in range(n):
+            acc = acc * base
+        assert parse_element(FIG2, f"{base_text}^{n}") == acc, n
+    assert parse_element(FIG2, "t2^-5") == scalar_element(FIG2, t_poly(2, -5))
 
 
 def test_parse_errors():

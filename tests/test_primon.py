@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -27,13 +28,11 @@ from posetalg.primon import (
     INF,
     CongruenceOracle,
     ORACLE_WORD_LIMIT,
-    MonElem,
     MonoidError,
     OracleLimitError,
     OrderIdeal,
     PrimePair,
     PrimitiveMonoid,
-    ZERO,
     _bounded_words,
     _components,
     _split_pair,
@@ -130,7 +129,7 @@ def test_from_pair_mixed_and_consistency():
     assert m.add(m.gen("q"), m.gen("p")) == m.gen("q")
     # empty pair: the trivial monoid
     t = PrimitiveMonoid(PrimePair((), frozenset()))
-    assert t.elements(3) == [ZERO]
+    assert t.elements(3) == [t.reduce({})]
     # agreeing with from_poset on a strict order
     fig2 = fig2_poset()
     rel = frozenset((q, p) for p in fig2.elements for q in fig2.strict[p])
@@ -165,7 +164,7 @@ def test_pair_freezes_its_inputs_and_rejects_non_pairs():
 def test_reduce_examples():
     m = fig2_monoid()
     assert m.reduce({"p": 1, "a": 1}) == m.gen("p")
-    assert m.reduce({}) == ZERO
+    assert m.reduce({}).coeffs == ()
     assert m.reduce({"p": 2, "a": 1, "b": 3}) == m.reduce({"p": 2})
 
 
@@ -181,7 +180,7 @@ def test_reduce_idempotent_and_order_independent():
             gens = [p for p, n in word.items() for _ in range(n)]
             for _ in range(3):
                 rng.shuffle(gens)
-                acc = ZERO
+                acc = m.reduce({})
                 for g in gens:
                     acc = m.add(acc, m.gen(g))
                 assert acc == red
@@ -251,7 +250,7 @@ def test_phi_fig2():
     m = fig2_monoid()
     t = m.phi(m.gen("p"))
     assert t["p"] == 1 and t["a"] == INF and t["b"] == INF
-    assert all(v == 0 for _, v in m.phi(ZERO).values)
+    assert all(v == 0 for _, v in m.phi(m.reduce({})).values)
 
 
 def test_phi_regular():
@@ -273,6 +272,35 @@ def test_phi_tuples_of_different_monoids_do_not_combine():
     twin = from_poset(make_poset(["a", "b"], []))
     assert a.add(twin.phi(twin.gen("b"))).values == (("a", 1), ("b", 1))
     assert not b.leq(twin.phi(twin.gen("a")))
+
+
+def test_elements_of_another_monoid_do_not_combine():
+    # an element belongs to the monoid of its prime names: one of another
+    # prime set is rejected, not re-indexed by name
+    m = from_poset(make_poset(["a", "b"], []))
+    for other in (from_poset(make_poset(["a"], [])), from_poset(make_poset(["b", "a", "c"], []))):
+        a = other.gen("a")
+        with pytest.raises(MonoidError, match="element of another monoid"):
+            m.add(a, m.gen("b"))
+        with pytest.raises(MonoidError, match="element of another monoid"):
+            m.add(m.gen("b"), a)
+        with pytest.raises(MonoidError, match="element of another monoid"):
+            m.phi(a)
+    # an element of a twin monoid (equal names, another object) still adds
+    twin = from_poset(make_poset(["a", "b"], []))
+    assert m.add(twin.gen("a"), m.gen("b")) == m.reduce({"a": 1, "b": 1}) == twin.reduce({"a": 1, "b": 1})
+    assert m.phi(twin.gen("a")).values == (("a", 1), ("b", 0))
+
+
+@pytest.mark.hashseed
+def test_public_element_shapes_are_pinned():
+    # str, coeffs, as_dict and the phi values of every element of size <= 3
+    # over the prime pairs with at most 4 primes, byte for byte
+    h = hashlib.sha256()
+    for pair in enumerate_prime_pairs(4):
+        m = PrimitiveMonoid(pair)
+        h.update(repr([(str(x), x.coeffs, x.as_dict(), m.phi(x).values) for x in m.elements(3)]).encode())
+    assert h.hexdigest() == "88d1159ab2493fbf4954798b9b2608f655104cf01cc55dec37e3c83ccc7c3162"
 
 
 def test_phi_against_bruteforce_sup():
@@ -300,7 +328,7 @@ def test_phi_additive_and_embedding():
 def test_order_ideal_examples():
     m = fig2_monoid()
     assert order_ideal(m, m.gen("p")).prime_set == {"a", "b", "p"}
-    assert order_ideal(m, ZERO).prime_set == frozenset()
+    assert order_ideal(m, m.reduce({})).prime_set == frozenset()
     ia = order_ideal(m, m.gen("a"))
     assert ia.prime_set == {"a"}
     assert m.gen("a") in ia and m.gen("p") not in ia
@@ -352,7 +380,7 @@ def test_quotient():
     mq, proj = quotient(OrderIdeal(m, {"a"}))
     assert set(mq.primes) == {"b", "p"}
     assert ("b", "p") in mq.pair.rel
-    assert proj(m.gen("a")) == ZERO
+    assert proj(m.gen("a")) == mq.reduce({})
     assert proj(m.add(m.gen("a"), m.gen("b"))) == mq.gen("b")
     whole, _ = quotient(OrderIdeal(m, set(m.primes)))
     assert whole.primes == ()
@@ -364,7 +392,7 @@ def test_quotient_projection_rejects_a_prime_outside_the_monoid():
     m = fig2_monoid()
     _, proj = quotient(OrderIdeal(m, {"a"}))
     with pytest.raises(MonoidError, match="prime 'zz' is outside the prime map"):
-        proj(MonElem((("b", 1), ("zz", 3))))
+        proj(from_poset(make_poset(["b", "zz"], [])).reduce({"b": 1, "zz": 3}))
 
 
 def test_quotient_projection_is_hom_with_kernel_ideal():
@@ -382,7 +410,7 @@ def test_quotient_projection_is_hom_with_kernel_ideal():
             for x, y in itertools.product(m.elements(2), repeat=2):
                 assert proj(m.add(x, y)) == mq.add(proj(x), proj(y))
             for x in m.elements(2):
-                if proj(x) == ZERO:
+                if proj(x) == mq.reduce({}):
                     assert x in ideal
 
 
@@ -425,7 +453,7 @@ def check_refinement_connected(m, size_bound):
             hit = memo[u, v] = m._add_vec(u, v)
         return hit
 
-    elems = [m._reduced(m._vec(e)) for e in m.elements(size_bound)]
+    elems = [m._reduced(e.vec) for e in m.elements(size_bound)]
     phi = {v: m._phi_vec(v) for v in elems}  # aligned with the core's indices
     by_sum = {}
     for x1, x2 in itertools.product(elems, repeat=2):
@@ -507,7 +535,7 @@ def check_refinement_connected(m, size_bound):
                     or add(z11, z21) != y1
                     or add(z12, z22) != y2
                 ):
-                    x1, x2, y1, y2 = (term(m._elem(v)) for v in (x1, x2, y1, y2))
+                    x1, x2, y1, y2 = (term(m.reduce(dict(zip(m._names, v)))) for v in (x1, x2, y1, y2))
                     raise MonoidError(
                         f"the constructed refinement of {x1} + {x2} = {y1} + {y2} fails its check: "
                         "the prime pair is not valid"
@@ -538,8 +566,9 @@ def test_refinement_raises_on_corrupted_rel():
     assert str(new.value) == str(old.value)
     # the named equality is no counterexample: [[0, 0], [b + c, a]] refines it
     a, c, bc = m.gen("a"), m.gen("c"), m.reduce({"b": 1, "c": 1})
-    (z11, z12), (z21, z22) = (ZERO, ZERO), (bc, a)
-    assert m.add(z11, z12) == ZERO and m.add(z21, z22) == c
+    zero = m.reduce({})
+    (z11, z12), (z21, z22) = (zero, zero), (bc, a)
+    assert m.add(z11, z12) == zero and m.add(z21, z22) == c
     assert m.add(z11, z21) == bc and m.add(z12, z22) == a
 
 
@@ -553,7 +582,7 @@ def test_refinement_corrupted_factor_names_an_equality_of_the_whole_monoid():
     assert str(new.value) == (
         "the constructed refinement of 0 + c = (b + c) + a fails its check: the prime pair is not valid"
     )
-    assert m.add(ZERO, m.gen("c")) == m.add(m.reduce({"b": 1, "c": 1}), m.gen("a"))
+    assert m.add(m.reduce({}), m.gen("c")) == m.add(m.reduce({"b": 1, "c": 1}), m.gen("a"))
 
 
 @pytest.mark.hashseed
@@ -615,7 +644,7 @@ def elements_over_all_supports(m, max_size):
             continue
         names = [m._names[i] for i in slots]
         ranges = [range(1, 2 if m._bits[i] & m._regular_mask else max_size + 1) for i in slots]
-        out += (MonElem(tuple(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
+        out += (m.reduce(dict(zip(names, c))) for c in itertools.product(*ranges) if sum(c) <= max_size)
     out.sort(key=lambda e: (e.size(), e.coeffs))
     return out
 
@@ -653,7 +682,7 @@ def test_separativity():
     assert witness is not None
     a, b = witness
     assert mixed.add(a, a) == mixed.add(a, b) and a != b
-    assert "q" in a.support() or "q" in b.support() or a == ZERO or b == ZERO
+    assert "q" in a.support() or "q" in b.support() or a.is_zero() or b.is_zero()
     assert check_separative(mixed, 3) is None
     trivial = PrimitiveMonoid(PrimePair((), frozenset()))
     assert check_strongly_separative(trivial, 3) is None
