@@ -88,8 +88,8 @@ def cmd_pipeline(args):
     stages_out = {}
     for top, rec in asm.reconstructions.items():
         stages_out[top] = {
-            "unfolded": sorted(rec.unfolding.result.poset.elements),
-            "psi": dict(sorted(rec.unfolding.result.psi.items())),
+            "unfolded": sorted(rec.stages[0].poset.elements),
+            "psi": dict(sorted(rec.stages[0].psi.items())),
             "stages": [
                 {
                     "primes": sorted(s.poset.elements),
@@ -177,10 +177,10 @@ def cmd_verify_algebra(args):
 
 def cmd_graphmon(args):
     quiver = parse_quiver(Path(args.quiver).read_text())
-    pres, oracle = graph_monoid(quiver, args.bound)
+    relations, oracle = graph_monoid(quiver, args.bound)
     lattice = [sorted(s) for s in hereditary_saturated(quiver)]
     sample_pairs = []
-    for v, rhs in pres.relations:
+    for v, rhs in relations:
         sample_pairs.append(
             {
                 "lhs": {v: 1},
@@ -195,9 +195,7 @@ def cmd_graphmon(args):
     payload = {
         "vertices": list(quiver.vertices),
         "arrows": [list(a) for a in quiver.arrows],
-        "relations": [
-            {"vertex": v, "rhs": dict(rhs)} for v, rhs in pres.relations
-        ],
+        "relations": [{"vertex": v, "rhs": dict(rhs)} for v, rhs in relations],
         "hereditary_saturated": lattice,
         "bounded_equalities": sample_pairs,
         "loop_chain_r": r,

@@ -11,22 +11,14 @@ comparing bounded congruence closures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .poset import PosetError, Quiver, _sections
 from .primon import CongruenceOracle, MonoidError, _bounded_words, _split_pair
 
 
-@dataclass(frozen=True)
-class GraphMonoidPresentation:
-    """Vertex generators with one defining relation per emitting vertex."""
-
-    quiver: Quiver
-    relations: tuple  # ((vertex, {vertex: multiplicity}), ...) per emitting vertex
-
-
 def graph_monoid(quiver: Quiver, bound: int):
-    """The presentation together with a bounded equality decider.
+    """The defining relations, one ``(vertex, sorted (range, multiplicity)
+    pairs)`` per emitting vertex, together with a bounded equality decider.
 
     Every relation word must fit the oracle's bound, so a vertex that emits
     more than ``bound`` arrows raises MonoidError, and the oracle raises
@@ -44,9 +36,8 @@ def graph_monoid(quiver: Quiver, bound: int):
         for _, _, r in outs:
             rhs[r] = rhs.get(r, 0) + 1
         rels.append((v, tuple(sorted(rhs.items()))))
-    pres = GraphMonoidPresentation(quiver, tuple(rels))
     oracle = CongruenceOracle(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound)
-    return pres, oracle
+    return tuple(rels), oracle
 
 
 def build_Er(r: int) -> Quiver:

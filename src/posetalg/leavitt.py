@@ -152,40 +152,37 @@ def _unit_key(poset, p):
     return TermKey((), p, (), ())
 
 
+# the term of each generator at a cover q of p; e(p,q) is stored in its
+# beta.betabar form
+_COVER_KEYS = {
+    "epq": lambda p, q: TermKey(((p, q, 0),), q, (), ((p, q, 0),)),
+    "alpha": lambda p, q: TermKey((), p, ((q, 1),), ()),
+    "alphabar": lambda p, q: TermKey((), p, ((q, -1),), ()),
+    "beta": lambda p, q: TermKey(((p, q, 0),), q, (), ()),
+    "betabar": lambda p, q: TermKey((), q, (), ((p, q, 0),)),
+}
+
+
 def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:
     """One of e, epq, eprime, alpha, alphabar, beta, betabar, t, scalar.
 
-    The pair idempotent e(p,q) is stored in its beta.betabar form; the
-    complement eprime(p) expands through the orthogonal decomposition of
-    e(p).
+    The complement eprime(p) expands through the orthogonal decomposition
+    of e(p).
     """
     P = poset
+    if kind in _COVER_KEYS:
+        p, q = args
+        _require_cover(P, p, q, AlgebraError)
+        return AlgElement(P, {_COVER_KEYS[kind](p, q): Poly.const(1)})
     if kind == "e":
         (p,) = args
         return AlgElement(P, {_unit_key(P, p): Poly.const(1)})
-    if kind == "epq":
-        p, q = args
-        _require_cover(P, p, q, AlgebraError)
-        return AlgElement(P, {TermKey(((p, q, 0),), q, (), ((p, q, 0),)): Poly.const(1)})
     if kind == "eprime":
         (p,) = args
         out = generator(P, "e", p)
         for q in lower_covers(P, p):
             out = out - generator(P, "epq", p, q)
         return out
-    if kind in ("alpha", "alphabar"):
-        p, q = args
-        _require_cover(P, p, q, AlgebraError)
-        e = 1 if kind == "alpha" else -1
-        return AlgElement(P, {TermKey((), p, ((q, e),), ()): Poly.const(1)})
-    if kind == "beta":
-        p, q = args
-        _require_cover(P, p, q, AlgebraError)
-        return AlgElement(P, {TermKey(((p, q, 0),), q, (), ()): Poly.const(1)})
-    if kind == "betabar":
-        p, q = args
-        _require_cover(P, p, q, AlgebraError)
-        return AlgElement(P, {TermKey((), q, (), ((p, q, 0),)): Poly.const(1)})
     if kind == "t":
         (i,) = args
         return scalar_element(P, t_poly(i))

@@ -126,11 +126,17 @@ class LabelledPoset:
         return q == p or self.lt(q, p)
 
     def n_covers(self, p):
+        if p not in self.labels:
+            self.check(p)
         return len(self.labels.get(p, ()))
 
     def label_index(self, p, q):
         """1-based label of the cover q of p."""
-        return self.labels[p].index(q) + 1
+        try:
+            return self.labels[p].index(q) + 1
+        except (KeyError, ValueError):
+            self.check(p), self.check(q)
+            raise PosetError(f"{q!r} is not a lower cover of {p!r}") from None
 
     def minimal(self):
         return tuple(p for p in self.elements if not self.strict[p])
@@ -248,7 +254,12 @@ def parse_poset(text: str) -> LabelledPoset:
                 body = body.strip()
                 if not body.startswith("["):
                     raise PosetError(f"bad label entry {tok!r}")
-                labels[p] = tuple(x for x in body[1:-1].split(",") if x)
+                if p in labels:
+                    raise PosetError(f"duplicate label entry {tok!r} for {p!r}")
+                ids = tuple(body[1:-1].split(",")) if len(body) > 2 else ()
+                if "" in ids:
+                    raise PosetError(f"empty id in label entry {tok!r}")
+                labels[p] = ids
     return make_poset(elements, covers, labels or None)
 
 

@@ -326,6 +326,7 @@ class OrderIdeal:
                 raise MonoidError(f"prime set not lower at {p!r}")
 
     def __contains__(self, x: MonElem):
+        _aligned(self.monoid._names, x, "element of another monoid")
         return set(x.support()) <= self.prime_set
 
     def elements(self, max_size):
@@ -334,6 +335,7 @@ class OrderIdeal:
 
 def order_ideal(m: PrimitiveMonoid, a: MonElem) -> OrderIdeal:
     """The order-ideal generated by a: downward closure of its support."""
+    _aligned(m._names, a, "element of another monoid")
     closure = set(a.support()).union(*(m.strictly_below.get(p, ()) for p in a.support()))
     return OrderIdeal(m, closure)
 

@@ -169,9 +169,6 @@ class Poly:
             out.setdefault(e, {})[rest] = c
         return {e: _poly(terms) for e, terms in out.items()}
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def __repr__(self):
         return f"Poly({poly_str(self)})"
 
@@ -267,7 +264,7 @@ def poly_str(p: Poly) -> str:
         return "_".join(str(x) for x in v)
 
     parts = []
-    for mono, c in p.sorted_terms():
+    for mono, c in sorted(p.terms.items()):
         factors = []
         if not mono or abs(c) != 1:
             factors.append(str(c) if c > 0 or mono else f"({c})" if mono else str(c))
@@ -280,11 +277,8 @@ def poly_str(p: Poly) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-t_var = lambda i: ("t", i)  # noqa: E731
-
-
 def t_poly(i, exp=1) -> Poly:
-    return Poly.var(t_var(i), exp)
+    return Poly.var(("t", i), exp)
 
 
 class RatFunc:

@@ -324,20 +324,15 @@ class SigmaPoly:
     vertex: str
     poly: Poly
 
-    def cover_vars(self, poset):
-        return [("x", q) for q in lower_covers(poset, self.vertex)]
-
-    def valuation_at(self, var) -> int:
-        if self.poly.is_zero():
-            raise AlgebraError("zero polynomial has no valuation")
-        low = self.poly.degree_span(var)[0]
-        if low < 0:
-            raise AlgebraError("negative cover exponent is not a polynomial")
-        return low
-
     def valuation(self, poset) -> int:
-        vs = [self.valuation_at(v) for v in self.cover_vars(poset)]
-        return max(vs) if vs else 0
+        """The largest power of a cover variable dividing the polynomial."""
+        covers = lower_covers(poset, self.vertex)
+        if covers and self.poly.is_zero():
+            raise AlgebraError("zero polynomial has no valuation")
+        lows = [self.poly.degree_span(("x", q))[0] for q in covers]
+        if min(lows, default=0) < 0:
+            raise AlgebraError("negative cover exponent is not a polynomial")
+        return max(lows, default=0)
 
     def degree_at(self, var) -> int:
         return self.poly.degree_span(var)[1]

@@ -35,8 +35,8 @@ def test_build_Er():
 
 
 def test_graph_monoid_relations():
-    pres, oracle = graph_monoid(build_Er(1), 4)
-    assert pres.relations == (("v1", (("v0", 1), ("v1", 1))),)
+    relations, oracle = graph_monoid(build_Er(1), 4)
+    assert relations == (("v1", (("v0", 1), ("v1", 1))),)
     assert oracle.equal({"v1": 1}, {"v1": 1, "v0": 1})
     assert oracle.equal({"v1": 1}, {"v1": 1, "v0": 3})
     assert not oracle.equal({"v0": 1}, {"v1": 1})
@@ -44,8 +44,8 @@ def test_graph_monoid_relations():
 
 def test_graph_monoid_arrowless_is_free():
     q = Quiver(("x", "y"), ())
-    pres, oracle = graph_monoid(q, 3)
-    assert pres.relations == ()
+    relations, oracle = graph_monoid(q, 3)
+    assert relations == ()
     assert not oracle.equal({"x": 1}, {"y": 1})
     assert oracle.equal({"x": 1, "y": 1}, {"y": 1, "x": 1})
 

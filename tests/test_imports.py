@@ -1,5 +1,7 @@
 """Every import in a package module is named in that module, and every
 module-level private function or class is named somewhere in the package
+outside its own definition, every public class and public method of the
+package is named by the tests or the benchmark or twice in the package
 outside its own definition, and only the modules named below build values
 through a trusted constructor.  The ``test`` extra pins the tools CI installs.
 
@@ -80,6 +82,44 @@ def test_guard_flags_a_dead_private_helper():
 def test_no_dead_private_helpers():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_helpers(sources) == []
+
+
+def single_use_public_helpers(sources, others):
+    """The module-level public classes of the sources, and the public
+    methods defined in them, that no other source names and that the
+    sources name at most once outside their own definition: a wrapper
+    whose one caller could call the code behind it."""
+    trees = [ast.parse(source) for source in sources]
+    inside = sum((_names(tree) for tree in trees), Counter())
+    outside = sum((_names(ast.parse(source)) for source in others), Counter())
+    helpers = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                helpers.append(node)
+                helpers += [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return sorted(
+        h.name for h in helpers if not outside[h.name] and inside[h.name] - _names(h)[h.name] <= 1
+    )
+
+
+def test_guard_flags_a_single_use_public_helper():
+    source = (
+        "class Wrapper:\n    def once(self):\n        return self.once() if self else 0\n\n"
+        "    def twice(self):\n        return 0\n\n    def tested(self):\n        return 0\n\n"
+        "    def _private(self):\n        return 0\n\n\n"
+        "def f(w: Wrapper):\n    return w.once() + w.twice() + w.twice()\n"
+    )
+    assert single_use_public_helpers([source], ["def test_it(w):\n    assert w.tested() == 0\n"]) == [
+        "Wrapper",
+        "once",
+    ]
+
+
+def test_no_single_use_public_helpers():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    others = [(ROOT / path).read_text() for path in PYTHON_SOURCES if not path.startswith("src/")]
+    assert single_use_public_helpers(sources, others) == []
 
 
 # The trusted constructors skip every check, so each is called only from

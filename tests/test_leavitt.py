@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import signal
@@ -101,6 +102,30 @@ def test_generator_shapes():
         g("beta", "a", "p")
     with pytest.raises(AlgebraError):
         g("nope", "p")
+
+
+def all_generators(poset):
+    """Every generator kind of the poset: e and eprime at each vertex, the
+    five cover kinds at each cover, one t and one scalar."""
+    gens = [generator(poset, "t", 2), generator(poset, "scalar", 3)]
+    for p in poset.elements:
+        gens += [generator(poset, "e", p), generator(poset, "eprime", p)]
+        for q in lower_covers(poset, p):
+            gens += [generator(poset, k, p, q) for k in ("epq", "alpha", "alphabar", "beta", "betabar")]
+    return gens
+
+
+@pytest.mark.hashseed
+def test_generators_and_their_products_digest():
+    # pins the rewriting engine's output on every generator and pairwise product
+    h = hashlib.sha256()
+    for poset in [FIG2, diamond(), claw()]:
+        gens = all_generators(poset)
+        for x in gens:
+            h.update(repr(x).encode())
+        for x, y in itertools.product(gens, repeat=2):
+            h.update(repr(x * y).encode())
+    assert h.hexdigest() == "7c9a303246f54026405a509386d8fdfaae427571d4797456bdd1619f4d0d91aa"
 
 
 def test_eprime_expansion():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,41 @@ def test_label_entry_for_unknown_element_rejected():
 def test_label_entry_without_lower_covers_rejected():
     with pytest.raises(PosetError, match="no lower covers"):
         parse_poset("elems a b; covers a<b; labels a:[b]")
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("p:[a,b] p:[b,a]", "duplicate label entry 'p:[b,a]' for 'p'"),
+        ("p:[,a,,b,]", "empty id in label entry 'p:[,a,,b,]'"),
+        ("p:[a,]", "empty id in label entry 'p:[a,]'"),
+    ],
+)
+def test_label_entries_are_never_dropped(labels, message):
+    with pytest.raises(PosetError, match=re.escape(message)):
+        parse_poset(f"elems p a b; covers a<p b<p; labels {labels}")
+
+
+def test_empty_label_entry_still_names_no_covers():
+    with pytest.raises(PosetError, match="not a bijection onto its lower covers"):
+        parse_poset("elems p a b; covers a<p b<p; labels p:[]")
+    with pytest.raises(PosetError, match="no lower covers"):
+        parse_poset("elems a; labels a:[]")
+
+
+def test_cover_queries_name_what_is_wrong():
+    p = fig2_poset()
+    assert (p.n_covers("p"), p.n_covers("a"), p.label_index("p", "b")) == (2, 0, 2)
+    with pytest.raises(PosetError, match="unknown element 'zz'"):
+        p.label_index("p", "zz")
+    with pytest.raises(PosetError, match="unknown element 'zz'"):
+        p.label_index("zz", "a")
+    with pytest.raises(PosetError, match="'b' is not a lower cover of 'a'"):
+        p.label_index("a", "b")
+    with pytest.raises(PosetError, match="'p' is not a lower cover of 'a'"):
+        p.label_index("a", "p")
+    with pytest.raises(PosetError, match="unknown element 'zz'"):
+        p.n_covers("zz")
 
 
 def test_parse_comments_and_autolabels():

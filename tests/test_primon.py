@@ -334,6 +334,19 @@ def test_order_ideal_examples():
     assert m.gen("a") in ia and m.gen("p") not in ia
 
 
+def test_order_ideals_take_only_elements_of_their_monoid():
+    m1 = from_poset(make_poset(["a", "b"], [("a", "b")]))
+    m2 = from_poset(make_poset(["a", "c"], []))
+    with pytest.raises(MonoidError, match="element of another monoid"):
+        m2.gen("a") in OrderIdeal(m1, {"a"})
+    with pytest.raises(MonoidError, match="element of another monoid"):
+        order_ideal(m1, m2.gen("a"))
+    # a twin monoid has the same prime names, so its elements are accepted
+    twin = from_poset(make_poset(["a", "b"], [("a", "b")]))
+    assert twin.gen("a") in OrderIdeal(m1, {"a"})
+    assert order_ideal(m1, twin.gen("b")).prime_set == {"a", "b"}
+
+
 def test_ideal_lattice_correspondence():
     # lower sets of primes correspond to order-ideals; unions and
     # intersections match sums and intersections of ideals
@@ -859,8 +872,8 @@ def test_oracle_classes_match_wordwise_on_graph_monoids(r):
     cases = 0
     for quiver in graph_variants(r):
         for bound in range(3, 5):
-            pres, _ = graph_monoid(quiver, bound)
-            assert_classes_match_wordwise(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in pres.relations], bound)
+            relations, _ = graph_monoid(quiver, bound)
+            assert_classes_match_wordwise(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in relations], bound)
             cases += 1
     assert cases == 2 * (1 + 3 * r)
 

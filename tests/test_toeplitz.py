@@ -510,6 +510,21 @@ def test_invert_sigma_valuation_gate():
     assert act_sigma(SPACE, f, invert_sigma(SPACE, f, v, 6)) == v
 
 
+def test_valuation_verdicts_and_errors():
+    # the largest power of a cover variable that divides the polynomial
+    assert sigma_poly(FIG2, "p", {(): 1, ("a", "b"): 1}).valuation(FIG2) == 0
+    assert sigma_poly(FIG2, "p", {("a",): 1}).valuation(FIG2) == 1
+    assert sigma_poly(FIG2, "p", {("a", "a", "b", "b"): 1, ("a", "a", "b", "b", "b"): 2}).valuation(FIG2) == 2
+    # a vertex without covers has nothing to divide by
+    assert sigma_poly(FIG2, "a", {(): 2}).valuation(FIG2) == 0
+    assert SigmaPoly("a", Poly()).valuation(FIG2) == 0
+    with pytest.raises(AlgebraError, match="zero polynomial has no valuation"):
+        SigmaPoly("p", Poly()).valuation(FIG2)
+    negative = Poly({((("x", "a"), 2),): 1, ((("x", "b"), -1),): 1})
+    with pytest.raises(AlgebraError, match="negative cover exponent is not a polynomial"):
+        SigmaPoly("p", negative).valuation(FIG2)
+
+
 def test_invert_sigma_minimal_vertex_scalar():
     f = sigma_poly(FIG2, "a", {(): 2})
     v = leaf_vector(SPACE, (("a", 0),))
