@@ -41,17 +41,13 @@ from . import toeplitz as tp
 SCHEMA = 1
 
 
-def _hash_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _report(command, inputs, payload, ok=True):
     return {
         "schema": SCHEMA,
         "tool": "posetalg",
         "version": __version__,
         "command": command,
-        "inputs": {str(p): _hash_file(p) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
         "ok": bool(ok),
         **payload,
     }
@@ -230,12 +226,6 @@ def cmd_export(args):
     return 0
 
 
-def _load_config(path):
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text())
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="posetalg",
@@ -244,24 +234,25 @@ def main(argv=None):
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, *flags, target="poset", out_required=False):
+    def command(name, handler, summary, *flags, target="poset", out_required=False):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument(target, help=f"{target} DSL file")
         for flag in flags:
             p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", required=out_required, default=None)
         return p
 
-    command("info", "monoid and lattice summary")
-    command("pipeline", "unfold, reconstruct, assemble, compare")
-    command("verify-algebra", "relation suite and oracle equivalence", "depth", "seed", "samples")
-    command("graphmon", "graph monoid of a quiver", "bound", target="quiver")
-    pexp = command("export", "DOT export", out_required=True)
+    command("info", cmd_info, "monoid and lattice summary")
+    command("pipeline", cmd_pipeline, "unfold, reconstruct, assemble, compare")
+    command("verify-algebra", cmd_verify_algebra, "relation suite and oracle equivalence", "depth", "seed", "samples")
+    command("graphmon", cmd_graphmon, "graph monoid of a quiver", "bound", target="quiver")
+    pexp = command("export", cmd_export, "DOT export", out_required=True)
     pexp.add_argument("--what", choices=["hasse", "quiver", "stages"], default="hasse")
 
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = json.loads(Path(args.config).read_text()) if args.config else {}
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"--config {args.config}: {exc}")
     defaults = {"bound": 4, "depth": 6, "seed": 0, "samples": 50}
@@ -274,15 +265,8 @@ def main(argv=None):
         if key in vars(args) and getattr(args, key) is None:
             setattr(args, key, config.get(key, fallback))
 
-    handlers = {
-        "info": cmd_info,
-        "pipeline": cmd_pipeline,
-        "verify-algebra": cmd_verify_algebra,
-        "graphmon": cmd_graphmon,
-        "export": cmd_export,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (OSError, PosetError, MonoidError) as exc:
         parser.error(str(exc))
 

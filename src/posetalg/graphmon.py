@@ -10,9 +10,7 @@ comparing bounded congruence closures.
 
 from __future__ import annotations
 
-import itertools
-
-from .poset import PosetError, Quiver, _sections
+from .poset import PosetError, Quiver, _closed_sets, _reject_bare_string, _sections
 from .primon import CongruenceOracle, MonoidError, _bounded_words, _split_pair
 
 
@@ -43,8 +41,8 @@ def graph_monoid(quiver: Quiver, bound: int):
 def build_Er(r: int) -> Quiver:
     """r+1 vertices v0..vr; for 1 <= i <= r a loop a_i at v_i and an arrow
     b_i from v_i to v_{i-1}."""
-    if r < 0:
-        raise PosetError("negative chain length")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise PosetError(f"chain length {r!r} is not a non-negative int")
     vertices = tuple(f"v{i}" for i in range(r + 1))
     arrows = []
     for i in range(1, r + 1):
@@ -53,19 +51,29 @@ def build_Er(r: int) -> Quiver:
     return Quiver(vertices, tuple(arrows))
 
 
+def _vertex_subset(quiver, subset) -> frozenset:
+    """The subset as a frozenset; PosetError names its least non-vertex."""
+    _reject_bare_string(subset, "vertex subset", PosetError)
+    subset = frozenset(subset)
+    strays = subset.difference(quiver.vertices)
+    if strays:
+        raise PosetError(f"{min(strays, key=repr)!r} is not a vertex of the quiver")
+    return subset
+
+
 def is_hereditary(quiver, subset) -> bool:
     """True iff no arrow leaves the subset: closure under arrows is
     closure under paths."""
-    subset = set(subset)
+    subset = _vertex_subset(quiver, subset)
     return all(r in subset for _, s, r in quiver.arrows if s in subset)
 
 
 def is_saturated(quiver, subset) -> bool:
-    return saturate(quiver, subset) == frozenset(subset)
+    return saturate(quiver, subset) == _vertex_subset(quiver, subset)
 
 
 def saturate(quiver, subset) -> frozenset:
-    out = set(subset)
+    out = set(_vertex_subset(quiver, subset))
     changed = True
     while changed:
         changed = False
@@ -78,20 +86,25 @@ def saturate(quiver, subset) -> frozenset:
 
 
 def hereditary_saturated(quiver: Quiver):
-    """All hereditary saturated vertex subsets, by (size, sorted members)."""
-    out = []
-    for k in range(len(quiver.vertices) + 1):
-        for combo in itertools.combinations(quiver.vertices, k):
-            s = frozenset(combo)
-            if is_hereditary(quiver, s) and is_saturated(quiver, s):
-                out.append(s)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    """All hereditary saturated vertex subsets, by (size, sorted members).  A
+    vertex joins a saturation only when all its ranges are in, so saturating
+    what a subset reaches gives its least hereditary saturated superset."""
+
+    def close(subset):
+        reached, todo = set(subset), list(subset)
+        while todo:
+            for _, _, r in quiver.out_arrows(todo.pop()):
+                if r not in reached:
+                    reached.add(r)
+                    todo.append(r)
+        return saturate(quiver, reached)
+
+    return _closed_sets(quiver.vertices, close)
 
 
 def quotient_graph(quiver: Quiver, subset) -> Quiver:
     """Drop the subset's vertices and every arrow ranging inside it."""
-    subset = set(subset)
+    subset = _vertex_subset(quiver, subset)
     vertices = tuple(v for v in quiver.vertices if v not in subset)
     arrows = tuple(a for a in quiver.arrows if a[2] not in subset and a[1] not in subset)
     return Quiver(vertices, arrows)
@@ -100,7 +113,7 @@ def quotient_graph(quiver: Quiver, subset) -> Quiver:
 def restrict_graph(quiver: Quiver, subset) -> Quiver:
     """Keep the subset's vertices and every arrow leaving them (the subset
     must be hereditary so ranges stay inside)."""
-    subset = set(subset)
+    subset = _vertex_subset(quiver, subset)
     if not is_hereditary(quiver, subset):
         raise PosetError("restriction needs a hereditary subset")
     vertices = tuple(v for v in quiver.vertices if v in subset)

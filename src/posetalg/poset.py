@@ -12,7 +12,6 @@ function.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -296,15 +295,24 @@ class LowerSet:
         return tuple(sorted(self.members))
 
 
+def _closed_sets(items, close):
+    """Every set the closure operator ``close`` fixes, by (size, sorted members).
+    Each closed set but close(()) is the closure of a smaller one plus one item,
+    so the search never builds an unclosed set and its cost follows its output."""
+    start = frozenset(close(()))
+    found, todo = {start}, [start]
+    while todo:
+        s = todo.pop()
+        for t in {frozenset(close(s | {x})) for x in items if x not in s} - found:
+            found.add(t)
+            todo.append(t)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
 def lower_sets(poset: LabelledPoset) -> list[LowerSet]:
     """All lower sets, by (size, members); join is union, meet intersection."""
-    out = []
-    for k in range(len(poset.elements) + 1):
-        for combo in itertools.combinations(poset.elements, k):
-            s = set(combo)
-            if all(poset.strict[p] <= s for p in combo):
-                out.append(LowerSet(poset, s))
-    return out
+    closed = _closed_sets(poset.elements, lambda s: frozenset(s).union(*(poset.strict[p] for p in s)))
+    return [LowerSet(poset, s) for s in closed]
 
 
 def down_set(poset: LabelledPoset, p: str) -> LowerSet:

@@ -325,10 +325,16 @@ class SigmaPoly:
     poly: Poly
 
     def valuation(self, poset) -> int:
-        """The largest power of a cover variable dividing the polynomial."""
+        """The largest power of a cover variable dividing the polynomial;
+        AlgebraError names any variable that is neither a t nor the x of a
+        lower cover of the vertex."""
         covers = lower_covers(poset, self.vertex)
         if covers and self.poly.is_zero():
             raise AlgebraError("zero polynomial has no valuation")
+        allowed = {("x", q) for q in covers}
+        foreign = sorted((v for v in self.poly.variables() if v not in allowed and v[0] != "t"), key=repr)
+        if foreign:
+            raise AlgebraError(f"variables {foreign} are neither t nor the x of a lower cover of {self.vertex!r}")
         lows = [self.poly.degree_span(("x", q))[0] for q in covers]
         if min(lows, default=0) < 0:
             raise AlgebraError("negative cover exponent is not a polynomial")

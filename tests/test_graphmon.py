@@ -1,11 +1,13 @@
 import itertools
+import random
+import signal
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import PosetError, Quiver
+from posetalg.poset import PosetError, Quiver, fig2_poset, make_poset, quiver_T
 from posetalg.primon import CongruenceOracle, MonoidError
 from posetalg.graphmon import (
     build_Er,
@@ -100,6 +102,55 @@ def test_saturation_vacuous_for_sources():
     assert frozenset({"s"}) in set(hereditary_saturated(q))
 
 
+def hereditary_saturated_by_subsets(quiver):
+    """hereditary_saturated as it was before the closed-set search: every
+    vertex subset tested, then sorted, kept as the oracle."""
+    out = []
+    for k in range(len(quiver.vertices) + 1):
+        for combo in itertools.combinations(quiver.vertices, k):
+            s = frozenset(combo)
+            if is_hereditary(quiver, s) and is_saturated(quiver, s):
+                out.append(s)
+    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    return out
+
+
+def random_quiver(rng):
+    """Up to 7 vertices in shuffled order and up to 10 arrows, loops and
+    parallel arrows included."""
+    vertices = [f"w{i}" for i in range(rng.randint(1, 7))]
+    rng.shuffle(vertices)
+    ends = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 10))]
+    return Quiver(tuple(vertices), tuple((f"e{i}", s, r) for i, (s, r) in enumerate(ends)))
+
+
+@pytest.mark.hashseed
+def test_hereditary_saturated_matches_the_subset_scan():
+    rng = random.Random(23)
+    fig2 = quiver_T(fig2_poset())
+    diamond = quiver_T(make_poset(["b", "q1", "q2", "p"], [("b", "q1"), ("b", "q2"), ("q1", "p"), ("q2", "p")]))
+    quivers = [fig2, diamond] + [build_Er(r) for r in range(8)] + [random_quiver(rng) for _ in range(300)]
+    assert sum(any(s == r for _, s, r in q.arrows) for q in quivers[10:]) > 100
+    assert sum(len(q.arrows) > len({a[1:] for a in q.arrows}) for q in quivers[10:]) > 100
+    for quiver in quivers:
+        assert hereditary_saturated(quiver) == hereditary_saturated_by_subsets(quiver)
+
+
+def test_hereditary_saturated_cost_follows_the_output():
+    # E_30 has 32 hereditary saturated sets; the subset scan tests 2^31 subsets
+    def too_slow(signum, frame):
+        raise TimeoutError("hereditary_saturated of E_30 took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        hs = hereditary_saturated(build_Er(30))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert hs == [frozenset(f"v{i}" for i in range(k)) for k in range(32)]
+
+
 def test_quotient_and_restrict_graph():
     e3 = build_Er(3)
     q = quotient_graph(e3, {"v0", "v1", "v2"})
@@ -111,6 +162,26 @@ def test_quotient_and_restrict_graph():
     assert detect_Er(r) == 1
     with pytest.raises(PosetError):
         restrict_graph(e3, {"v3"})  # not hereditary
+
+
+@pytest.mark.parametrize("function", [saturate, is_hereditary, is_saturated, quotient_graph, restrict_graph])
+def test_vertex_subset_functions_reject_what_is_not_a_vertex_subset(function):
+    q = build_Er(2)
+    with pytest.raises(PosetError, match="'v0' is a bare string"):
+        function(q, "v0")
+    with pytest.raises(PosetError, match="'zz' is not a vertex of the quiver"):
+        function(q, {"zz"})
+    with pytest.raises(PosetError, match="'a' is not a vertex of the quiver"):
+        function(q, ["v1", "zz", "a"])
+
+
+@pytest.mark.parametrize("r", [True, False, 2.5, "3", None])
+def test_build_Er_takes_only_a_non_negative_int(r):
+    with pytest.raises(PosetError, match="is not a non-negative int"):
+        build_Er(r)
+    if r is True:
+        with pytest.raises(PosetError, match="chain length True is not a non-negative int"):
+            check_Er_equals_chain(r, 4)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 3])

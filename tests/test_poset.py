@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,54 @@ def test_lower_sets_lattice_closure():
         for s1, s2 in itertools.combinations(sets, 2):
             assert s1.union(s2).members in as_frozen
             assert s1.intersection(s2).members in as_frozen
+
+
+def lower_sets_by_subsets(poset):
+    """lower_sets as it was before the closed-set search: every subset of
+    the elements tested for down-closure, kept as the oracle."""
+    out = []
+    for k in range(len(poset.elements) + 1):
+        for combo in itertools.combinations(poset.elements, k):
+            s = set(combo)
+            if all(poset.strict[p] <= s for p in combo):
+                out.append(frozenset(s))
+    return out
+
+
+def layered(layers, width=3):
+    """Layers of ``width`` elements, each covered by every element of the
+    layer above."""
+    rows = [[f"l{i}_{j}" for j in range(width)] for i in range(layers)]
+    covers = [(q, p) for low, high in zip(rows, rows[1:]) for q in low for p in high]
+    return make_poset([x for row in rows for x in row], covers)
+
+
+@pytest.mark.hashseed
+def test_lower_sets_match_the_subset_scan():
+    posets = [p for n in range(7) for p in enumerate_posets(n)] + [fig2_poset(), diamond(), layered(4)]
+    assert len(posets) == 406 + 3
+    for poset in posets:
+        got = lower_sets(poset)
+        assert all(ls.poset == poset for ls in got)
+        assert [ls.members for ls in got] == lower_sets_by_subsets(poset)
+
+
+def test_lower_sets_cost_follows_the_output():
+    # 30 elements and 71 lower sets; the subset scan tests 2^30 subsets
+    def too_slow(signum, frame):
+        raise TimeoutError("lower_sets of the 10-layer poset took over 10 s")
+
+    poset = layered(10)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        sets = lower_sets(poset)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(sets) == 1 + 10 * (2**3 - 1)
+    assert [len(ls.members) for ls in sets[:4]] == [0, 1, 1, 1]
+    assert sets[-1].members == frozenset(poset.elements)
 
 
 def test_down_set_and_boundary():

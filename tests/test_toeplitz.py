@@ -525,6 +525,25 @@ def test_valuation_verdicts_and_errors():
         SigmaPoly("p", negative).valuation(FIG2)
 
 
+def test_valuation_rejects_a_variable_foreign_to_the_vertex():
+    # 'zz' is no element and 'p' no cover of 'a', so neither x may appear
+    foreign = [
+        (sigma_poly(FIG2, "p", {(): 1, ("zz",): 1}), (("p", 1), ("a", 0)), "('x', 'zz')", "'p'"),
+        (sigma_poly(FIG2, "a", {(): 1, ("p",): 1}), (("a", 0),), "('x', 'p')", "'a'"),
+        (SigmaPoly("p", Poly({(): 1, ((("z", "p", 1), 1),): 1})), (("p", 1), ("a", 0)), "('z', 'p', 1)", "'p'"),
+    ]
+    for f, leaf, var, vertex in foreign:
+        message = rf"variables \[{re.escape(var)}\] are neither t nor the x of a lower cover of {vertex}"
+        with pytest.raises(AlgebraError, match=message):
+            f.valuation(FIG2)
+        with pytest.raises(AlgebraError, match=message):
+            invert_sigma(SPACE, f, leaf_vector(SPACE, leaf), 2)
+    # t variables and the vertex's own covers pass
+    t_and_covers = Poly({(): 1, ((("t", 1), 1), (("x", "a"), 1)): 1, ((("x", "b"), 2),): 1})
+    assert SigmaPoly("p", t_and_covers).valuation(FIG2) == 0
+    assert SigmaPoly("a", Poly({(): 1, ((("t", 2), -1),): 1})).valuation(FIG2) == 0
+
+
 def test_invert_sigma_minimal_vertex_scalar():
     f = sigma_poly(FIG2, "a", {(): 2})
     v = leaf_vector(SPACE, (("a", 0),))
