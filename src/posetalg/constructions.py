@@ -25,7 +25,6 @@ from .poset import (
     _descents,
     _reject_bare_string,
     compute_lower_covers,
-    height,
     lower_covers,
 )
 from .primon import (
@@ -318,18 +317,21 @@ def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
     whenever x is in z1, y is outside z1 and mu^-1(x) < y: both parts are
     down-closed, so once z1 and z2 are disjoint no z1 element lies above a z2
     element.  Label order ranks a cover by its old position, else by the old
-    position of the cover it replaced.  Returns (new poset, new psi).
+    position of the cover it replaced.  A survivor whose down-set misses z2
+    keeps its down-set and labels as they are: mu fixes that down-set, whose
+    elements keep theirs too.  Returns (new poset, new psi).
     """
-    survivors = [e for e in poset.elements if mu[e] == e]
-    strict = {p: frozenset(mu[q] for q in poset.strict[p]) for p in survivors}
-    labels = {}
-    for p in survivors:
-        covers = compute_lower_covers(strict, p)
-        if covers:
-            old = poset.labels[p]
-            rank = {mu[c]: i for i, c in enumerate(old)} | {c: i for i, c in enumerate(old)}
-            labels[p] = tuple(sorted(covers, key=lambda c: (rank.get(c, len(old)), c)))
-    return LabelledPoset._trusted(tuple(survivors), strict, labels), {e: psi[e] for e in survivors}
+    moved = {e for e in poset.elements if mu[e] != e}
+    survivors = tuple(e for e in poset.elements if e not in moved)
+    touched = {p for p in survivors if not moved.isdisjoint(poset.strict[p])}
+    strict = {p: poset.strict[p] for p in survivors}
+    strict.update((p, frozenset(mu[q] for q in strict[p])) for p in touched)
+    labels = {p: poset.labels[p] for p in survivors if p in poset.labels}
+    for p in touched:
+        old = labels[p]
+        rank = {mu[c]: i for i, c in enumerate(old)} | {c: i for i, c in enumerate(old)}
+        labels[p] = tuple(sorted(compute_lower_covers(strict, p), key=lambda c: (rank.get(c, len(old)), c)))
+    return LabelledPoset._trusted(survivors, strict, labels), {e: psi[e] for e in survivors}
 
 
 @dataclass
@@ -344,7 +346,13 @@ class Reconstruction:
         return [from_poset(s.poset) for s in self.stages]
 
     def stage_map(self, j: int, i: int) -> dict:
-        """The composite element map from stage i to stage j (i <= j)."""
+        """The composite element map from stage i to stage j; PosetError
+        unless both are int indices with 0 <= i <= j < len(stages)."""
+        for k in (i, j):
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise PosetError(f"stage index {k!r} is not an int")
+        if not 0 <= i <= j < len(self.stages):
+            raise PosetError(f"no stage map from {i} to {j} over {len(self.stages)} stages")
         out = {e: e for e in self.stages[i].poset.elements}
         for k in range(i, j):
             out = {e: self.step_maps[k][v] for e, v in out.items()}
@@ -387,13 +395,18 @@ def reconstruct_down(base: LabelledPoset, top: str) -> Reconstruction:
     """
     unf = build_F(base, top)
     poset, psi = unf.result.poset, dict(unf.result.psi)
-    r = height(base, top)
+    # The tree's depths serve every stage.  Stage i glues only under its
+    # depth-d elements, so z1 and z2 have depth >= d + 1; a gluing raises
+    # depths only on z1 and what lies below it, so an element of depth <= d
+    # keeps its tree depth through every later stage.  Each maximal chain of
+    # the down-set is a root-to-leaf path of the tree: r is its height.
+    depths = _depths(poset)
+    r = max(depths.values())
     stages = [MappedPoset(poset, dict(psi))]
     step_maps = []
     for i in range(max(r - 1, 0)):
         d = r - i - 2
         total_mu = {e: e for e in poset.elements}
-        depths = _depths(poset)
         for q in sorted(e for e in poset.elements if depths[e] == d):
             covers = lower_covers(poset, q)
             if len(covers) < 2:

@@ -602,13 +602,26 @@ def apw_graph_shape(m: PrimitiveMonoid) -> bool:
 
 def _bounded_words(k, bound):
     """All exponent vectors of length k and total degree <= bound, in
-    lexicographic order."""
+    lexicographic order.  The word steps as an odometer: its last place
+    counts up while the degree allows, else its last nonzero place falls
+    to 0 and the place before it counts up."""
     if k == 0:
         yield ()
         return
-    for head in range(bound + 1):
-        for rest in _bounded_words(k - 1, bound - head):
-            yield (head,) + rest
+    word, degree = [0] * k, 0
+    while degree <= bound:
+        yield tuple(word)
+        if degree < bound:
+            word[-1] += 1
+            degree += 1
+            continue
+        j = k - 1
+        while j and not word[j]:
+            j -= 1
+        if not j:
+            return
+        degree += 1 - word[j]
+        word[j], word[j - 1] = 0, word[j - 1] + 1
 
 
 class CongruenceOracle:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -13,8 +14,11 @@ from posetalg.poset import (
     LowerSet,
     PosetError,
     Quiver,
+    _depths,
+    compute_lower_covers,
     enumerate_posets,
     fig2_poset,
+    height,
     lower_covers,
     make_poset,
     maximal_chains,
@@ -35,6 +39,7 @@ from posetalg.primon import (
     presentation_of,
     quotient,
 )
+import posetalg.constructions as constructions
 from posetalg.constructions import (
     CrownedPushout,
     _glue_overlap,
@@ -545,6 +550,14 @@ def test_reconstruct_diamond():
             assert rec.stages[i].psi[e] == rec.stages[-1].psi[comp[e]]
 
 
+@pytest.mark.parametrize("j, i", [(0, 1), (-1, 0), (1, -2), (3, 0), (2, True), (2.0, 0), ("2", 0)])
+def test_stage_map_rejects_indices_it_cannot_map(j, i):
+    rec = reconstruct_down(diamond(), "p")
+    assert len(rec.stages) == 3
+    with pytest.raises(PosetError, match="stage"):
+        rec.stage_map(j, i)
+
+
 def test_reconstruct_stage_maps_compose():
     d = diamond()
     rec = reconstruct_down(d, "p")
@@ -714,3 +727,141 @@ def test_trusted_values_pass_the_public_constructors_on_layered_posets(base):
     with public_rebuilds() as built:
         _surgery_through(base)
     assert built["poset"] and built["pair"]
+
+
+def full_rebuild_merge(poset, psi, mu):
+    """The poset-level crowned pushout as it was before untouched survivors
+    kept their down-sets: every survivor's down-set, covers and labels are
+    rebuilt.  Kept as the reference."""
+    survivors = [e for e in poset.elements if mu[e] == e]
+    strict = {p: frozenset(mu[q] for q in poset.strict[p]) for p in survivors}
+    labels = {}
+    for p in survivors:
+        covers = compute_lower_covers(strict, p)
+        if covers:
+            old = poset.labels[p]
+            rank = {mu[c]: i for i, c in enumerate(old)} | {c: i for i, c in enumerate(old)}
+            labels[p] = tuple(sorted(covers, key=lambda c: (rank.get(c, len(old)), c)))
+    return LabelledPoset._trusted(tuple(survivors), strict, labels), {e: psi[e] for e in survivors}
+
+
+def seeded_layered_posets(count):
+    """Layers of width 3-4 with 12-20 elements in all, as the surgery
+    benchmark draws them: each element above the bottom layer covers one
+    or two of the layer below, in a random label order."""
+    rng = random.Random(104729)
+    out = []
+    while len(out) < count:
+        widths = [rng.randint(3, 4) for _ in range(rng.randint(3, 5))]
+        if not 12 <= sum(widths) <= 20:
+            continue
+        layers = [[f"v{i}_{j}" for j in range(w)] for i, w in enumerate(widths)]
+        covers = []
+        for lower, upper in zip(layers, layers[1:]):
+            for p in upper:
+                covers += [(q, p) for q in rng.sample(lower, rng.randint(1, 2))]
+        elements = [e for layer in layers for e in layer]
+        plain = make_poset(elements, covers)
+        labels = {p: tuple(rng.sample(qs, len(qs))) for p, qs in plain.labels.items()}
+        out.append(make_poset(elements, covers, labels))
+    return out
+
+
+def surgery_bases():
+    return [base for n in range(7) for base in enumerate_posets(n)] + seeded_layered_posets(50)
+
+
+def _ordered(poset):
+    return poset.elements, list(poset.strict.items()), list(poset.labels.items())
+
+
+def surgery_record(base):
+    """Every reconstruct_down and assemble output of base, with the key
+    order of each map."""
+    out = []
+    for top in sorted(base.maximal()):
+        rec = reconstruct_down(base, top)
+        out.append([(_ordered(s.poset), list(s.psi.items())) for s in rec.stages])
+        out.append([list(step.items()) for step in rec.step_maps])
+    asm = assemble(base)
+    out.append((_ordered(asm.poset), list(asm.psi.items()), asm.gluings))
+    return out
+
+
+@contextlib.contextmanager
+def merges_that_keep_untouched_survivors():
+    """Wrap the merge so that every survivor whose down-set misses the
+    moved elements must come back with the very frozenset and label tuple
+    it had.  Yields the count of such survivors seen."""
+    kept = Counter()
+    merge = constructions._merge_lower_parts
+
+    def checked(poset, psi, mu):
+        new, new_psi = merge(poset, psi, mu)
+        moved = {e for e in poset.elements if mu[e] != e}
+        for p in new.elements:
+            if moved.isdisjoint(poset.strict[p]):
+                assert new.strict[p] is poset.strict[p] and new.labels.get(p) is poset.labels.get(p)
+                kept["survivors"] += 1
+        return new, new_psi
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_merge_lower_parts", checked)
+        yield kept
+
+
+def assert_merge_matches_full_rebuild(bases):
+    with merges_that_keep_untouched_survivors() as kept:
+        got = [surgery_record(base) for base in bases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "_merge_lower_parts", full_rebuild_merge)
+        assert got == [surgery_record(base) for base in bases]
+    return kept["survivors"]
+
+
+@pytest.mark.hashseed
+def test_merge_matches_the_full_rebuild():
+    assert assert_merge_matches_full_rebuild(surgery_bases()) > 0
+
+
+@pytest.mark.hashseed
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(layered_posets())
+def test_merge_matches_the_full_rebuild_on_layered_posets(base):
+    assert_merge_matches_full_rebuild([base])
+
+
+def assert_tree_depths_hold(base):
+    """At each gluing stage of depth d, the current poset's depths agree
+    with the tree's on every element of depth <= d, and the tree's
+    deepest element gives the height of the down-set; reconstruct_down
+    reads the depths once."""
+    calls = Counter()
+
+    def counted(poset):
+        calls["depths"] += 1
+        return _depths(poset)
+
+    for top in sorted(base.maximal()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "_depths", counted)
+            rec = reconstruct_down(base, top)
+        tree = _depths(rec.stages[0].poset)
+        r = max(tree.values())
+        assert r == height(base, top)
+        for i in range(max(r - 1, 0)):
+            d = r - i - 2
+            current = _depths(rec.stages[i].poset)
+            assert {e: k for e, k in current.items() if k <= d} == {e: tree[e] for e in current if tree[e] <= d}
+    assert calls["depths"] == len(base.maximal())
+
+
+def test_tree_depths_serve_every_stage():
+    for base in surgery_bases():
+        assert_tree_depths_hold(base)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(layered_posets())
+def test_tree_depths_serve_every_stage_on_layered_posets(base):
+    assert_tree_depths_hold(base)

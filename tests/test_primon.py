@@ -809,13 +809,38 @@ def test_class_of_is_the_least_word_of_its_class():
     assert orc.class_of({"p": 1, "a": 1}) == orc.class_of({"p": 1}) != orc.class_of({"a": 1})
 
 
+def recursive_bounded_words(k, bound):
+    """The bounded words as they were built before the odometer, one
+    generator frame per place, kept as the reference."""
+    if k == 0:
+        yield ()
+        return
+    for head in range(bound + 1):
+        for rest in recursive_bounded_words(k - 1, bound - head):
+            yield (head,) + rest
+
+
+def test_bounded_words_match_the_recursive_order():
+    for k in range(7):
+        for bound in range(-1, 6):
+            assert list(_bounded_words(k, bound)) == list(recursive_bounded_words(k, bound))
+
+
+def test_oracle_on_many_generators_needs_no_recursion():
+    # one frame per generator overflowed the interpreter stack here
+    gens = [f"g{i}" for i in range(1200)]
+    orc = CongruenceOracle(gens, [({"g0": 1}, {"g1199": 1})], 1)
+    assert orc.equal({"g0": 1}, {"g1199": 1}) and not orc.equal({"g0": 1}, {"g1": 1})
+    assert len(orc.classes()) == 1200
+
+
 def wordwise_classes(generators, relations, bound):
     """The classes of CongruenceOracle as it was built before its rewrites
     were listed per relation: every bounded word tested against every
     relation, kept as the reference."""
     index = {g: i for i, g in enumerate(generators)}
     rels = [(CongruenceOracle._vec(u, index), CongruenceOracle._vec(v, index)) for u, v in relations]
-    words = list(_bounded_words(len(generators), bound))
+    words = list(recursive_bounded_words(len(generators), bound))
     parent = {w: w for w in words}
 
     def find(w):
