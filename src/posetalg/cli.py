@@ -18,23 +18,17 @@ from pathlib import Path
 from . import __version__
 from .poset import (
     PosetError,
+    _chain_counts,
     lower_covers,
     lower_sets,
     is_forest,
-    maximal_chains,
     parse_poset,
     quiver_T,
     to_dot,
 )
 from .primon import MonoidError, apw_graph_shape, from_poset, monoid_iso, monoid_to_json
 from .constructions import assemble, reconstruct_down
-from .graphmon import (
-    check_Er_equals_chain,
-    detect_Er,
-    graph_monoid,
-    hereditary_saturated,
-    parse_quiver,
-)
+from .graphmon import _chain_split, _er_order, graph_monoid, hereditary_saturated, parse_quiver
 from .leavitt import _lemma26_exhaustive, generator, one
 from . import toeplitz as tp
 
@@ -66,7 +60,8 @@ def _emit(args, report):
 def cmd_info(args):
     poset = parse_poset(Path(args.poset).read_text())
     monoid = from_poset(poset)
-    chains = {p: len(maximal_chains(poset, p)) for p in poset.maximal()}
+    counts = _chain_counts(poset)
+    chains = {p: counts[p] for p in poset.maximal()}
     payload = {
         "monoid": monoid_to_json(monoid),
         "lower_set_count": len(lower_sets(poset)),
@@ -184,10 +179,11 @@ def cmd_graphmon(args):
                 "equal": oracle.equal({v: 1}, dict(rhs)),
             }
         )
-    r = detect_Er(quiver)
-    er_check = None
-    if r is not None:
-        er_check = check_Er_equals_chain(r, args.bound) is None
+    order = _er_order(quiver)  # the loop-chain check reads the oracle above
+    r = er_check = None
+    if order is not None:
+        r = len(order) - 1
+        er_check = _chain_split(oracle, order, args.bound) is None
     payload = {
         "vertices": list(quiver.vertices),
         "arrows": [list(a) for a in quiver.arrows],

@@ -127,9 +127,15 @@ def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
     (w1, w2), w1 first, that one closure joins and the other separates."""
     quiver = build_Er(r) if quiver is None else quiver
     _, graph_oracle = graph_monoid(quiver, bound)
+    return _chain_split(graph_oracle, [f"v{i}" for i in range(r + 1)], bound)
+
+
+def _chain_split(graph_oracle, gens_g, bound):
+    """check_Er_equals_chain on a graph oracle already built at ``bound``,
+    with gens_g the vertices that play v_0..v_r."""
+    r = len(gens_g) - 1
     chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
     chain_oracle = CongruenceOracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
-    gens_g = [f"v{i}" for i in range(r + 1)]
     gens_c = [f"p{i}" for i in range(r + 1)]
     words = list(_bounded_words(r + 1, bound))  # as many as chain_oracle, within its limit
     return _split_pair(
@@ -142,9 +148,15 @@ def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
 def detect_Er(quiver: Quiver):
     """The r with quiver isomorphic (as labelled data) to the loop-chain
     quiver, or None."""
+    order = _er_order(quiver)
+    return None if order is None else len(order) - 1
+
+
+def _er_order(quiver: Quiver):
+    """The vertices that play v_0..v_r when the quiver is isomorphic to the
+    loop-chain quiver, sink first, or None."""
     n = len(quiver.vertices)
-    r = n - 1
-    if r < 0 or len(quiver.arrows) != 2 * r:
+    if not n or len(quiver.arrows) != 2 * (n - 1):
         return None
     loops = {v: 0 for v in quiver.vertices}
     steps = {}
@@ -164,7 +176,7 @@ def detect_Er(quiver: Quiver):
         if len(prev) != 1 or loops[prev[0]] != 1:
             return None
         order.append(prev[0])
-    return r
+    return order
 
 
 def parse_quiver(text: str) -> Quiver:

@@ -367,6 +367,16 @@ def maximal_chains(poset: LabelledPoset, p: str) -> list[tuple[str, ...]]:
     return [path[::-1] for path in _descents(poset, p) if not poset.labels.get(path[-1])]
 
 
+def _chain_counts(poset: LabelledPoset) -> dict:
+    """The number of maximal chains of each element's down-set, in one pass
+    up the cover labels by ascending down-set size: 1 at a minimal element,
+    else the sum over its lower covers."""
+    out = {}
+    for q in sorted(poset.elements, key=lambda e: len(poset.strict[e])):
+        out[q] = sum(out[c] for c in poset.labels.get(q, ())) or 1
+    return out
+
+
 def height(poset: LabelledPoset, p: str) -> int:
     """Length of the longest chain below p (0 for minimal elements), in one
     pass up the cover labels of its down-set, by ascending down-set size."""

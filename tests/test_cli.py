@@ -1,17 +1,21 @@
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from posetalg import poset as poset_module
 from posetalg.cli import main
+from posetalg.primon import CongruenceOracle
 
 pytestmark = pytest.mark.hashseed
 
 FIG2_DSL = "elems p a b; covers a<p b<p; labels p:[a,b]\n"
 SINGLETON_DSL = "elems x\n"
 E1_DSL = "vertices v0 v1; arrows a1:v1->v1 b1:v1->v0\n"
+E3_DSL = "vertices v0 v1 v2 v3; arrows a1:v1->v1 b1:v1->v0 a2:v2->v2 b2:v2->v1 a3:v3->v3 b3:v3->v2\n"
 DIAMOND_DSL = "elems b q1 q2 p; covers b<q1 b<q2 q1<p q2<p\n"
 W_DSL = "elems b p1 p2; covers b<p1 b<p2\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +43,31 @@ def test_info_fig2(fig2_file, capsys):
     assert rep["apw_graph_shape"] is False
     assert rep["maximal_chains"] == {"p": 2}
     assert set(rep["inputs"]) == {str(fig2_file)}
+
+
+def test_info_counts_maximal_chains_without_listing_them(tmp_path, capsys, monkeypatch):
+    # 10 layers of width 3, each element covered by the whole layer above
+    rows = [[f"l{i}_{j}" for j in range(3)] for i in range(10)]
+    covers = [f"{q}<{p}" for low, high in zip(rows, rows[1:]) for q in low for p in high]
+    f = tmp_path / "layered.poset"
+    f.write_text(f"elems {' '.join(x for row in rows for x in row)}; covers {' '.join(covers)}\n")
+
+    def listed(*args):
+        raise AssertionError("info listed the descents")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("info on the 10-layer poset took over 10 s")
+
+    monkeypatch.setattr(poset_module, "_descents", listed)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code, rep = run_json(capsys, ["info", str(f)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert rep["maximal_chains"] == {top: 3**9 for top in rows[-1]}
 
 
 def test_info_singleton(tmp_path, capsys):
@@ -77,6 +106,30 @@ def test_graphmon_e1(tmp_path, capsys):
     assert code == 0
     assert rep["hereditary_saturated"] == [[], ["v0"], ["v0", "v1"]]
     assert rep["loop_chain_r"] == 1 and rep["loop_chain_check"] is True
+
+
+def test_graphmon_builds_each_oracle_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = CongruenceOracle.__init__
+
+    def counted(self, gens, *args):
+        built.append(tuple(gens))
+        init(self, gens, *args)
+
+    monkeypatch.setattr(CongruenceOracle, "__init__", counted)
+    f = tmp_path / "e3.quiver"
+    f.write_text(E3_DSL)
+    code, rep = run_json(capsys, ["graphmon", str(f)])
+    assert code == 0 and rep["loop_chain_r"] == 3 and rep["loop_chain_check"] is True
+    assert built == [("v0", "v1", "v2", "v3"), ("p0", "p1", "p2", "p3")]
+
+
+def test_graphmon_checks_a_renamed_loop_chain(tmp_path, capsys):
+    # v0..v3 as d, b, c, a: name order is not the chain's order
+    f = tmp_path / "renamed.quiver"
+    f.write_text(E3_DSL.replace("v0", "d").replace("v1", "b").replace("v2", "c").replace("v3", "a"))
+    code, rep = run_json(capsys, ["graphmon", str(f)])
+    assert code == 0 and rep["loop_chain_r"] == 3 and rep["loop_chain_check"] is True
 
 
 def test_export(fig2_file, tmp_path, capsys):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from posetalg.poset import PosetError, Quiver, fig2_poset, make_poset, quiver_T
 from posetalg.primon import CongruenceOracle, MonoidError
 from posetalg.graphmon import (
+    _chain_split,
+    _er_order,
     build_Er,
     check_Er_equals_chain,
     detect_Er,
@@ -263,6 +265,16 @@ def test_Er_check_reads_each_class_once(monkeypatch):
     assert words == 1001
     assert check_Er_equals_chain(9, 4) is None
     assert len(calls) <= 2 * words + 4
+
+
+def test_chain_split_reads_the_vertices_in_loop_chain_order():
+    names = {"v0": "d", "v1": "b", "v2": "c", "v3": "a"}
+    renamed = Quiver(tuple(sorted(names.values())), tuple((a, names[s], names[t]) for a, s, t in build_Er(3).arrows))
+    order = _er_order(renamed)
+    assert order == ["d", "b", "c", "a"]
+    _, oracle = graph_monoid(renamed, 4)
+    assert _chain_split(oracle, order, 4) is None
+    assert _chain_split(oracle, sorted(order), 4) is not None
 
 
 def test_detect_Er():

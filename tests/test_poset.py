@@ -12,6 +12,7 @@ from posetalg.poset import (
     LowerSet,
     PosetError,
     _above_masks,
+    _chain_counts,
     _automorphisms,
     _canonical_mask,
     _natural_relation,
@@ -301,6 +302,14 @@ def test_lower_sets_cost_follows_the_output():
     assert len(sets) == 1 + 10 * (2**3 - 1)
     assert [len(ls.members) for ls in sets[:4]] == [0, 1, 1, 1]
     assert sets[-1].members == frozenset(poset.elements)
+
+
+def test_chain_counts_match_the_listed_chains():
+    posets = [p for n in range(7) for p in enumerate_posets(n)]
+    assert len(posets) == 406
+    for poset in posets:
+        counts = _chain_counts(poset)
+        assert counts == {p: len(maximal_chains(poset, p)) for p in poset.elements}
 
 
 def test_down_set_and_boundary():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from posetalg.poset import PosetError, enumerate_posets, fig2_poset, lower_covers, make_poset
 from posetalg.ratfunc import Poly, RatFunc, t_poly
 from posetalg.leavitt import AlgebraError, AlgElement, TermKey, generator, one, parse_element
+from posetalg import toeplitz
 from posetalg.toeplitz import (
     RepError,
     RepVector,
@@ -290,6 +291,105 @@ def test_check_relation_samples_with_several_roots():
     bad = check_relation(SPACE, lhs, rhs, [a, a + p])
     assert bad[0] == a + p
     assert repr(bad) == repr(_full_loop(SPACE, lhs, rhs, [a, a + p]))
+
+
+def rootwise_check_relation(space, lhs, rhs, samples):
+    """check_relation one sample at a time: each sample meets the words
+    whose root is one of its paths' roots, and one that meets none is
+    skipped."""
+    act_expr(space, lhs, RepVector(space))
+    act_expr(space, rhs, RepVector(space))
+    rooted = [[(_word_root(word), (c, word)) for c, word in expr] for expr in (lhs, rhs)]
+    for v in samples:
+        if v.space is not space:
+            raise RepError("vector belongs to a different space (context mismatch)")
+        roots = {path[0][0] for path in v.coeffs}
+        kept_l, kept_r = ([t for r, t in side if r is None or r in roots] for side in rooted)
+        if not (kept_l or kept_r):
+            continue
+        left, right = act_expr(space, kept_l, v), act_expr(space, kept_r, v)
+        if left != right:
+            return (v, left, right)
+    return None
+
+
+@pytest.mark.hashseed
+def test_generic_check_matches_the_rootwise_loop():
+    # each relation, its rhs plus a t1 word, and its rhs scaled by 2
+    verdicts = {True: 0, False: 0}
+    for poset in _root_filter_posets():
+        space = build_space(poset)
+        samples = sample_vectors(space, 3)
+        for _, lhs, rhs in relation_suite(poset):
+            plus_t1 = rhs + [(Fraction(1), [("t", 1)])]
+            doubled = [(2 * c, word) for c, word in rhs]
+            for right in (rhs, plus_t1, doubled):
+                got = check_relation(space, lhs, right, samples)
+                assert repr(got) == repr(rootwise_check_relation(space, lhs, right, samples))
+                verdicts[got is None] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def test_generic_check_acts_once_per_root_set(monkeypatch):
+    calls = []
+    monkeypatch.setattr(toeplitz, "act", lambda *args: calls.append(args) or act(*args))
+    samples = sample_vectors(SPACE, 3)
+    rels = relation_suite(FIG2)
+    assert all(check_relation(SPACE, lhs, rhs, samples) is None for _, lhs, rhs in rels)
+    generic = len(calls)
+    calls.clear()
+    assert all(rootwise_check_relation(SPACE, lhs, rhs, samples) is None for _, lhs, rhs in rels)
+    assert 3 * generic < len(calls)
+
+
+def test_generic_check_falls_back_on_a_sample_holding_its_variable():
+    # with c_i = ("", i), c_0 x_1 - c_1 x_0 is zero once beta's substitution
+    # sorts its monomials, so the generic sum would hide both counterexamples
+    pa = (("p", 1), ("a", 0))
+    samples = [leaf_vector(SPACE, pa, Poly.var(("", 1))), leaf_vector(SPACE, pa, -Poly.var(("", 0)))]
+    lhs, rhs = [(Fraction(1), [("beta", "p", "a")])], [(Fraction(2), [("beta", "p", "a")])]
+    bad = check_relation(SPACE, lhs, rhs, samples)
+    assert bad is not None and bad[0] is samples[0]
+    assert repr(bad) == repr(rootwise_check_relation(SPACE, lhs, rhs, samples))
+    # ("", "x") sorts against t1 but not against ("", 0); "x" sorts against neither
+    a = (("a", 0),)
+    lhs, rhs = [(Fraction(1), [("t", 1)])], [(Fraction(2), [("t", 1)])]
+    for var, lhs, rhs in [
+        (("", "x"), lhs, rhs),
+        ("x", [(Fraction(1), [("e", "a")])], [(Fraction(2), [("e", "a")])]),
+    ]:
+        unsortable = [leaf_vector(SPACE, a), leaf_vector(SPACE, a, Poly.var(var))]
+        bad = check_relation(SPACE, lhs, rhs, unsortable)
+        assert bad is not None and bad[0] is unsortable[0]
+        assert repr(bad) == repr(rootwise_check_relation(SPACE, lhs, rhs, unsortable))
+
+
+def test_generic_check_falls_back_on_a_multi_term_denominator():
+    one_ = Fraction(1)
+    over_slot = RatFunc(Poly.const(1), Poly({(): 1, ((zvar("p", 1), 1),): 1}))
+    samples = [leaf_vector(SPACE, (("p", 1), ("a", 0)), over_slot)]
+    epq = [(one_, [("epq", "p", "a")])]
+    with pytest.raises(RepError, match="denominator depends on the polynomial slot"):
+        check_relation(SPACE, epq, epq, samples)
+    over_t = RatFunc(Poly.const(1), Poly({(): 1, ((("t", 1), 1),): 1}))
+    samples = [leaf_vector(SPACE, (("p", 1), ("a", 0)), over_t), leaf_vector(SPACE, (("a", 0),), over_t)]
+    lhs, rhs = [(one_, [("beta", "p", "a")])], [(one_, [("beta", "p", "a"), ("t", 1)])]
+    bad = check_relation(SPACE, lhs, rhs, samples)
+    assert bad is not None and bad[0] is samples[0]
+    assert repr(bad) == repr(rootwise_check_relation(SPACE, lhs, rhs, samples))
+
+
+def test_generic_check_keeps_a_counterexample_before_an_error():
+    one_ = Fraction(1)
+    path = (("p", 1), ("a", 0))
+    wrong = leaf_vector(SPACE, path)
+    negative = leaf_vector(SPACE, path, Poly.var(zvar("p", 1), -1))
+    lhs, rhs = [(one_, [("epq", "p", "a")])], [(Fraction(2), [("epq", "p", "a")])]
+    bad = check_relation(SPACE, lhs, rhs, [wrong, negative])
+    assert bad is not None and bad[0] is wrong
+    assert repr(bad) == repr(rootwise_check_relation(SPACE, lhs, rhs, [wrong, negative]))
+    with pytest.raises(RepError, match="negative power of the polynomial slot"):
+        check_relation(SPACE, lhs, rhs, [negative, wrong])
 
 
 # -- element action -------------------------------------------------------------
