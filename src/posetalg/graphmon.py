@@ -10,7 +10,7 @@ comparing bounded congruence closures.
 
 from __future__ import annotations
 
-from .poset import PosetError, Quiver, _closed_sets, _reject_bare_string, _sections
+from .poset import PosetError, Quiver, _check_ids, _closed_sets, _reject_bare_string, _sections
 from .primon import CongruenceOracle, MonoidError, _bounded_words, _split_pair
 
 
@@ -181,10 +181,14 @@ def _er_order(quiver: Quiver):
 
 def parse_quiver(text: str) -> Quiver:
     """Quiver DSL: ``vertices <id>+ ; arrows (<name>:)?<id> '->' <id> ...``
-    with ``#`` line comments."""
+    with ``#`` line comments.  A vertex id or arrow name that is a section
+    head or holds ``<``, ``:``, ``->``, ``[``, ``]`` or ``,`` raises
+    PosetError."""
     vertices, arrows = [], []
-    for head, rest in _sections(text, ("vertices", "arrows")):
+    heads = ("vertices", "arrows")
+    for head, rest in _sections(text, heads):
         if head == "vertices":
+            _check_ids(rest, heads)
             vertices = rest
         else:  # arrows
             for i, tok in enumerate(rest):
@@ -192,5 +196,6 @@ def parse_quiver(text: str) -> Quiver:
                     raise PosetError(f"bad arrow {tok!r}, expected s->r")
                 name, _, body = tok.rpartition(":")
                 s, _, t = body.partition("->")
+                _check_ids((name, s, t) if name else (s, t), heads)
                 arrows.append((name or f"e{i}", s, t))
     return Quiver(tuple(sorted(vertices)), tuple(arrows))

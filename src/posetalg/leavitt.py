@@ -430,8 +430,9 @@ def _lemma26_exhaustive(poset: LabelledPoset) -> bool:
                 for _ in range(abs(e)):
                     m = m * generator(poset, kind, p, q)
             for q in covers:
+                left = generator(poset, "betabar", p, q) * m  # the same product for every q2
                 for q2 in covers:
-                    res = generator(poset, "betabar", p, q) * m * generator(poset, "beta", p, q2)
+                    res = left * generator(poset, "beta", p, q2)
                     if q != q2:
                         if not res.is_zero():
                             return False

@@ -12,7 +12,7 @@ function.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -227,15 +227,29 @@ def _sections(text: str, heads):
         raise PosetError(f"missing {heads[0]} section")
 
 
+def _check_ids(ids, heads):
+    """Raise PosetError on an id that is a section head or holds one of the
+    DSL's marks: either means two sections ran together without a ``;``."""
+    for i in ids:
+        mark = next((m for m in ("<", ":", "->", "[", "]", ",") if m in i), None)
+        if i in heads or mark:
+            what = "is a section head" if i in heads else f"holds {mark!r}"
+            raise PosetError(f"id {i!r} {what}: is a ';' missing between sections?")
+
+
 def parse_poset(text: str) -> LabelledPoset:
     """Parse the poset DSL.
 
     ``elems <id>+ ; covers (<id> '<' <id>)* ; labels (<id> ':' '[' <id> (',' <id>)* ']')*``
-    Sections are semicolon-separated, ``#`` starts a line comment.
+    Sections are semicolon-separated, ``#`` starts a line comment.  An id
+    that is a section head or holds ``<``, ``:``, ``->``, ``[``, ``]`` or
+    ``,`` raises PosetError.
     """
     elements, covers, labels = [], [], {}
-    for head, rest in _sections(text, ("elems", "covers", "labels")):
+    heads = ("elems", "covers", "labels")
+    for head, rest in _sections(text, heads):
         if head == "elems":
+            _check_ids(rest, heads)
             if len(set(rest)) != len(rest):
                 raise PosetError("duplicate element ids")
             elements = rest
@@ -244,6 +258,7 @@ def parse_poset(text: str) -> LabelledPoset:
                 if "<" not in tok:
                     raise PosetError(f"bad cover {tok!r}, expected q<p")
                 q, _, p = tok.partition("<")
+                _check_ids((q, p), heads)
                 covers.append((q, p))
         else:  # labels
             for tok in rest:
@@ -258,6 +273,7 @@ def parse_poset(text: str) -> LabelledPoset:
                 ids = tuple(body[1:-1].split(",")) if len(body) > 2 else ()
                 if "" in ids:
                     raise PosetError(f"empty id in label entry {tok!r}")
+                _check_ids((p, *ids), heads)
                 labels[p] = ids
     return make_poset(elements, covers, labels or None)
 
@@ -494,18 +510,27 @@ def _relation_isos(elems1, rel1, elems2, rel2):
 
     Relations are sets of ordered pairs (self-pairs allowed).  A bijection
     keeps each element's signature (in-degree, out-degree, self-pair), which
-    prunes the search.
+    prunes the search.  One pass over each relation gives every pair end its
+    in- and out-neighbour sets; the signatures are their sizes, and a
+    candidate is tested by membership in them.  Nothing is copied.
     """
     elems1, elems2 = sorted(elems1), sorted(elems2)
     if len(elems1) != len(elems2) or len(rel1) != len(rel2):
         return
-    rel1, rel2 = set(rel1), set(rel2)
 
-    def signatures(elems, rel):
-        indeg, outdeg = Counter(b for _, b in rel), Counter(a for a, _ in rel)
-        return {e: (indeg[e], outdeg[e], (e, e) in rel) for e in elems}
+    def neighbours(rel):
+        ins, outs = defaultdict(set), defaultdict(set)
+        for a, b in rel:
+            outs[a].add(b)
+            ins[b].add(a)
+        return ins, outs
 
-    sig1, sig2 = signatures(elems1, rel1), signatures(elems2, rel2)
+    (in1, out1), (in2, out2) = neighbours(rel1), neighbours(rel2)
+
+    def signatures(elems, ins, outs):
+        return {e: (len(ins[e]), len(outs[e]), e in outs[e]) for e in elems}
+
+    sig1, sig2 = signatures(elems1, in1, out1), signatures(elems2, in2, out2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return
 
@@ -515,10 +540,10 @@ def _relation_isos(elems1, rel1, elems2, rel2):
     def ok(a, b):
         if sig1[a] != sig2[b]:
             return False
+        ia, oa, ib, ob = in1[a], out1[a], in2[b], out2[b]
         for c, d in assignment.items():
-            for x, y in (((a, c), (b, d)), ((c, a), (d, b))):
-                if (x in rel1) != (y in rel2):
-                    return False
+            if (c in oa) != (d in ob) or (c in ia) != (d in ib):
+                return False
         return True
 
     def search(i):

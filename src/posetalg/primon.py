@@ -179,27 +179,59 @@ class PrimitiveMonoid:
     MonElem and PhiTuple of the monoid holds its name tuple, so ``add`` and
     ``phi`` read the vector of an element whose names are equal and raise
     MonoidError on one of another prime set.
+
+    The constructor keeps only ``pair`` and ``primes``.  The order maps,
+    ``regular`` and the dense core are each built on first use and then
+    held as plain attributes, so a monoid that is only compared with
+    ``monoid_iso``, which reads the pair, builds none of them.
     """
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
         self.primes = pair.primes
-        above = {q: set() for q in pair.primes}
-        below = {q: set() for q in pair.primes}
-        for q, p in pair.rel:
+
+    @functools.cached_property
+    def strictly_above(self):
+        """strictly_above[q] = primes p != q absorbing q."""
+        above = {q: set() for q in self.primes}
+        for q, p in self.pair.rel:
             if q != p:
                 above[q].add(p)
+        return {q: frozenset(ps) for q, ps in above.items()}
+
+    @functools.cached_property
+    def strictly_below(self):
+        """strictly_below[p] = primes q != p that p absorbs."""
+        below = {p: set() for p in self.primes}
+        for q, p in self.pair.rel:
+            if q != p:
                 below[p].add(q)
-        # strictly_above[q] = primes p != q absorbing q; strictly_below[p]
-        # = primes q != p that p absorbs
-        self.strictly_above = {q: frozenset(ps) for q, ps in above.items()}
-        self.strictly_below = {p: frozenset(qs) for p, qs in below.items()}
-        self.regular = frozenset(q for q in pair.primes if (q, q) in pair.rel)
-        self._names = tuple(sorted(pair.primes))
-        self._bits = tuple(1 << i for i in range(len(self._names)))
-        self._index = {p: i for i, p in enumerate(self._names)}
-        self._absorbers = tuple(sum(1 << self._index[q] for q in self.strictly_above[p]) for p in self._names)
-        self._regular_mask = sum(1 << self._index[p] for p in self.regular)
+        return {p: frozenset(qs) for p, qs in below.items()}
+
+    @functools.cached_property
+    def regular(self):
+        return frozenset(q for q in self.primes if (q, q) in self.pair.rel)
+
+    @functools.cached_property
+    def _names(self):
+        return tuple(sorted(self.primes))
+
+    @functools.cached_property
+    def _bits(self):
+        return tuple(1 << i for i in range(len(self._names)))
+
+    @functools.cached_property
+    def _index(self):
+        return {p: i for i, p in enumerate(self._names)}
+
+    @functools.cached_property
+    def _absorbers(self):
+        index, above = self._index, self.strictly_above
+        return tuple(sum(1 << index[q] for q in above[p]) for p in self._names)
+
+    @functools.cached_property
+    def _regular_mask(self):
+        return sum(1 << self._index[p] for p in self.regular)
 
     def __repr__(self):
         return f"PrimitiveMonoid({len(self.primes)} primes)"
@@ -213,22 +245,20 @@ class PrimitiveMonoid:
         return p not in self.regular
 
     # -- the dense core ----------------------------------------------------
-
-    def _support(self, vec) -> int:
-        support = 0
-        for bit, c in zip(self._bits, vec):
-            if c:
-                support |= bit
-        return support
+    #
+    # The hot paths read each table once per call into a local: CPython
+    # does not specialize the read of an instance attribute that a class
+    # attribute (here the cached_property) shadows, so each read costs a
+    # full lookup.  The bits are distinct, so their sum is their union.
 
     def _reduced(self, vec) -> tuple:
         """Canonical form: absorbed coordinates to 0, regular ones to 1."""
-        support = self._support(vec)
-        regular = self._regular_mask
+        bits, absorbers, regular = self._bits, self._absorbers, self._regular_mask
+        support = sum(itertools.compress(bits, vec))
         return tuple(
             [
                 0 if not c or up & support else (1 if bit & regular else c)
-                for bit, up, c in zip(self._bits, self._absorbers, vec)
+                for bit, up, c in zip(bits, absorbers, vec)
             ]
         )
 
@@ -237,12 +267,13 @@ class PrimitiveMonoid:
 
     def _phi_vec(self, vec) -> tuple:
         """The counting maps of a vector, one per index."""
-        support = self._support(vec)
+        bits, absorbers = self._bits, self._absorbers
+        support = sum(itertools.compress(bits, vec))
         infinite = self._regular_mask & support
         return tuple(
             [
                 INF if up & support or bit & infinite else c
-                for bit, up, c in zip(self._bits, self._absorbers, vec)
+                for bit, up, c in zip(bits, absorbers, vec)
             ]
         )
 
@@ -252,7 +283,8 @@ class PrimitiveMonoid:
         """Canonical form: drop absorbed primes, clip regular coefficients.
         An integral count of another type is stored as its int, so an
         element has one rendering; a bool is not a count."""
-        vec = [0] * len(self._names)
+        names, index = self._names, self._index
+        vec = [0] * len(names)
         for p, n in word.items():
             self.check_prime(p)
             if type(n) is not int and not isinstance(n, bool) and not n % 1:
@@ -262,21 +294,20 @@ class PrimitiveMonoid:
             if type(n) is not int:
                 raise MonoidError(f"coefficient {n!r} of prime {p!r} is not an integer")
             if n > 0:
-                vec[self._index[p]] = n
-        return MonElem(self._names, self._reduced(vec))
+                vec[index[p]] = n
+        return MonElem(names, self._reduced(vec))
 
     def gen(self, p) -> MonElem:
         return self.reduce({p: 1})
 
     def add(self, x: MonElem, y: MonElem) -> MonElem:
-        error = "element of another monoid"
-        u, v = _aligned(self._names, x, error), _aligned(self._names, y, error)
-        return MonElem(self._names, self._add_vec(u, v))
+        names, error = self._names, "element of another monoid"
+        return MonElem(names, self._add_vec(_aligned(names, x, error), _aligned(names, y, error)))
 
     def phi(self, x: MonElem) -> PhiTuple:
         """The counting-map tuple of an element."""
-        vec = _aligned(self._names, x, "element of another monoid")
-        return PhiTuple(self._names, self._phi_vec(vec))
+        names = self._names
+        return PhiTuple(names, self._phi_vec(_aligned(names, x, "element of another monoid")))
 
     # -- enumeration -------------------------------------------------------
 
@@ -285,15 +316,16 @@ class PrimitiveMonoid:
         size and then coefficients; MonoidError unless max_size is a
         non-negative int, which checks every verifier's bound."""
         _check_bound(max_size)
-        out, n, regular = [], len(self._names), self._regular_mask
+        names, bits, absorbers, regular = self._names, self._bits, self._absorbers, self._regular_mask
+        out, n = [], len(names)
         for k in range(min(max_size, n) + 1):  # a support prime has coefficient >= 1
             for slots in itertools.combinations(range(n), k):
-                support = sum(self._bits[i] for i in slots)
-                if any(self._absorbers[i] & support for i in slots):
+                support = sum(bits[i] for i in slots)
+                if any(absorbers[i] & support for i in slots):
                     continue
                 top = max_size - k + 2  # 0 off the support: the product yields whole vectors
-                ranges = [range(1, 2 if b & regular else top) if b & support else (0,) for b in self._bits]
-                out += (MonElem(self._names, c) for c in itertools.product(*ranges) if sum(c) <= max_size)
+                ranges = [range(1, 2 if b & regular else top) if b & support else (0,) for b in bits]
+                out += (MonElem(names, c) for c in itertools.product(*ranges) if sum(c) <= max_size)
         out.sort(key=lambda e: (e.size(), e.coeffs))
         return out
 
@@ -720,7 +752,8 @@ def presentation_of(m: PrimitiveMonoid):
 
 
 def monoid_iso(m1: PrimitiveMonoid, m2: PrimitiveMonoid):
-    """Isomorphism as a prime bijection, or None; reduces to the pair search."""
+    """Isomorphism as a prime bijection, or None; reduces to the pair
+    search, which reads only the pairs, so neither monoid builds its tables."""
     return relation_iso(m1.pair.primes, m1.pair.rel, m2.pair.primes, m2.pair.rel)
 
 

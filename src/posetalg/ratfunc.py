@@ -53,9 +53,20 @@ def _poly(terms):
     return p
 
 
+def _canonical_mono(mono):
+    """A monomial with its variables sorted, a repeated variable's
+    exponents summed and a zero exponent dropped."""
+    exps = {}
+    for v, e in mono:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
 class Poly:
     """Canonical sparse polynomial: a read-only {monomial: nonzero int or
-    Fraction}."""
+    Fraction}, each monomial a tuple of (variable, nonzero exponent) pairs
+    sorted by variable.  The constructor puts each given monomial in this
+    form and sums the coefficients of monomials that become equal."""
 
     __slots__ = ("terms",)
 
@@ -63,9 +74,12 @@ class Poly:
         out = {}
         if terms:
             for mono, c in dict(terms).items():
+                # a lone variable with a nonzero exponent is canonical as given
+                if len(mono) > 1 or mono and not mono[0][1]:
+                    mono = _canonical_mono(mono)
                 c = _coerce(c)
-                if c:
-                    out[mono] = c
+                out[mono] = _coerce(out[mono] + c) if mono in out else c
+            out = {mono: c for mono, c in out.items() if c}
         self.terms = MappingProxyType(out)
 
     # -- constructors ------------------------------------------------------
@@ -79,9 +93,10 @@ class Poly:
 
     @classmethod
     def var(cls, v, exp=1, coeff=1):
+        c = _coerce(coeff)
         if exp == 0:
-            return cls.const(coeff)
-        return cls({((v, exp),): coeff})
+            return cls.const(c)
+        return _poly({((v, exp),): c} if c else {})
 
     # -- structure ---------------------------------------------------------
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poset import LabelledPoset, _descents, _require_cover, lower_covers
-from .ratfunc import Poly, RatFunc, mono_exponent, t_poly
+from .ratfunc import Poly, RatFunc, _poly, mono_exponent, t_poly
 from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
 
 
@@ -348,7 +348,7 @@ class SigmaPoly:
         for mono, c in self.poly.terms.items():
             powers = tuple(sorted((v[1], e) for v, e in mono if v[0] == "x"))
             key = TermKey((), self.vertex, powers, ())
-            scalar = Poly({tuple(kv for kv in mono if kv[0][0] != "x"): c})
+            scalar = _poly({tuple(kv for kv in mono if kv[0][0] != "x"): c})  # a canonical term
             terms[key] = terms.get(key, Poly()) + scalar
         return AlgElement(poset, terms)
 
@@ -533,7 +533,7 @@ def _agrees_generically(space, expr, kept, samples):
                     if not all(_fresh(var) for var, _ in mono):
                         return False
                     terms[ci + mono] = a
-        vec = RepVector._trusted(space, {path: RatFunc(Poly(terms)) for path, terms in generic.items()})
+        vec = RepVector._trusted(space, {path: RatFunc(_poly(terms)) for path, terms in generic.items()})
         try:
             if act_expr(space, kept_l, vec) != act_expr(space, kept_r, vec):
                 return False

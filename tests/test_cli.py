@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from posetalg import poset as poset_module
+from posetalg.graphmon import parse_quiver
+from posetalg.poset import Quiver, make_poset, parse_poset
 from posetalg.cli import main
 from posetalg.primon import CongruenceOracle
 
@@ -216,6 +218,19 @@ def test_reports_match_golden(tmp_path, monkeypatch, capsys):
     for name, argv in cases.items():
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+def test_golden_inputs_parse_as_before():
+    # the DSL inputs of the goldens, against the objects built directly
+    assert parse_poset(FIG2_DSL) == make_poset(["p", "a", "b"], [("a", "p"), ("b", "p")], {"p": ("a", "b")})
+    assert parse_poset(SINGLETON_DSL) == make_poset(["x"])
+    assert parse_poset(DIAMOND_DSL) == make_poset(
+        ["b", "q1", "q2", "p"], [("b", "q1"), ("b", "q2"), ("q1", "p"), ("q2", "p")]
+    )
+    assert parse_poset(W_DSL) == make_poset(["b", "p1", "p2"], [("b", "p1"), ("b", "p2")])
+    assert parse_quiver(E1_DSL) == Quiver(("v0", "v1"), (("a1", "v1", "v1"), ("b1", "v1", "v0")))
+    e3 = [(f"{k}{i}", f"v{i}", f"v{i - (k == 'b')}") for i in range(1, 4) for k in "ab"]
+    assert parse_quiver(E3_DSL) == Quiver(("v0", "v1", "v2", "v3"), tuple(e3))
 
 
 def test_export_requires_out(fig2_file, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import signal
 from math import comb
 
@@ -295,6 +296,24 @@ def test_parse_quiver():
         parse_quiver("vertices a b; arrows ab")
     with pytest.raises(PosetError):
         parse_quiver("vertices a; arrows a->zz")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices v0 v1\narrows a1:v1->v1 v1->v0", "id 'arrows' is a section head"),
+        ("vertices a b vertices", "id 'vertices' is a section head"),
+        ("vertices a b; arrows a->b->a", "id 'b->a' holds '->'"),
+        ("vertices a b; arrows x,y:a->b", "id 'x,y' holds ','"),
+        ("vertices a b; arrows [x]:a->b", "id '[x]' holds '['"),
+        ("vertices a b<c", "id 'b<c' holds '<'"),
+        ("vertices a b:c", "id 'b:c' holds ':'"),
+    ],
+)
+def test_parse_quiver_rejects_sections_run_together(text, message):
+    # without the check the first text parsed with a vertex 'a1:v1->v1'
+    with pytest.raises(PosetError, match=re.escape(message) + ".*';' missing"):
+        parse_quiver(text)
 
 
 def test_quiver_freezes_its_inputs():

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import LowerSet, fig2_poset, lower_covers, make_poset
+from posetalg.poset import LowerSet, enumerate_posets, fig2_poset, lower_covers, make_poset
+from posetalg import leavitt as leavitt_module
 from posetalg.ratfunc import Poly, t_poly
 from posetalg.leavitt import (
     AlgElement,
     AlgebraError,
     TermKey,
+    _lemma26_exhaustive,
     format_element,
     generator,
     grade,
@@ -553,3 +555,42 @@ def test_graded_json():
     assert blob["poset"] == ["a", "b", "p"]
     ends = {c["end"] for c in blob["components"]}
     assert ends == {"p", "a"}
+
+
+def lemma26_per_pair(poset):
+    """Lemma 2.6's check as it was, with betabar * m formed again for every
+    q2, kept as the oracle; it reads the module's ``generator`` when run."""
+    generator = leavitt_module.generator
+    for p in poset.elements:
+        covers = lower_covers(poset, p)
+        if not covers:
+            continue
+        for exps in itertools.product(range(-2, 3), repeat=len(covers)):
+            m = one(poset)
+            for q, e in zip(covers, exps):
+                kind = "alpha" if e > 0 else "alphabar"
+                for _ in range(abs(e)):
+                    m = m * generator(poset, kind, p, q)
+            for q in covers:
+                for q2 in covers:
+                    res = generator(poset, "betabar", p, q) * m * generator(poset, "beta", p, q2)
+                    if q != q2:
+                        if not res.is_zero():
+                            return False
+                    else:
+                        for key in res.terms:
+                            if key.left or key.right or key.powers or key.mid != q:
+                                return False
+    return True
+
+
+def test_lemma26_matches_the_per_pair_loop(monkeypatch):
+    star3 = make_poset(["t", "a", "b", "c"], [("a", "t"), ("b", "t"), ("c", "t")])
+    posets = [p for n in range(5) for p in enumerate_posets(n)] + [star3]
+    for poset in posets:
+        assert _lemma26_exhaustive(poset) == lemma26_per_pair(poset) is True
+    # with beta read as alpha the sandwiches fail, and both loops say so
+    real = leavitt_module.generator
+    monkeypatch.setattr(leavitt_module, "generator", lambda P, kind, *a: real(P, "alpha" if kind == "beta" else kind, *a))
+    for poset in [FIG2, diamond(), star3]:
+        assert _lemma26_exhaustive(poset) == lemma26_per_pair(poset) is False

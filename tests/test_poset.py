@@ -1,7 +1,9 @@
 import functools
 import itertools
+import random
 import re
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from posetalg.poset import (
     _canonical_mask,
     _natural_relation,
     _order_masks,
+    _relation_isos,
     boundary,
     depth,
     down_set,
@@ -35,7 +38,7 @@ from posetalg.poset import (
     to_dot,
 )
 from posetalg.constructions import build_F
-from posetalg.primon import PrimePair, PrimitiveMonoid, monoid_iso
+from posetalg.primon import PrimePair, PrimitiveMonoid, enumerate_prime_pairs, monoid_iso
 
 
 def diamond():
@@ -122,6 +125,25 @@ def test_cover_queries_name_what_is_wrong():
         p.label_index("a", "p")
     with pytest.raises(PosetError, match="unknown element 'zz'"):
         p.n_covers("zz")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elems p a b\ncovers a<p b<p\nlabels p:[a,b]", "id 'covers' is a section head"),
+        ("elems p a b labels", "id 'labels' is a section head"),
+        ("elems p a b; covers a<p<b", "id 'p<b' holds '<'"),
+        ("elems p a b; covers a<p b<p; labels p:[a,b:c]", "id 'b:c' holds ':'"),
+        ("elems p a b; covers a<p b<p; labels p:[a,b]]", "id 'b]' holds ']'"),
+        ("elems p a, b", "id 'a,' holds ','"),
+        ("elems a->b", "id 'a->b' holds '->'"),
+        ("elems a [b", "id '[b' holds '['"),
+    ],
+)
+def test_parse_rejects_sections_run_together(text, message):
+    # without the check the first text parsed as an 8-element antichain
+    with pytest.raises(PosetError, match=re.escape(message) + ".*';' missing"):
+        parse_poset(text)
 
 
 def test_parse_comments_and_autolabels():
@@ -574,3 +596,88 @@ def test_poset_dsl_round_trips(data):
     }
     poset = make_poset(rename.values(), covers, labels)
     assert parse_poset(_poset_dsl(poset)) == poset
+
+
+def counting_relation_isos(elems1, rel1, elems2, rel2):
+    """The search as it was before the neighbour sets, kept as the oracle:
+    both relations copied to sets, degrees counted with two Counters, and
+    each candidate tested by building its pair tuples."""
+    elems1, elems2 = sorted(elems1), sorted(elems2)
+    if len(elems1) != len(elems2) or len(rel1) != len(rel2):
+        return
+    rel1, rel2 = set(rel1), set(rel2)
+
+    def signatures(elems, rel):
+        indeg, outdeg = Counter(b for _, b in rel), Counter(a for a, _ in rel)
+        return {e: (indeg[e], outdeg[e], (e, e) in rel) for e in elems}
+
+    sig1, sig2 = signatures(elems1, rel1), signatures(elems2, rel2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return
+    assignment, used = {}, set()
+
+    def ok(a, b):
+        if sig1[a] != sig2[b]:
+            return False
+        for c, d in assignment.items():
+            for x, y in (((a, c), (b, d)), ((c, a), (d, b))):
+                if (x in rel1) != (y in rel2):
+                    return False
+        return True
+
+    def search(i):
+        if i == len(elems1):
+            yield dict(assignment)
+            return
+        a = elems1[i]
+        for b in elems2:
+            if b not in used and ok(a, b):
+                assignment[a] = b
+                used.add(b)
+                yield from search(i + 1)
+                del assignment[a]
+                used.discard(b)
+
+    yield from search(0)
+
+
+@pytest.mark.hashseed
+def test_relation_isos_match_the_counting_search_in_order():
+    # every poset with n <= 5 and every prime pair with <= 4 primes, against
+    # itself and a randomly renamed copy: the same bijections in the same
+    # order, whatever the hash seed makes of the sets' iteration order
+    rng = random.Random(26)
+    posets = [p for n in range(6) for p in enumerate_posets(n)]
+    cases = [(p.elements, {(q, x) for x in p.elements for q in p.strict[x]}) for p in posets]
+    cases += [(pair.primes, pair.rel) for pair in enumerate_prime_pairs(4)]
+    assert len(cases) == 88 + 234
+    listed = 0
+    for elems, rel in cases:
+        pool = rng.sample([f"{c}{i}" for c in "uvw" for i in range(5)], len(elems))
+        name = dict(zip(elems, pool))
+        renamed = frozenset((name[q], name[p]) for q, p in rel)
+        for other, other_rel in ((elems, rel), (pool, renamed)):
+            got = list(_relation_isos(elems, rel, other, other_rel))
+            assert got == list(counting_relation_isos(elems, rel, other, other_rel))
+            assert got  # the renaming is an isomorphism
+            listed += len(got)
+    assert listed > 1000
+
+
+def test_relation_isos_with_an_end_outside_the_elements_keep_their_verdict():
+    # a pair with an end outside the elements counts towards the degrees
+    # and the relation sizes, as it did in the counting search
+    chain2 = {("a", "b")}
+    cases = [
+        (("a", "b"), chain2 | {("a", "z")}, ("a", "b"), chain2 | {("a", "y")}),
+        (("a", "b"), chain2 | {("a", "z")}, ("a", "b"), chain2 | {("z", "a")}),
+        (("a", "b"), chain2 | {("z", "z")}, ("a", "b"), chain2 | {("y", "y")}),
+        (("a", "b"), chain2 | {("z", "z")}, ("a", "b"), chain2 | {("b", "b")}),
+        (("a", "b"), {("z", "y")}, ("c", "d"), {("x", "w")}),
+        (("a", "b"), {("a", "z")}, ("c", "d"), {("c", "w"), ("d", "w")}),
+        (("a",), {("a", "z"), ("y", "a")}, ("c",), {("c", "c"), ("w", "w")}),
+    ]
+    for case in cases:
+        assert list(_relation_isos(*case)) == list(counting_relation_isos(*case))
+    assert list(_relation_isos(*cases[0])) == [{"a": "a", "b": "b"}]
+    assert list(_relation_isos(*cases[1])) == []

@@ -1063,6 +1063,63 @@ def test_monoid_iso():
     assert monoid_iso(m1, PrimitiveMonoid(intro_mixed_pair())) is None
 
 
+TABLES = ("strictly_above", "strictly_below", "regular", "_names", "_bits", "_index", "_absorbers", "_regular_mask")
+
+
+def eager_tables(pair):
+    """The order maps and the dense core as the constructor once built them."""
+    above = {q: set() for q in pair.primes}
+    below = {q: set() for q in pair.primes}
+    for q, p in pair.rel:
+        if q != p:
+            above[q].add(p)
+            below[p].add(q)
+    names = tuple(sorted(pair.primes))
+    index = {p: i for i, p in enumerate(names)}
+    regular = frozenset(q for q in pair.primes if (q, q) in pair.rel)
+    return {
+        "strictly_above": {q: frozenset(ps) for q, ps in above.items()},
+        "strictly_below": {p: frozenset(qs) for p, qs in below.items()},
+        "regular": regular,
+        "_names": names,
+        "_bits": tuple(1 << i for i in range(len(names))),
+        "_index": index,
+        "_absorbers": tuple(sum(1 << index[q] for q in above[p]) for p in names),
+        "_regular_mask": sum(1 << index[p] for p in regular),
+    }
+
+
+def test_monoid_iso_builds_no_tables():
+    for n in range(5):
+        posets = enumerate_posets(n)
+        for p, q in zip(posets, posets[1:] + posets[:1]):
+            m1, m2 = from_poset(p), from_poset(q)
+            monoid_iso(m1, m2)
+            for m in (m1, m2):
+                assert set(vars(m)) == {"pair", "primes"}
+    m = PrimitiveMonoid(intro_mixed_pair())
+    assert monoid_iso(m, m) is not None and set(vars(m)) == {"pair", "primes"}
+
+
+def test_tables_built_late_give_the_arithmetic_of_a_fresh_monoid():
+    # one monoid reads its tables in reverse, after an isomorphism search;
+    # the other goes straight to arithmetic; both match the eager tables
+    for pair in enumerate_prime_pairs(3):
+        late, fresh = PrimitiveMonoid(pair), PrimitiveMonoid(pair)
+        assert monoid_iso(late, fresh) is not None
+        for name in reversed(TABLES):
+            getattr(late, name)
+        elems = fresh.elements(3)
+        assert late.elements(3) == elems
+        for x, y in itertools.product(elems, repeat=2):
+            assert late.add(x, y) == fresh.add(x, y)
+        assert [late.phi(x) for x in elems] == [fresh.phi(x) for x in elems]
+        assert {name: getattr(late, name) for name in TABLES} == eager_tables(pair)
+        assert {name: getattr(fresh, name) for name in TABLES} == eager_tables(pair)
+        # once built, a table is a plain attribute, read without a call
+        assert set(vars(late)) == set(vars(fresh)) == {"pair", "primes", *TABLES}
+
+
 def test_relation_iso_matches_permutation_search():
     # every pair with at most 3 primes against a relabelled copy of every
     # pair of its size; with 4 primes, against its own copy and the next

@@ -49,6 +49,24 @@ def test_poly_terms_read_only():
     assert Poly.const(1) == Poly({(): 1})
 
 
+def test_poly_constructor_puts_each_monomial_in_canonical_form():
+    a, b = ("a",), ("b",)
+    ab = Poly({((a, 1), (b, 1)): 1})
+    assert Poly({((b, 1), (a, 1)): 1}) == ab
+    assert list(Poly({((b, 1), (a, 1)): 1}).terms) == [((a, 1), (b, 1))]
+    assert (Poly({((b, 1), (a, 1)): 1}) - ab).is_zero()
+    assert Poly({((a, 0),): 3}) == Poly.const(3)
+    assert Poly({((a, 1), (b, 0), (a, 2)): 1}) == Poly.var(a, 3)
+    assert Poly({((a, 1), (a, -1)): 2}) == Poly.const(2)
+    # monomials that become equal add up, and a sum of zero drops out
+    assert Poly({((a, 1), (b, 1)): 1, ((b, 1), (a, 1)): Fraction(1, 2)}) == ab.scale(Fraction(3, 2))
+    assert Poly({((a, 1), (b, 1)): 1, ((b, 1), (a, 1)): -1}).is_zero()
+    assert Poly({((a, 1), (b, 1)): Fraction(1, 2), ((b, 1), (a, 1)): Fraction(1, 2)}).terms == {((a, 1), (b, 1)): 1}
+    assert type(Poly({((a, 0),): Fraction(3, 2), (): Fraction(1, 2)}).terms[()]) is int
+    assert RatFunc(Poly({((b, 1), (a, 1)): 1})) == RatFunc(ab)
+    assert Poly.var(a, 2, coeff=0).is_zero() and Poly.var(a, 2, coeff=2.0).terms == {((a, 2),): 2}
+
+
 def test_poly_pow_negative_rejected():
     with pytest.raises(ValueError):
         Poly.var(X) ** -1
