@@ -121,12 +121,11 @@ def restrict_graph(quiver: Quiver, subset) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def check_Er_equals_chain(r: int, bound: int, quiver: Quiver | None = None):
+def check_Er_equals_chain(r: int, bound: int):
     """Bounded congruence closures of the loop-chain quiver monoid and of
     the chain-poset monoid agree under v_i <-> p_i; None if ok, else words
     (w1, w2), w1 first, that one closure joins and the other separates."""
-    quiver = build_Er(r) if quiver is None else quiver
-    _, graph_oracle = graph_monoid(quiver, bound)
+    _, graph_oracle = graph_monoid(build_Er(r), bound)
     return _chain_split(graph_oracle, [f"v{i}" for i in range(r + 1)], bound)
 
 
@@ -143,13 +142,6 @@ def _chain_split(graph_oracle, gens_g, bound):
         lambda w: graph_oracle.class_of(dict(zip(gens_g, w))),
         lambda w: chain_oracle.class_of(dict(zip(gens_c, w))),
     )
-
-
-def detect_Er(quiver: Quiver):
-    """The r with quiver isomorphic (as labelled data) to the loop-chain
-    quiver, or None."""
-    order = _er_order(quiver)
-    return None if order is None else len(order) - 1
 
 
 def _er_order(quiver: Quiver):

@@ -122,7 +122,7 @@ class LabelledPoset:
         return q in self.strict[p]
 
     def leq(self, q, p):
-        return q == p or self.lt(q, p)
+        return self.lt(q, p) or q == p
 
     def n_covers(self, p):
         if p not in self.labels:
@@ -302,10 +302,15 @@ class LowerSet:
         return p in self.members
 
     def union(self, other):
-        return LowerSet(self.poset, self.members | other.members)
+        return LowerSet(self.poset, self.members | self._same_poset(other))
 
     def intersection(self, other):
-        return LowerSet(self.poset, self.members & other.members)
+        return LowerSet(self.poset, self.members & self._same_poset(other))
+
+    def _same_poset(self, other):
+        if not isinstance(other, LowerSet) or other.poset != self.poset:
+            raise PosetError("the operand is not a lower set of the same poset")
+        return other.members
 
     def sorted(self):
         return tuple(sorted(self.members))

@@ -357,7 +357,10 @@ class RatFunc:
 
     def __eq__(self, other):
         if type(other) is not RatFunc:
-            other = RatFunc.of(other)
+            try:
+                other = RatFunc.of(other)
+            except (TypeError, ValueError, ArithmeticError):  # not a number, polynomial or RatFunc
+                return NotImplemented
         c1, c2 = self.content, other.content
         if c1 != c2 and c1 != -c2:
             return False

@@ -451,47 +451,47 @@ def check_relation(space, lhs, rhs, samples=None):
     samples (by default ``sample_vectors(space)``); None if they agree,
     else the first offending sample as (sample, lhs image, rhs image).
 
-    A word is zero on every path outside its root's corner, so each sample
-    meets only the words whose root is one of its paths' roots, and a
-    sample that meets none is zero on both sides and skipped.  Both sides
-    act once on the zero vector first, so every generator and coefficient
-    passes act's checks even when every sample is skipped.
-
-    The samples with one root set meet the same words, and each side acts
-    once on their generic combination, the sum of c_i v_i with a fresh
-    indeterminate c_i per sample.  Every step of act is linear and leaves
-    alone the variables it does not name, so the image of the sum is the
-    sum of the c_i times each sample's image, and since the c_i are
-    algebraically independent over the coefficients, the two sides agree
-    on the sum exactly when they agree on every sample.  When some root
-    set's sums differ or its generic action raises, or the samples admit
-    no such indeterminate, the samples are checked one by one, so the
-    first counterexample and every error are those of the sample loop."""
+    Both sides act once on the zero vector first, so every generator and
+    coefficient passes act's checks even when every sample is skipped.  A
+    word is zero on every path outside its root's corner, so one pass keeps
+    the samples with a path at some word's root (every sample when some
+    word has no root), and the others, zero on both sides, are skipped.
+    Each side then acts once on the generic combination of the kept
+    samples, the sum of c_i v_i with a fresh indeterminate c_i per sample.
+    Every step of act is linear and leaves alone the variables it does not
+    name, so the image of the sum is the sum of the c_i times each sample's
+    image, and since the c_i are algebraically independent over the
+    coefficients, the two sides agree on the sum exactly when they agree
+    on every sample.  When the sums differ, the generic action raises or
+    the samples admit no such indeterminate, the kept samples are checked
+    one by one, so the first counterexample and every error are those of
+    the sample loop."""
     if samples is None:
         samples = sample_vectors(space)
-    zero = RepVector(space)
-    act_expr(space, lhs, zero)
-    act_expr(space, rhs, zero)
-    rooted = [[(_word_root(word), (c, word)) for c, word in expr] for expr in (lhs, rhs)]
-    by_roots = {}
-
-    def kept(roots):
-        sides = by_roots.get(roots)
-        if sides is None:
-            sides = by_roots[roots] = [[t for r, t in side if r is None or r in roots] for side in rooted]
-        return sides
-
-    if _agrees_generically(space, lhs + rhs, kept, samples):
+    for side in (lhs, rhs):
+        act_expr(space, side, RepVector(space))
+    roots = {_word_root(word) for _, word in lhs + rhs}
+    every = None in roots
+    kept = []
+    for v in samples:
+        if type(v) is not RepVector or v.space is not space:
+            kept = None  # the sample loop raises on it, or finds an earlier counterexample
+            break
+        if every:
+            kept.append(v)
+            continue
+        for path in v.coeffs:
+            if path[0][0] in roots:
+                kept.append(v)
+                break
+    if kept is not None and _agrees_generically(space, lhs, rhs, kept):
         return None
     for v in samples:
         _check_space(space, v)
-        kept_l, kept_r = kept(frozenset(path[0][0] for path in v.coeffs))
-        if not (kept_l or kept_r):
-            continue
-        left = act_expr(space, kept_l, v)
-        right = act_expr(space, kept_r, v)
-        if left != right:
-            return (v, left, right)
+        if every or any(path[0][0] in roots for path in v.coeffs):
+            left, right = act_expr(space, lhs, v), act_expr(space, rhs, v)
+            if left != right:
+                return (v, left, right)
     return None
 
 
@@ -502,44 +502,32 @@ def _fresh(var):
     return type(var) is tuple and var and type(var[0]) is str and var[0] != ""
 
 
-def _agrees_generically(space, expr, kept, samples):
-    """True when both sides agree on the generic combination of the samples
-    of every root set that meets a kept word; False when they may not, or
-    when the shortcut does not apply (a sample of another space, a sample
+def _agrees_generically(space, lhs, rhs, samples):
+    """True when both sides agree on the generic combination of the samples;
+    False when they may not, when the shortcut does not apply (a sample
     coefficient with a multi-term denominator, a variable that is not
-    fresh for the indeterminates) or its action raises."""
-    groups = {}
-    for v in samples:
-        if type(v) is not RepVector or v.space is not space:
-            return False
-        groups.setdefault(frozenset([path[0][0] for path in v.coeffs]), []).append(v)
-    scalars = [RatFunc.of(gen[1]) for _, word in expr for gen in word if gen[0] == "scalar"]
+    fresh for the indeterminates) or when its action raises."""
+    scalars = [RatFunc.of(gen[1]) for _, word in lhs + rhs for gen in word if gen[0] == "scalar"]
     if not all(_fresh(var) for c in scalars for var in c.variables()):
         return False
-    for roots, group in groups.items():
-        kept_l, kept_r = kept(roots)
-        if not (kept_l or kept_r):
-            continue
-        # sample i's terms, each led by the indeterminate ("", i); no two
-        # samples' terms meet, so each coefficient is one term dict
-        generic = {}
-        for i, v in enumerate(group):
-            ci = ((("", i), 1),)
-            for path, c in v.coeffs.items():
-                if len(c.den.terms) > 1:
-                    return False
-                terms = generic.setdefault(path, {})
-                for mono, a in c.num.terms.items():
-                    if not all(_fresh(var) for var, _ in mono):
-                        return False
-                    terms[ci + mono] = a
-        vec = RepVector._trusted(space, {path: RatFunc(_poly(terms)) for path, terms in generic.items()})
-        try:
-            if act_expr(space, kept_l, vec) != act_expr(space, kept_r, vec):
+    # sample i's terms, each led by the indeterminate ("", i); no two
+    # samples' terms meet, so each coefficient is one term dict
+    generic = {}
+    for i, v in enumerate(samples):
+        ci = ((("", i), 1),)
+        for path, c in v.coeffs.items():
+            if len(c.den.terms) > 1:
                 return False
-        except Exception:  # the sample loop raises the error, or finds an earlier counterexample
-            return False
-    return True
+            terms = generic.setdefault(path, {})
+            for mono, a in c.num.terms.items():
+                if not all(_fresh(var) for var, _ in mono):
+                    return False
+                terms[ci + mono] = a
+    vec = RepVector._trusted(space, {path: RatFunc(_poly(terms)) for path, terms in generic.items()})
+    try:
+        return act_expr(space, lhs, vec) == act_expr(space, rhs, vec)
+    except Exception:  # the sample loop raises the error, or finds an earlier counterexample
+        return False
 
 
 def relation_suite(poset: LabelledPoset):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import signal
 import subprocess
@@ -21,6 +22,7 @@ E3_DSL = "vertices v0 v1 v2 v3; arrows a1:v1->v1 b1:v1->v0 a2:v2->v2 b2:v2->v1 a
 DIAMOND_DSL = "elems b q1 q2 p; covers b<q1 b<q2 q1<p q2<p\n"
 W_DSL = "elems b p1 p2; covers b<p1 b<p2\n"
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = Path(__file__).parent / "inputs"
 
 
 @pytest.fixture
@@ -218,6 +220,32 @@ def test_reports_match_golden(tmp_path, monkeypatch, capsys):
     for name, argv in cases.items():
         assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+class TooSlow(Exception):
+    """Not an OSError, which main would report as a usage error."""
+
+
+def test_verify_algebra_report_on_a_layered_poset_is_pinned(tmp_path, monkeypatch, capsys):
+    # 4 layers of width 3, each element covered by the whole layer above:
+    # 12 elements, 810 relations over 1,038 samples
+    name = "layered_w3_4.poset"
+    (tmp_path / name).write_bytes((INPUTS / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+    def too_slow(signum, frame):
+        raise TooSlow("verify-algebra on the 4-layer poset took over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        code = main(["verify-algebra", name])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "1da90bc02f3afee69e4ef250143de2ecb199eb0ed871328235d231b9cb0ce1c6"
 
 
 def test_golden_inputs_parse_as_before():

@@ -15,7 +15,6 @@ from posetalg.graphmon import (
     _er_order,
     build_Er,
     check_Er_equals_chain,
-    detect_Er,
     graph_monoid,
     hereditary_saturated,
     is_hereditary,
@@ -162,7 +161,7 @@ def test_quotient_and_restrict_graph():
     same = quotient_graph(e3, set())
     assert same == e3
     r = restrict_graph(e3, {"v0", "v1"})
-    assert detect_Er(r) == 1
+    assert len(_er_order(r)) - 1 == 1
     with pytest.raises(PosetError):
         restrict_graph(e3, {"v3"})  # not hereditary
 
@@ -195,7 +194,7 @@ def test_Er_equals_chain(r):
 def test_Er_check_catches_corruption():
     e2 = build_Er(2)
     bad = Quiver(e2.vertices, tuple(a for a in e2.arrows if a[0] != "b2"))
-    assert check_Er_equals_chain(2, 4, quiver=bad) is not None
+    assert _chain_split(graph_monoid(bad, 4)[1], [f"v{i}" for i in range(3)], 4) is not None
 
 
 def er_oracles(r, bound, quiver):
@@ -242,7 +241,7 @@ def loop_chain_cases():
 def test_Er_check_gives_the_pairwise_verdicts():
     verdicts = set()
     for r, bound, quiver in loop_chain_cases():
-        split = check_Er_equals_chain(r, bound, quiver=quiver)
+        split = _chain_split(graph_monoid(quiver, bound)[1], [f"v{i}" for i in range(r + 1)], bound)
         assert (split is None) == (er_pairwise(r, bound, quiver) is None)
         if split is not None:
             w1, w2 = split
@@ -278,11 +277,11 @@ def test_chain_split_reads_the_vertices_in_loop_chain_order():
     assert _chain_split(oracle, sorted(order), 4) is not None
 
 
-def test_detect_Er():
+def test_er_order_detects_Er():
     for r in range(4):
-        assert detect_Er(build_Er(r)) == r
-    assert detect_Er(Quiver(("x", "y"), ())) is None
-    assert detect_Er(Quiver(("v0", "v1"), (("a", "v1", "v1"), ("b", "v1", "v0"), ("c", "v1", "v0")))) is None
+        assert len(_er_order(build_Er(r))) - 1 == r
+    assert _er_order(Quiver(("x", "y"), ())) is None
+    assert _er_order(Quiver(("v0", "v1"), (("a", "v1", "v1"), ("b", "v1", "v0"), ("c", "v1", "v0")))) is None
 
 
 def test_parse_quiver():

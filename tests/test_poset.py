@@ -223,6 +223,14 @@ def test_transitive_closure_of_redundant_input():
     assert p.lt("a", "c")
 
 
+def test_leq_checks_its_elements_as_lt_does():
+    poset = fig2_poset()
+    assert poset.leq("a", "a") and poset.leq("a", "p") and not poset.leq("p", "a")
+    for q, p in [("zz", "zz"), ("zz", "p"), ("a", "zz")]:
+        with pytest.raises(PosetError, match="unknown element 'zz'"):
+            poset.leq(q, p)
+
+
 # -- covers, chains, heights --------------------------------------------------
 
 
@@ -349,6 +357,21 @@ def test_lower_set_freezes_its_members():
     assert isinstance(lset.members, frozenset)
     assert lset == LowerSet(poset, frozenset({"a"}))
     assert hash(lset) == hash(LowerSet(poset, frozenset({"a"})))
+
+
+def test_lower_set_operations_take_only_a_lower_set_of_an_equal_poset():
+    fig2 = fig2_poset()
+    below_p = LowerSet(fig2, {"a", "b"})
+    # b is not below p there, so {b} is a lower set of it but not of Fig. 2's order
+    apart = LowerSet(make_poset(["a", "b", "p"], [("a", "p")]), {"b"})
+    unlabelled = LowerSet(make_poset(["a", "b", "p"], [("a", "p"), ("b", "p")], {"p": ("b", "a")}), {"b"})
+    for other in [apart, unlabelled, {"b"}, frozenset({"b"})]:
+        for operation in (below_p.union, below_p.intersection):
+            with pytest.raises(PosetError, match="not a lower set of the same poset"):
+                operation(other)
+    same = LowerSet(fig2_poset(), {"b"})
+    assert below_p.intersection(same) == same
+    assert below_p.union(same) == below_p
 
 
 def test_boundary_rejects_non_lower():

@@ -87,6 +87,13 @@ def test_ratfunc_equality_cross_multiplied():
     assert not (a == RatFunc.const(1))
 
 
+@pytest.mark.parametrize("other", ["x", None, "1/0", object(), [1], float("inf")])
+def test_ratfunc_equality_with_what_it_cannot_read_is_false(other):
+    assert not RatFunc.const(1) == other
+    assert RatFunc.const(1) != other
+    assert not other == RatFunc.const(1)
+
+
 def test_ratfunc_arithmetic():
     f = RatFunc(Poly.const(1), Poly.const(1) - Poly.var(X))
     g = RatFunc(Poly.const(1), Poly.const(1) + Poly.var(X))

@@ -342,6 +342,48 @@ def test_generic_check_acts_once_per_root_set(monkeypatch):
     assert 3 * generic < len(calls)
 
 
+@pytest.mark.hashseed
+def test_generic_check_returns_a_counterexample_before_a_foreign_sample():
+    one_ = Fraction(1)
+    lhs, rhs = [(one_, [("alpha", "p", "a")])], [(one_, [("alpha", "p", "b")])]
+    samples = sample_vectors(SPACE, 1) + [leaf_vector(build_space(chain(1)), (("c1", 1), ("c0", 0)))]
+    bad = check_relation(SPACE, lhs, rhs, samples)
+    assert bad is not None and bad[0].space is SPACE
+    assert repr(bad) == repr(rootwise_check_relation(SPACE, lhs, rhs, samples))
+
+
+@pytest.mark.hashseed
+def test_generic_check_raises_on_a_foreign_sample_no_word_meets():
+    one_ = Fraction(1)
+    lhs, rhs = [(one_, [("alphabar", "p", "a"), ("alpha", "p", "a")])], [(one_, [("e", "p")])]
+    good = sample_vectors(SPACE, 1)
+    # a chain's leaf, rooted where no word is, and a leaf of an equal but other space
+    outsiders = [leaf_vector(build_space(chain(1)), (("c1", 1), ("c0", 0))), leaf_vector(build_space(FIG2), (("a", 0),))]
+    for foreign in outsiders:
+        assert check_relation(SPACE, lhs, rhs, good) is None
+        with pytest.raises(RepError, match="different space"):
+            check_relation(SPACE, lhs, rhs, good + [foreign])
+
+
+@pytest.mark.hashseed
+def test_generic_check_acts_once_per_side_with_a_root_free_word(monkeypatch):
+    samples = sample_vectors(SPACE, 3)
+    generic = []
+
+    def recorded(space, expr, vec):
+        if not vec.is_zero() and all(vec is not v for v in samples):
+            generic.append(expr)
+        return act_expr(space, expr, vec)
+
+    monkeypatch.setattr(toeplitz, "act_expr", recorded)
+    t1 = [(Fraction(1), [("t", 1)])]
+    for _, lhs, rhs in relation_suite(FIG2):
+        lhs, rhs = lhs + t1, rhs + t1
+        generic.clear()
+        assert check_relation(SPACE, lhs, rhs, samples) is None
+        assert len(generic) == 2 and generic[0] is lhs and generic[1] is rhs
+
+
 def test_generic_check_falls_back_on_a_sample_holding_its_variable():
     # with c_i = ("", i), c_0 x_1 - c_1 x_0 is zero once beta's substitution
     # sorts its monomials, so the generic sum would hide both counterexamples
