@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 from .poset import (
     LabelledPoset,
+    LowerSet,
     PosetError,
     _depths,
     _descents,
-    _reject_bare_string,
+    _require_count,
     compute_lower_covers,
     lower_covers,
 )
@@ -297,13 +298,7 @@ def _reject_reserved(base, chars):
 
 def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
     """Restriction of a poset to a lower subset (covers and labels persist)."""
-    _reject_bare_string(members, "members", PosetError)
-    members = set(members)
-    for p in members:
-        base.check(p)
-        if not base.strict[p] <= members:
-            raise PosetError("sub_poset needs a lower subset")
-    elements = tuple(sorted(members))
+    elements = LowerSet(base, members).sorted()
     labels = {p: base.labels[p] for p in elements if p in base.labels}
     return LabelledPoset._trusted(elements, {p: base.strict[p] for p in elements}, labels)
 
@@ -349,9 +344,8 @@ class Reconstruction:
         """The composite element map from stage i to stage j; PosetError
         unless both are int indices with 0 <= i <= j < len(stages)."""
         for k in (i, j):
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise PosetError(f"stage index {k!r} is not an int")
-        if not 0 <= i <= j < len(self.stages):
+            _require_count(k, "stage index", PosetError)
+        if not i <= j < len(self.stages):
             raise PosetError(f"no stage map from {i} to {j} over {len(self.stages)} stages")
         out = {e: e for e in self.stages[i].poset.elements}
         for k in range(i, j):

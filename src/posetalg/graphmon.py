@@ -10,7 +10,7 @@ comparing bounded congruence closures.
 
 from __future__ import annotations
 
-from .poset import PosetError, Quiver, _check_ids, _closed_sets, _reject_bare_string, _sections
+from .poset import PosetError, Quiver, _check_ids, _closed_sets, _reject_bare_string, _require_count, _sections
 from .primon import CongruenceOracle, MonoidError, _bounded_words, _split_pair
 
 
@@ -41,8 +41,7 @@ def graph_monoid(quiver: Quiver, bound: int):
 def build_Er(r: int) -> Quiver:
     """r+1 vertices v0..vr; for 1 <= i <= r a loop a_i at v_i and an arrow
     b_i from v_i to v_{i-1}."""
-    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise PosetError(f"chain length {r!r} is not a non-negative int")
+    _require_count(r, "chain length", PosetError)
     vertices = tuple(f"v{i}" for i in range(r + 1))
     arrows = []
     for i in range(1, r + 1):

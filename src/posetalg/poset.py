@@ -28,6 +28,13 @@ def _reject_bare_string(names, what, error):
         raise error(f"{what} {names!r} is a bare string, not a collection of names")
 
 
+def _require_count(value, what, error):
+    """Raise the given error type unless value is a non-negative int; a
+    bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise error(f"{what} {value!r} is not a non-negative int")
+
+
 def transitive_closure(elements, pairs):
     """Closure of a strict relation; raises PosetError on a cycle."""
     below = {e: set() for e in elements}

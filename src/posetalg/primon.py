@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from math import comb
 
 from .poset import LabelledPoset, compute_lower_covers, relation_iso
-from .poset import _automorphisms, _natural_relation, _order_masks, _reject_bare_string
+from .poset import _automorphisms, _natural_relation, _order_masks, _reject_bare_string, _require_count
 
 INF = float("inf")
 ORACLE_WORD_LIMIT = 200_000  # words a CongruenceOracle may build
@@ -37,9 +38,10 @@ class OracleLimitError(MonoidError):
     """A congruence oracle would need more words than ORACLE_WORD_LIMIT."""
 
 
-def _check_bound(bound):
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise MonoidError(f"bound {bound!r} is not a non-negative int")
+def _count(n):
+    """n as an int when it is an integral real number other than a bool,
+    else None: a string, None or a list is not a count."""
+    return int(n) if isinstance(n, numbers.Real) and not isinstance(n, bool) and not n % 1 else None
 
 
 @dataclass(frozen=True)
@@ -287,14 +289,13 @@ class PrimitiveMonoid:
         vec = [0] * len(names)
         for p, n in word.items():
             self.check_prime(p)
-            if type(n) is not int and not isinstance(n, bool) and not n % 1:
-                n = int(n)
-            if n < 0:
-                raise MonoidError(f"negative coefficient {n!r} of prime {p!r}")
-            if type(n) is not int:
+            c = n if type(n) is int else _count(n)
+            if c is None:
                 raise MonoidError(f"coefficient {n!r} of prime {p!r} is not an integer")
-            if n > 0:
-                vec[index[p]] = n
+            if c < 0:
+                raise MonoidError(f"negative coefficient {n!r} of prime {p!r}")
+            if c > 0:
+                vec[index[p]] = c
         return MonElem(names, self._reduced(vec))
 
     def gen(self, p) -> MonElem:
@@ -315,7 +316,7 @@ class PrimitiveMonoid:
         """All reduced elements with total coefficient size <= max_size, by
         size and then coefficients; MonoidError unless max_size is a
         non-negative int, which checks every verifier's bound."""
-        _check_bound(max_size)
+        _require_count(max_size, "bound", MonoidError)
         names, bits, absorbers, regular = self._names, self._bits, self._absorbers, self._regular_mask
         out, n = [], len(names)
         for k in range(min(max_size, n) + 1):  # a support prime has coefficient >= 1
@@ -677,7 +678,7 @@ class CongruenceOracle:
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise MonoidError("duplicate generators")
-        _check_bound(bound)
+        _require_count(bound, "bound", MonoidError)
         need = comb(len(self.generators) + bound, bound)
         if need > ORACLE_WORD_LIMIT:
             raise OracleLimitError(
@@ -713,11 +714,10 @@ class CongruenceOracle:
                 i = index[g]
             except KeyError:
                 raise MonoidError(f"unknown generator {g!r}") from None
-            if type(n) is not int and not isinstance(n, bool) and not n % 1:
-                n = int(n)
-            if type(n) is not int or n < 0:
+            c = n if type(n) is int else _count(n)
+            if c is None or c < 0:
                 raise MonoidError(f"count {n!r} of generator {g!r} is not a non-negative integer")
-            vec[i] += n
+            vec[i] += c
         return tuple(vec)
 
     def _as_vec(self, word):

@@ -24,10 +24,13 @@ from types import MappingProxyType
 
 
 def _coerce(c):
-    """c as an int when it is integral, else as a Fraction."""
+    """c as an int when it is integral, else as a Fraction; a string is
+    not read as a number."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, str):
+            raise TypeError(f"scalar {c!r} is a string, not a number")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poset import LabelledPoset, _descents, _require_cover, lower_covers
+from .poset import LabelledPoset, _descents, _require_count, _require_cover, lower_covers
 from .ratfunc import Poly, RatFunc, _poly, mono_exponent, t_poly
 from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
 
@@ -355,15 +355,9 @@ class SigmaPoly:
 
 def sigma_poly(poset, vertex, mapping) -> SigmaPoly:
     """Build an admissible polynomial from {monomial spec: coeff} where a
-    monomial spec maps cover ids to exponents, e.g. {(): 1, ("a",): -1}."""
-    terms = {}
-    for covers, c in mapping.items():
-        counts = {}
-        for q in covers:
-            counts[q] = counts.get(q, 0) + 1
-        mono = tuple(sorted((("x", q), e) for q, e in counts.items()))
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(c)
-    return SigmaPoly(vertex, Poly(terms))
+    monomial spec lists cover ids, one per unit of exponent, e.g.
+    {(): 1, ("a",): -1}; Poly sums the repeats and merges the specs."""
+    return SigmaPoly(vertex, Poly({tuple((("x", q), 1) for q in covers): c for covers, c in mapping.items()}))
 
 
 def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepVector:
@@ -376,8 +370,7 @@ def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepV
     and drop-shifting it by a > deg_z(coeff) gives zero: each slot's series
     stops at the top slot degree its coefficients reach, or at depth.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise AlgebraError(f"depth {depth!r} is not a non-negative int")
+    _require_count(depth, "depth", AlgebraError)
     P = space.poset
     if f.poly.is_zero():
         raise AlgebraError("cannot invert zero")
@@ -631,7 +624,7 @@ def _factor_bottom(f: SigmaPoly, poset, q):
         raise AlgebraError("bottom coefficient vanishes (valuation gate)")
     others = [("x", q2) for q2 in lower_covers(poset, p) if q2 != q]
     w = {var: m for var in others if (m := f0.degree_span(var)[0]) > 0}
-    f0p = f0 * Poly({tuple(sorted((var, -m) for var, m in w.items())): 1})
+    f0p = f0 * Poly({tuple((var, -m) for var, m in w.items()): 1})
     rest = {b: part for b, part in buckets.items() if b > 0}
     return f0, w, SigmaPoly(p, f0p), rest
 

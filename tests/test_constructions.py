@@ -473,9 +473,14 @@ def test_build_F_rejects_tilde_in_ids():
             build()
 
 
-def test_sub_poset_rejects_unknown_members():
-    with pytest.raises(PosetError, match="unknown element 'zz'"):
-        sub_poset(fig2_poset(), {"zz"})
+@pytest.mark.parametrize(
+    "members, message",
+    [({"zz"}, "unknown element 'zz'"), ({"p"}, "not downward closed at 'p'")],
+    ids=["unknown", "not-down-closed"],
+)
+def test_sub_poset_rejects_unknown_members(members, message):
+    with pytest.raises(PosetError, match=message):
+        sub_poset(fig2_poset(), members)
 
 
 def test_build_F_postconditions_on_catalogue():

@@ -203,3 +203,47 @@ def test_guard_flags_newer_grammar():
 @pytest.mark.parametrize("path", PYTHON_SOURCES)
 def test_sources_parse_as_python_3_10(path):
     assert parses_as_python_3_10((ROOT / path).read_text()), path
+
+
+# Each input rule has one home: the non-negative-int check and its message
+# live in ``poset._require_count``, which every bound, depth, chain length
+# and stage index goes through.  The ``\b`` keeps out the count message
+# "is not a non-negative integer" of the congruence oracle.
+NON_NEGATIVE_INT = r"is not a non-negative int\b"
+
+
+def functions_saying(sources, pattern):
+    """(module, innermost enclosing function) once per string constant of
+    the sources that the pattern matches; a constant outside every
+    function is listed with None."""
+    found = []
+
+    def visit(module, node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(module, child, child.name)
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and re.search(pattern, child.value):
+                found.append((module, function))
+            visit(module, child, function)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), None)
+    return found
+
+
+def test_guard_finds_the_functions_saying_a_message():
+    source = (
+        'NOTE = "n is not a non-negative int"\n\n\n'
+        "def outer(n):\n    def inner():\n"
+        '        raise ValueError(f"n {n!r} is not a non-negative int")\n\n'
+        '    raise ValueError(f"count {n!r} is not a non-negative integer")\n'
+    )
+    assert functions_saying({"m.py": source}, NON_NEGATIVE_INT) == [("m.py", None), ("m.py", "inner")]
+
+
+def test_the_non_negative_int_rule_lives_in_one_function():
+    sources = {module: (PACKAGE / module).read_text() for module in MODULES}
+    assert functions_saying(sources, NON_NEGATIVE_INT) == [("poset.py", "_require_count")]
+    primon = ast.parse(sources["primon.py"])
+    assert "_check_bound" not in {n.name for n in ast.walk(primon) if isinstance(n, ast.FunctionDef)}

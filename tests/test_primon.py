@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb
@@ -217,6 +218,18 @@ def test_reduce_stores_an_integral_count_as_an_int(count):
     assert all(type(n) is int for _, n in x.coeffs)
     assert str(x) == str(two) == "2*a"
     assert json.dumps(monoid_to_json(m, [x])) == json.dumps(monoid_to_json(m, [two]))
+
+
+@pytest.mark.parametrize("count", ["2", None, [1]], ids=["str", "None", "list"])
+def test_a_count_that_is_not_a_number_raises_MonoidError(count):
+    # "%d" % 1 formats, so a string is never taken modulo 1
+    with pytest.raises(MonoidError, match=re.escape(f"coefficient {count!r} of prime 'a' is not an integer")):
+        fig2_monoid().reduce({"a": count})
+    message = re.escape(f"count {count!r} of generator 'a' is not a non-negative integer")
+    with pytest.raises(MonoidError, match=message):
+        CongruenceOracle(["a", "b"], [], 3).equal({"a": count}, {})
+    with pytest.raises(MonoidError, match=message):
+        CongruenceOracle(["a", "b"], [({"a": count}, {"b": 1})], 3)
 
 
 def test_reduce_rejects_a_bool_coefficient():

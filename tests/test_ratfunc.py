@@ -87,7 +87,7 @@ def test_ratfunc_equality_cross_multiplied():
     assert not (a == RatFunc.const(1))
 
 
-@pytest.mark.parametrize("other", ["x", None, "1/0", object(), [1], float("inf")])
+@pytest.mark.parametrize("other", ["x", None, "1/0", object(), [1], float("inf"), "1", " 1 "])
 def test_ratfunc_equality_with_what_it_cannot_read_is_false(other):
     assert not RatFunc.const(1) == other
     assert RatFunc.const(1) != other

@@ -720,6 +720,23 @@ def test_invert_sigma_rejects_a_depth_that_is_not_a_non_negative_int(depth):
             check(SPACE, f, "a", depth)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: Poly.const("3/2"),
+        lambda: generator(FIG2, "scalar", "3/2"),
+        lambda: act(SPACE, ("scalar", "3/2"), leaf_vector(SPACE, (("a", 0),))),
+        lambda: leaf_vector(SPACE, (("a", 0),), "2"),
+        lambda: sigma_poly(FIG2, "p", {(): "1"}),
+    ],
+    ids=["Poly.const", "generator", "act", "leaf_vector", "sigma_poly"],
+)
+def test_a_string_is_not_read_as_a_scalar(entry):
+    # Fraction("3/2") would read it, so every scalar entry point refuses it
+    with pytest.raises(TypeError, match="is a string, not a number"):
+        entry()
+
+
 def test_invert_sigma_checks_the_slot_at_every_depth():
     f = sigma_poly(FIG2, "p", {(): 1, ("a",): -1})
     path, z = (("p", 1), ("a", 0)), zvar("p", 1)
