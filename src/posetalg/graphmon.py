@@ -4,14 +4,16 @@ The monoid of a quiver is the free abelian monoid on the vertices modulo
 v = sum of the ranges of the arrows leaving v, for every emitting vertex;
 equality of words is decided by the bounded congruence oracle.  The
 loop-chain quiver with r+1 vertices (a loop and a step-down arrow at each
-non-sink vertex) has the chain poset as its monoid, which is checked by
-comparing bounded congruence closures.
+non-sink vertex) has the chain poset as its monoid, which its relations
+prove exactly.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .poset import PosetError, Quiver, _check_ids, _closed_sets, _reject_bare_string, _require_count, _sections
-from .primon import CongruenceOracle, MonoidError, _bounded_words, _split_pair
+from .primon import CongruenceOracle, MonoidError
 
 
 def graph_monoid(quiver: Quiver, bound: int):
@@ -121,60 +123,41 @@ def restrict_graph(quiver: Quiver, subset) -> Quiver:
 
 
 def check_Er_equals_chain(r: int, bound: int):
-    """Bounded congruence closures of the loop-chain quiver monoid and of
-    the chain-poset monoid agree under v_i <-> p_i; None if ok, else words
-    (w1, w2), w1 first, that one closure joins and the other separates."""
-    _, graph_oracle = graph_monoid(build_Er(r), bound)
-    return _chain_split(graph_oracle, [f"v{i}" for i in range(r + 1)], bound)
+    """None when E_r's relations are the chain poset's cover relations
+    v_i = v_i + v_{i-1} in index order, else those relations.  Cover
+    relations generate p = p + q for q < p (along a cover path q = c_0 <
+    ... < c_k = p, p = p + c_{k-1} = ... = p + c_{k-1} + ... + c_0), so
+    M(E_r) = M(chain) exactly; ``bound`` only sizes graph_monoid's oracle."""
+    relations, _ = graph_monoid(build_Er(r), bound)
+    vertices = [f"v{i}" for i in range(r + 1)]
+    return None if _chain_order(vertices, relations) == vertices else relations
 
 
-def _chain_split(graph_oracle, gens_g, bound):
-    """check_Er_equals_chain on a graph oracle already built at ``bound``,
-    with gens_g the vertices that play v_0..v_r."""
-    r = len(gens_g) - 1
-    chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
-    chain_oracle = CongruenceOracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
-    gens_c = [f"p{i}" for i in range(r + 1)]
-    words = list(_bounded_words(r + 1, bound))  # as many as chain_oracle, within its limit
-    return _split_pair(
-        words,
-        lambda w: graph_oracle.class_of(dict(zip(gens_g, w))),
-        lambda w: chain_oracle.class_of(dict(zip(gens_c, w))),
-    )
-
-
-def _er_order(quiver: Quiver):
-    """The vertices that play v_0..v_r when the quiver is isomorphic to the
-    loop-chain quiver, sink first, or None."""
-    n = len(quiver.vertices)
-    if not n or len(quiver.arrows) != 2 * (n - 1):
-        return None
-    loops = {v: 0 for v in quiver.vertices}
-    steps = {}
-    for _, s, t in quiver.arrows:
-        if s == t:
-            loops[s] += 1
-        else:
-            if s in steps:
-                return None
-            steps[s] = t
-    sinks = [v for v in quiver.vertices if loops[v] == 0 and v not in steps]
-    if len(sinks) != 1:
-        return None
-    order = [sinks[0]]
-    while len(order) < n:
-        prev = [s for s, t in steps.items() if t == order[-1]]
-        if len(prev) != 1 or loops[prev[0]] != 1:
+def _chain_order(vertices, relations):
+    """The vertices sink first when ``graph_monoid``'s relations are the
+    chain's cover relations v = v + u along one path through every vertex
+    (each emitting vertex has one loop and one step, one vertex emits
+    nothing), else None."""
+    above = {}
+    for v, rhs in relations:
+        u = next((u for u, _ in rhs if u != v), v)
+        if u == v or dict(rhs) != {u: 1, v: 1} or u in above:
             return None
-        order.append(prev[0])
-    return order
+        above[u] = v
+    order = list(set(vertices).difference(above.values()))  # those that emit nothing
+    if len(order) != 1:
+        return None
+    while order[-1] in above:
+        order.append(above[order[-1]])
+    return order if len(order) == len(vertices) else None
 
 
 def parse_quiver(text: str) -> Quiver:
     """Quiver DSL: ``vertices <id>+ ; arrows (<name>:)?<id> '->' <id> ...``
-    with ``#`` line comments.  A vertex id or arrow name that is a section
-    head or holds ``<``, ``:``, ``->``, ``[``, ``]`` or ``,`` raises
-    PosetError."""
+    with ``#`` line comments.  The unnamed arrow at position i is named
+    e{k} for the least k >= i that no other arrow has taken.  A vertex id
+    or arrow name that is a section head or holds ``<``, ``:``, ``->``,
+    ``[``, ``]`` or ``,`` raises PosetError."""
     vertices, arrows = [], []
     heads = ("vertices", "arrows")
     for head, rest in _sections(text, heads):
@@ -182,11 +165,17 @@ def parse_quiver(text: str) -> Quiver:
             _check_ids(rest, heads)
             vertices = rest
         else:  # arrows
-            for i, tok in enumerate(rest):
+            for tok in rest:
                 if "->" not in tok:
                     raise PosetError(f"bad arrow {tok!r}, expected s->r")
                 name, _, body = tok.rpartition(":")
                 s, _, t = body.partition("->")
                 _check_ids((name, s, t) if name else (s, t), heads)
-                arrows.append((name or f"e{i}", s, t))
+                arrows.append((name, s, t))
+    taken = {name for name, _, _ in arrows}
+    for i, (name, s, t) in enumerate(arrows):
+        if not name:
+            name = next(f"e{k}" for k in itertools.count(i) if f"e{k}" not in taken)
+            taken.add(name)
+            arrows[i] = (name, s, t)
     return Quiver(tuple(sorted(vertices)), tuple(arrows))

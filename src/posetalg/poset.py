@@ -707,19 +707,24 @@ def enumerate_posets(n: int) -> list[LabelledPoset]:
 
 
 def to_dot(obj, name="G") -> str:
-    """DOT digraph for a LabelledPoset (Hasse diagram) or a Quiver."""
+    """DOT digraph for a LabelledPoset (Hasse diagram) or a Quiver; ids and
+    arrow names are quoted with ``\\`` and ``"`` escaped."""
+
+    def quote(text):
+        return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = [f"digraph {name} {{"]
     if isinstance(obj, LabelledPoset):
         for p in obj.elements:
-            lines.append(f'  "{p}";')
+            lines.append(f"  {quote(p)};")
         for p in obj.elements:
             for i, q in enumerate(lower_covers(obj, p), start=1):
-                lines.append(f'  "{p}" -> "{q}" [label="{i}"];')
+                lines.append(f'  {quote(p)} -> {quote(q)} [label="{i}"];')
     elif isinstance(obj, Quiver):
         for v in obj.vertices:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {quote(v)};")
         for aname, s, r in obj.arrows:
-            lines.append(f'  "{s}" -> "{r}" [label="{aname}"];')
+            lines.append(f"  {quote(s)} -> {quote(r)} [label={quote(aname)}];")
     else:
         raise PosetError(f"cannot export {type(obj).__name__}")
     lines.append("}")

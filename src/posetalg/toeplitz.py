@@ -356,7 +356,13 @@ class SigmaPoly:
 def sigma_poly(poset, vertex, mapping) -> SigmaPoly:
     """Build an admissible polynomial from {monomial spec: coeff} where a
     monomial spec lists cover ids, one per unit of exponent, e.g.
-    {(): 1, ("a",): -1}; Poly sums the repeats and merges the specs."""
+    {(): 1, ("a",): -1}; Poly sums the repeats and merges the specs.  An
+    unknown vertex raises PosetError, an id that is not one of its lower
+    covers AlgebraError."""
+    poset.check(vertex)
+    for covers in mapping:
+        for q in covers:
+            _require_cover(poset, vertex, q, AlgebraError)
     return SigmaPoly(vertex, Poly({tuple((("x", q), 1) for q in covers): c for covers, c in mapping.items()}))
 
 

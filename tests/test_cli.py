@@ -125,7 +125,7 @@ def test_graphmon_builds_each_oracle_once(tmp_path, capsys, monkeypatch):
     f.write_text(E3_DSL)
     code, rep = run_json(capsys, ["graphmon", str(f)])
     assert code == 0 and rep["loop_chain_r"] == 3 and rep["loop_chain_check"] is True
-    assert built == [("v0", "v1", "v2", "v3"), ("p0", "p1", "p2", "p3")]
+    assert built == [("v0", "v1", "v2", "v3")]
 
 
 def test_graphmon_checks_a_renamed_loop_chain(tmp_path, capsys):

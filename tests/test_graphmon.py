@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver, fig2_poset, make_poset, quiver_T
-from posetalg.primon import CongruenceOracle, MonoidError
+from posetalg.primon import CongruenceOracle, MonoidError, from_poset
 from posetalg.graphmon import (
-    _chain_split,
-    _er_order,
+    _chain_order,
     build_Er,
     check_Er_equals_chain,
     graph_monoid,
@@ -161,7 +160,7 @@ def test_quotient_and_restrict_graph():
     same = quotient_graph(e3, set())
     assert same == e3
     r = restrict_graph(e3, {"v0", "v1"})
-    assert len(_er_order(r)) - 1 == 1
+    assert chain_order(r) == ["v0", "v1"]
     with pytest.raises(PosetError):
         restrict_graph(e3, {"v3"})  # not hereditary
 
@@ -194,35 +193,47 @@ def test_Er_equals_chain(r):
 def test_Er_check_catches_corruption():
     e2 = build_Er(2)
     bad = Quiver(e2.vertices, tuple(a for a in e2.arrows if a[0] != "b2"))
-    assert _chain_split(graph_monoid(bad, 4)[1], [f"v{i}" for i in range(3)], 4) is not None
+    assert chain_order(bad) is None
 
 
-def er_oracles(r, bound, quiver):
-    """The two oracles check_Er_equals_chain compares, each with its
-    generators in index order."""
-    _, graph_oracle = graph_monoid(quiver, bound)
-    chain_rels = [({f"p{i}": 1}, {f"p{i}": 1, f"p{i-1}": 1}) for i in range(1, r + 1)]
-    chain_oracle = CongruenceOracle([f"p{i}" for i in range(r + 1)], chain_rels, bound)
-    gens_g = [f"v{i}" for i in range(r + 1)]
-    gens_c = [f"p{i}" for i in range(r + 1)]
-    return (graph_oracle, gens_g), (chain_oracle, gens_c)
+def chain_order(quiver):
+    """_chain_order on the relations graph_monoid reads off the quiver, at
+    the least bound that fits them."""
+    bound = max((len(quiver.out_arrows(v)) for v in quiver.vertices), default=0)
+    return _chain_order(quiver.vertices, graph_monoid(quiver, bound)[0])
 
 
-def joined(oracle_gens, w1, w2):
-    oracle, gens = oracle_gens
-    return oracle.equal(dict(zip(gens, w1)), dict(zip(gens, w2)))
+def er_order(quiver: Quiver):
+    """The vertices that play v_0..v_r when the quiver is isomorphic to the
+    loop-chain quiver, sink first, or None: the arrow walk that detected
+    loop chains before _chain_order read their relations, kept as the
+    reference."""
+    n = len(quiver.vertices)
+    if not n or len(quiver.arrows) != 2 * (n - 1):
+        return None
+    loops = {v: 0 for v in quiver.vertices}
+    steps = {}
+    for _, s, t in quiver.arrows:
+        if s == t:
+            loops[s] += 1
+        else:
+            if s in steps:
+                return None
+            steps[s] = t
+    sinks = [v for v in quiver.vertices if loops[v] == 0 and v not in steps]
+    if len(sinks) != 1:
+        return None
+    order = [sinks[0]]
+    while len(order) < n:
+        prev = [s for s, t in steps.items() if t == order[-1]]
+        if len(prev) != 1 or loops[prev[0]] != 1:
+            return None
+        order.append(prev[0])
+    return order
 
 
-def er_pairwise(r, bound, quiver):
-    """check_Er_equals_chain as it was before the class-map comparison:
-    both oracles asked about every pair of words, kept as the oracle."""
-    graph, chain = er_oracles(r, bound, quiver)
-    words = [tuple(w) for w in itertools.product(range(bound + 1), repeat=r + 1) if sum(w) <= bound]
-    for w1, w2 in itertools.combinations(words, 2):
-        g_eq, c_eq = joined(graph, w1, w2), joined(chain, w1, w2)
-        if g_eq != c_eq:
-            return (w1, w2, g_eq, c_eq)
-    return None
+def renamed(quiver, names):
+    return Quiver(tuple(sorted(names.values())), tuple((a, names[s], names[t]) for a, s, t in quiver.arrows))
 
 
 def loop_chain_cases():
@@ -239,16 +250,60 @@ def loop_chain_cases():
 
 
 def test_Er_check_gives_the_pairwise_verdicts():
-    verdicts = set()
+    # a loop at the sink adds only v0 = v0, so that mutant's monoid is the
+    # chain's too; the certificate is sufficient, not necessary
     for r, bound, quiver in loop_chain_cases():
-        split = _chain_split(graph_monoid(quiver, bound)[1], [f"v{i}" for i in range(r + 1)], bound)
-        assert (split is None) == (er_pairwise(r, bound, quiver) is None)
-        if split is not None:
-            w1, w2 = split
-            graph, chain = er_oracles(r, bound, quiver)
-            assert w1 < w2 and joined(graph, w1, w2) != joined(chain, w1, w2)
-        verdicts.add(split is None)
-    assert verdicts == {True, False}
+        order = _chain_order(quiver.vertices, graph_monoid(quiver, bound)[0])
+        assert order == ([f"v{i}" for i in range(r + 1)] if quiver == build_Er(r) else None)
+
+
+def test_chain_order_agrees_with_the_arrow_walk():
+    quivers = []
+    for n in range(1, 4):
+        vertices = tuple("abc"[:n])
+        ends = list(itertools.product(vertices, repeat=2))
+        for k in range(5):
+            for arrows in itertools.combinations_with_replacement(ends, k):
+                quivers.append(Quiver(vertices, tuple((f"e{i}", s, t) for i, (s, t) in enumerate(arrows))))
+    assert len(quivers) == 5 + 70 + 715
+    # each vertex emits nothing or one loop and one step, so only the
+    # shape of the steps decides: 4^4 step maps on four vertices
+    vertices = ("a", "b", "c", "d")
+    for targets in itertools.product((None, 1, 2, 3), repeat=4):
+        steps = [(v, vertices[(i + t) % 4]) for i, (v, t) in enumerate(zip(vertices, targets)) if t]
+        arrows = [(f"a{v}", v, v) for v, _ in steps] + [(f"b{v}", v, u) for v, u in steps]
+        quivers.append(Quiver(vertices, tuple(arrows)))
+    rng = random.Random(29)
+    for r in range(7):
+        names = [f"w{i}" for i in range(r + 1)]
+        rng.shuffle(names)
+        quivers.append(renamed(build_Er(r), dict(zip(build_Er(r).vertices, names))))
+    quivers += [quiver for _, _, quiver in loop_chain_cases()]
+    found = 0
+    for quiver in quivers:
+        order = er_order(quiver)
+        assert chain_order(quiver) == order, quiver
+        found += order is not None
+    assert found == 9 + 24 + 7 + 12  # small quivers, step maps, renamed E_r, E_r at 3 bounds each
+
+
+def test_chain_order_pins_the_lemma_it_rests_on():
+    # cover relations generate p = p + q for q < p, so E_r's oracle with
+    # headroom agrees with the chain poset's monoid on every pair of words;
+    # the bound also fits the relations (2) and, on E_0, the words (b)
+    for r in range(6):
+        covers = [(f"v{i-1}", f"v{i}") for i in range(1, r + 1)]
+        chain = from_poset(make_poset([f"v{i}" for i in range(r + 1)], covers))
+        for b in range(4):
+            _, oracle = graph_monoid(build_Er(r), max(2, b, b + r - 1))
+            words = [dict(zip(chain.primes, w)) for w in itertools.product(range(b + 1), repeat=r + 1) if sum(w) <= b]
+            for w1, w2 in itertools.combinations(words, 2):
+                assert oracle.equal(w1, w2) == (chain.reduce(w1) == chain.reduce(w2))
+    # without headroom the bounded oracle misses v2 = v2 + v1 + v0 = v2 + v0
+    _, oracle = graph_monoid(build_Er(2), 2)
+    chain = from_poset(make_poset(["v0", "v1", "v2"], [("v0", "v1"), ("v1", "v2")]))
+    assert not oracle.equal({"v2": 1, "v0": 1}, {"v2": 1})
+    assert chain.reduce({"v2": 1, "v0": 1}) == chain.reduce({"v2": 1})
 
 
 def test_Er_check_reads_each_class_once(monkeypatch):
@@ -269,19 +324,14 @@ def test_Er_check_reads_each_class_once(monkeypatch):
 
 def test_chain_split_reads_the_vertices_in_loop_chain_order():
     names = {"v0": "d", "v1": "b", "v2": "c", "v3": "a"}
-    renamed = Quiver(tuple(sorted(names.values())), tuple((a, names[s], names[t]) for a, s, t in build_Er(3).arrows))
-    order = _er_order(renamed)
-    assert order == ["d", "b", "c", "a"]
-    _, oracle = graph_monoid(renamed, 4)
-    assert _chain_split(oracle, order, 4) is None
-    assert _chain_split(oracle, sorted(order), 4) is not None
+    assert chain_order(renamed(build_Er(3), names)) == ["d", "b", "c", "a"]
 
 
 def test_er_order_detects_Er():
     for r in range(4):
-        assert len(_er_order(build_Er(r))) - 1 == r
-    assert _er_order(Quiver(("x", "y"), ())) is None
-    assert _er_order(Quiver(("v0", "v1"), (("a", "v1", "v1"), ("b", "v1", "v0"), ("c", "v1", "v0")))) is None
+        assert len(chain_order(build_Er(r))) - 1 == r
+    assert chain_order(Quiver(("x", "y"), ())) is None
+    assert chain_order(Quiver(("v0", "v1"), (("a", "v1", "v1"), ("b", "v1", "v0"), ("c", "v1", "v0")))) is None
 
 
 def test_parse_quiver():
@@ -334,6 +384,17 @@ def test_quiver_freezes_its_inputs():
 def test_quiver_rejects_malformed_parts(vertices, arrows, message):
     with pytest.raises(PosetError, match=message):
         Quiver(vertices, arrows)
+
+
+def test_parse_quiver_skips_default_names_taken_elsewhere():
+    # the unnamed arrow at position 1 may not take e1, given to the arrow
+    # before it
+    q = parse_quiver("vertices v0 v1; arrows e1:v1->v1 v1->v0")
+    assert q.arrows == (("e1", "v1", "v1"), ("e2", "v1", "v0"))
+    q = parse_quiver("vertices a; arrows a->a e2:a->a a->a e3:a->a a->a")
+    assert [name for name, _, _ in q.arrows] == ["e0", "e2", "e4", "e3", "e5"]
+    with pytest.raises(PosetError, match="duplicate arrow name 'e1'"):
+        parse_quiver("vertices a; arrows e1:a->a e1:a->a")
 
 
 def test_parse_quiver_rejects_repeated_vertices_through_the_constructor():

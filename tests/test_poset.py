@@ -13,6 +13,7 @@ from posetalg.poset import (
     LabelledPoset,
     LowerSet,
     PosetError,
+    Quiver,
     _above_masks,
     _chain_counts,
     _automorphisms,
@@ -593,6 +594,19 @@ def test_dot_export():
     assert dot.startswith("digraph") and '"p" -> "a" [label="1"]' in dot
     qd = to_dot(quiver_T(fig2_poset()), name="T")
     assert "digraph T" in qd and '"p" -> "b"' in qd
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    dot = to_dot(parse_poset(r'elems a"b c\d p; covers a"b<p c\d<p'))
+    assert dot.splitlines()[1:-1] == [
+        r'  "a\"b";',
+        r'  "c\\d";',
+        r'  "p";',
+        r'  "p" -> "a\"b" [label="1"];',
+        r'  "p" -> "c\\d" [label="2"];',
+    ]
+    loop = Quiver(("x",), (('l"1', "x", "x"),))
+    assert to_dot(loop).splitlines()[2] == r'  "x" -> "x" [label="l\"1"];'
 
 
 def _poset_dsl(poset):

@@ -670,8 +670,8 @@ def test_valuation_verdicts_and_errors():
 def test_valuation_rejects_a_variable_foreign_to_the_vertex():
     # 'zz' is no element and 'p' no cover of 'a', so neither x may appear
     foreign = [
-        (sigma_poly(FIG2, "p", {(): 1, ("zz",): 1}), (("p", 1), ("a", 0)), "('x', 'zz')", "'p'"),
-        (sigma_poly(FIG2, "a", {(): 1, ("p",): 1}), (("a", 0),), "('x', 'p')", "'a'"),
+        (SigmaPoly("p", Poly({(): 1, ((("x", "zz"), 1),): 1})), (("p", 1), ("a", 0)), "('x', 'zz')", "'p'"),
+        (SigmaPoly("a", Poly({(): 1, ((("x", "p"), 1),): 1})), (("a", 0),), "('x', 'p')", "'a'"),
         (SigmaPoly("p", Poly({(): 1, ((("z", "p", 1), 1),): 1})), (("p", 1), ("a", 0)), "('z', 'p', 1)", "'p'"),
     ]
     for f, leaf, var, vertex in foreign:
@@ -684,6 +684,16 @@ def test_valuation_rejects_a_variable_foreign_to_the_vertex():
     t_and_covers = Poly({(): 1, ((("t", 1), 1), (("x", "a"), 1)): 1, ((("x", "b"), 2),): 1})
     assert SigmaPoly("p", t_and_covers).valuation(FIG2) == 0
     assert SigmaPoly("a", Poly({(): 1, ((("t", 2), -1),): 1})).valuation(FIG2) == 0
+
+
+def test_sigma_poly_reads_the_poset():
+    with pytest.raises(PosetError, match="unknown element 'zz'"):
+        sigma_poly(FIG2, "zz", {(): 2})
+    with pytest.raises(AlgebraError, match="'b' is not a lower cover of 'a'"):
+        sigma_poly(FIG2, "a", {("b",): 1, (): 1})
+    with pytest.raises(AlgebraError, match="'zz' is not a lower cover of 'p'"):
+        sigma_poly(FIG2, "p", {(): 1, ("a", "zz"): 1})
+    assert sigma_poly(FIG2, "p", {("b", "a", "b"): 1}) == SigmaPoly("p", Poly({((("x", "a"), 1), (("x", "b"), 2)): 1}))
 
 
 def test_invert_sigma_minimal_vertex_scalar():
