@@ -19,6 +19,7 @@ from . import __version__
 from .poset import (
     PosetError,
     _chain_counts,
+    _require_count,
     lower_covers,
     lower_sets,
     is_forest,
@@ -131,10 +132,8 @@ def cmd_verify_algebra(args):
         x = one(poset)
         for g in word:
             x = x * generator(poset, *g)
-        for v in samples:
-            if tp.act_word(space, word, v) != tp.act_element(space, x, v):
-                mismatches += 1
-                break
+        images = lambda v: (tp.act_word(space, word, v), tp.act_element(space, x, v))  # noqa: E731
+        mismatches += tp._first_disagreement(space, samples, images) is not None
     lemma26 = _lemma26_exhaustive(poset)
     # the one-sided inverse stays one-sided: alpha.alphabar must differ
     # from the vertex idempotent at every arrow
@@ -258,6 +257,9 @@ def main(argv=None):
             setattr(args, key, config.get(key, fallback))
 
     try:
+        for key in ("depth", "samples"):
+            if key in vars(args):
+                _require_count(getattr(args, key), f"--{key}", PosetError)
         return args.handler(args)
     except (OSError, PosetError, MonoidError) as exc:
         parser.error(str(exc))

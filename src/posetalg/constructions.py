@@ -132,8 +132,9 @@ class AmalgamPushout:
 def amalgam_pushout(ideal: OrderIdeal, n: PrimitiveMonoid, phi: dict) -> AmalgamPushout:
     """Pushout of the ideal's monoid m and n along an isomorphism phi onto an ideal of n.
 
-    Realized as the crowned pushout of the product monoid along the two
-    ideal copies; the injections tag primes with @1/@2.
+    inj1 tags m's primes @1; inj2 tags n's primes @2, except that an image
+    prime goes to its partner's @1 tag.  The relation is the union of the
+    two images: the crowned pushout of the tagged disjoint union.
     """
     m = ideal.monoid
     image = frozenset(phi.values())
@@ -141,18 +142,11 @@ def amalgam_pushout(ideal: OrderIdeal, n: PrimitiveMonoid, phi: dict) -> Amalgam
     OrderIdeal(n, image)  # validates the image is an order-ideal of n
 
     inj1 = {p: f"{p}@1" for p in m.primes}
-    tag2 = {q: f"{q}@2" for q in n.primes}
-    primes = tuple(sorted([*inj1.values(), *tag2.values()]))
-    rel = _rel_image(m.pair.rel, inj1) | _rel_image(n.pair.rel, tag2)
-    prod = PrimitiveMonoid(PrimePair(primes, rel))
-    left = OrderIdeal(prod, {inj1[p] for p in ideal.prime_set})
-    right = OrderIdeal(prod, {tag2[q] for q in image})
-    tagged_phi = {inj1[p]: tag2[phi[p]] for p in ideal.prime_set}
-    pushed = crowned_pushout(left, right, tagged_phi)
-
     inv = {v: k for k, v in phi.items()}
-    inj2 = {q: (inj1[inv[q]] if q in image else tag2[q]) for q in n.primes}
-    return AmalgamPushout(pushed.monoid, inj1, inj2, pushed.ideal)
+    inj2 = {q: (inj1[inv[q]] if q in image else f"{q}@2") for q in n.primes}
+    primes = tuple(sorted({*inj1.values(), *inj2.values()}))
+    glued = PrimitiveMonoid(PrimePair(primes, _rel_image(m.pair.rel, inj1) | _rel_image(n.pair.rel, inj2)))
+    return AmalgamPushout(glued, inj1, inj2, OrderIdeal(glued, {inj1[p] for p in ideal.prime_set}))
 
 
 # ---------------------------------------------------------------------------

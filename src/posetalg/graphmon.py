@@ -11,6 +11,7 @@ prove exactly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .poset import PosetError, Quiver, _check_ids, _closed_sets, _reject_bare_string, _require_count, _sections
 from .primon import CongruenceOracle, MonoidError
@@ -20,9 +21,16 @@ def graph_monoid(quiver: Quiver, bound: int):
     """The defining relations, one ``(vertex, sorted (range, multiplicity)
     pairs)`` per emitting vertex, together with a bounded equality decider.
 
-    Every relation word must fit the oracle's bound, so a vertex that emits
-    more than ``bound`` arrows raises MonoidError, and the oracle raises
-    OracleLimitError before it builds more words than its limit."""
+    Every relation word must fit the oracle's bound, a non-negative int, so
+    a vertex that emits more than ``bound`` arrows raises MonoidError, and
+    the oracle raises OracleLimitError before it builds more words than its limit."""
+    rels = _relations(quiver, bound)
+    return rels, CongruenceOracle(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound)
+
+
+def _relations(quiver, bound):
+    """graph_monoid's relations, after the checks of bound."""
+    _require_count(bound, "bound", MonoidError)
     rels = []
     for v in quiver.vertices:
         outs = quiver.out_arrows(v)
@@ -32,12 +40,8 @@ def graph_monoid(quiver: Quiver, bound: int):
             raise MonoidError(
                 f"vertex {v!r} emits {len(outs)} arrows, so its relation word exceeds oracle bound {bound}"
             )
-        rhs = {}
-        for _, _, r in outs:
-            rhs[r] = rhs.get(r, 0) + 1
-        rels.append((v, tuple(sorted(rhs.items()))))
-    oracle = CongruenceOracle(quiver.vertices, [({v: 1}, dict(rhs)) for v, rhs in rels], bound)
-    return tuple(rels), oracle
+        rels.append((v, tuple(sorted(Counter(r for _, _, r in outs).items()))))
+    return tuple(rels)
 
 
 def build_Er(r: int) -> Quiver:
@@ -127,8 +131,8 @@ def check_Er_equals_chain(r: int, bound: int):
     v_i = v_i + v_{i-1} in index order, else those relations.  Cover
     relations generate p = p + q for q < p (along a cover path q = c_0 <
     ... < c_k = p, p = p + c_{k-1} = ... = p + c_{k-1} + ... + c_0), so
-    M(E_r) = M(chain) exactly; ``bound`` only sizes graph_monoid's oracle."""
-    relations, _ = graph_monoid(build_Er(r), bound)
+    M(E_r) = M(chain) exactly; ``bound`` is checked as in graph_monoid, but no oracle is built."""
+    relations = _relations(build_Er(r), bound)
     vertices = [f"v{i}" for i in range(r + 1)]
     return None if _chain_order(vertices, relations) == vertices else relations
 

@@ -25,10 +25,11 @@ realized as truncated geometric series, exact on a stated degree window.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poset import LabelledPoset, _descents, _require_count, _require_cover, lower_covers
+from .poset import LabelledPoset, _descents, _reject_bare_string, _require_count, _require_cover, lower_covers
 from .ratfunc import Poly, RatFunc, _poly, mono_exponent, t_poly
 from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
 
@@ -358,9 +359,10 @@ def sigma_poly(poset, vertex, mapping) -> SigmaPoly:
     monomial spec lists cover ids, one per unit of exponent, e.g.
     {(): 1, ("a",): -1}; Poly sums the repeats and merges the specs.  An
     unknown vertex raises PosetError, an id that is not one of its lower
-    covers AlgebraError."""
+    covers, or a spec given as one string, AlgebraError."""
     poset.check(vertex)
     for covers in mapping:
+        _reject_bare_string(covers, "monomial spec", AlgebraError)
         for q in covers:
             _require_cover(poset, vertex, q, AlgebraError)
     return SigmaPoly(vertex, Poly({tuple((("x", q), 1) for q in covers): c for covers, c in mapping.items()}))
@@ -435,6 +437,7 @@ def act_sigma(space, f: SigmaPoly, vec):
 def sample_vectors(space: Space, maxdeg: int = 3):
     """Deterministic probe family: each leaf with coefficient one, then
     each slot variable along its path raised to 1..maxdeg."""
+    _require_count(maxdeg, "maxdeg", AlgebraError)
     out = []
     for path in space.all_leaves():
         out.append(leaf_vector(space, path))
@@ -454,17 +457,17 @@ def check_relation(space, lhs, rhs, samples=None):
     coefficient passes act's checks even when every sample is skipped.  A
     word is zero on every path outside its root's corner, so one pass keeps
     the samples with a path at some word's root (every sample when some
-    word has no root), and the others, zero on both sides, are skipped.
-    Each side then acts once on the generic combination of the kept
-    samples, the sum of c_i v_i with a fresh indeterminate c_i per sample.
-    Every step of act is linear and leaves alone the variables it does not
-    name, so the image of the sum is the sum of the c_i times each sample's
-    image, and since the c_i are algebraically independent over the
-    coefficients, the two sides agree on the sum exactly when they agree
-    on every sample.  When the sums differ, the generic action raises or
-    the samples admit no such indeterminate, the kept samples are checked
-    one by one, so the first counterexample and every error are those of
-    the sample loop."""
+    word has no root), and the others, zero on both sides, are skipped; a
+    sample from another space is kept at its place.  Each side then acts
+    once on the generic combination of the kept samples, the sum of c_i v_i
+    with a fresh indeterminate c_i per sample.  Every step of act is linear
+    and leaves alone the variables it does not name, so the image of the
+    sum is the sum of the c_i times each sample's image, and since the c_i
+    are algebraically independent over the coefficients, the two sides
+    agree on the sum exactly when they agree on every sample.  When the
+    sums differ, the generic action raises or the samples admit no such
+    indeterminate, the kept samples are walked one by one, so the first
+    counterexample and every error are those of the sample loop."""
     if samples is None:
         samples = sample_vectors(space)
     for side in (lhs, rhs):
@@ -473,24 +476,30 @@ def check_relation(space, lhs, rhs, samples=None):
     every = None in roots
     kept = []
     for v in samples:
-        if type(v) is not RepVector or v.space is not space:
-            kept = None  # the sample loop raises on it, or finds an earlier counterexample
-            break
-        if every:
+        if every or type(v) is not RepVector or v.space is not space:
             kept.append(v)
             continue
         for path in v.coeffs:
             if path[0][0] in roots:
                 kept.append(v)
                 break
-    if kept is not None and _agrees_generically(space, lhs, rhs, kept):
+    if _agrees_generically(space, lhs, rhs, kept):
         return None
+    # defaults, not a closure: a closure would turn space into a cell, which
+    # the selection loop reads more slowly
+    return _first_disagreement(space, kept, lambda v, s=space, a=lhs, b=rhs: (act_expr(s, a, v), act_expr(s, b, v)))
+
+
+def _first_disagreement(space, samples, images, agrees=operator.eq):
+    """The first sample v, in order, whose images(v) = (lhs, *others) hold
+    an other with agrees(lhs, other) false, as (v, lhs, other); None when
+    there is none.  A sample from another space raises RepError."""
     for v in samples:
         _check_space(space, v)
-        if every or any(path[0][0] in roots for path in v.coeffs):
-            left, right = act_expr(space, lhs, v), act_expr(space, rhs, v)
-            if left != right:
-                return (v, left, right)
+        lhs, *others = images(v)
+        for other in others:
+            if not agrees(lhs, other):
+                return (v, lhs, other)
     return None
 
 
@@ -503,9 +512,9 @@ def _fresh(var):
 
 def _agrees_generically(space, lhs, rhs, samples):
     """True when both sides agree on the generic combination of the samples;
-    False when they may not, when the shortcut does not apply (a sample
-    coefficient with a multi-term denominator, a variable that is not
-    fresh for the indeterminates) or when its action raises."""
+    False when they may not, when the shortcut does not apply (a sample of
+    another space, a sample coefficient with a multi-term denominator, a
+    variable not fresh for the indeterminates) or when its action raises."""
     scalars = [RatFunc.of(gen[1]) for _, word in lhs + rhs for gen in word if gen[0] == "scalar"]
     if not all(_fresh(var) for c in scalars for var in c.variables()):
         return False
@@ -513,6 +522,8 @@ def _agrees_generically(space, lhs, rhs, samples):
     # samples' terms meet, so each coefficient is one term dict
     generic = {}
     for i, v in enumerate(samples):
+        if type(v) is not RepVector or v.space is not space:
+            return False  # the walk raises on it, or finds an earlier counterexample
         ci = ((("", i), 1),)
         for path, c in v.coeffs.items():
             if len(c.den.terms) > 1:
@@ -635,66 +646,53 @@ def _factor_bottom(f: SigmaPoly, poset, q):
     return f0, w, SigmaPoly(p, f0p), rest
 
 
+def _window_walk(space, f: SigmaPoly, q, depth, images):
+    """The identities' walk over the degree-2 samples, with images(v, f0p,
+    wbar, g) = (lhs, *others) for f = w f0' + x_q f1 + ...; a residual lhs -
+    other passes when it sits at f's vertex with every coefficient's least
+    slot degree above the exact window, depth - deg_j f."""
+    P = space.poset
+    p = f.vertex
+    _, wmono, f0p, rest = _factor_bottom(f, P, q)
+    wbar = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
+    g = SigmaPoly(p, -sum((part * Poly.var(("x", q), b - 1) for b, part in rest.items()), Poly()))
+    degrees = {j: f.degree_at(("x", c)) for j, c in enumerate(lower_covers(P, p), 1)}
+
+    def above_window(lhs, other):
+        for path, c in (lhs - other).coeffs.items():
+            root, j = path[0]
+            if root != p or c.num.degree_span(zvar(p, j))[0] <= depth - degrees[j]:
+                return False
+        return True
+
+    return _first_disagreement(space, sample_vectors(space, 2), lambda v: images(v, f0p, wbar, g), above_window)
+
+
 def check_corner_inverse_identity(space, f: SigmaPoly, q, depth):
     """e(p,q) f^{-1} = (f0')^{-1} wbar e(p,q) = e(p,q) (f0')^{-1} wbar,
     with truncated inverses; the residual must sit above the exact window.
     Returns None if every sample agrees on the window, else a triple."""
-    P = space.poset
-    p = f.vertex
-    _, wmono, f0p, _ = _factor_bottom(f, P, q)
-    samples = sample_vectors(space, 2)
-    epq = ("epq", p, q)
-    wbar_word = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
-    for v in samples:
-        lhs = invert_sigma(space, f, act(space, epq, v), depth)
-        mid = act_word(space, wbar_word + [epq], invert_sigma(space, f0p, v, depth))
-        rhs = act_word(space, wbar_word, invert_sigma(space, f0p, act(space, epq, v), depth))
-        for other in (mid, rhs):
-            diff = lhs - other
-            if not _above_window(space, f, diff, depth):
-                return (v, lhs, other)
-    return None
+    epq = ("epq", f.vertex, q)
 
+    def images(v, f0p, wbar, _):
+        return (
+            invert_sigma(space, f, act(space, epq, v), depth),
+            act_word(space, wbar + [epq], invert_sigma(space, f0p, v, depth)),
+            act_word(space, wbar, invert_sigma(space, f0p, act(space, epq, v), depth)),
+        )
 
-def _above_window(space, f: SigmaPoly, diff: RepVector, depth):
-    """Every residual coefficient exceeds the guaranteed-exact slot degree."""
-    P = space.poset
-    p = f.vertex
-    for path, c in diff.coeffs.items():
-        root, j = path[0]
-        if root != p:
-            return False
-        covers = lower_covers(P, p)
-        cutoff = depth - f.degree_at(("x", covers[j - 1]))
-        if c.num.degree_span(zvar(p, j))[0] <= cutoff:
-            return False
-    return True
+    return _window_walk(space, f, q, depth, images)
 
 
 def check_alphabar_inverse_identity(space, f: SigmaPoly, q, depth):
     """alphabar_q f^{-1} = f^{-1} alphabar_q + f^{-1} (f0')^{-1} g wbar e(p,q)
     with g = -(f1 + x_q f2 + ...), at truncation."""
-    P = space.poset
-    p = f.vertex
-    _, wmono, f0p, rest = _factor_bottom(f, P, q)
-    xq = ("x", q)
-    gpoly = Poly()
-    for b, part in rest.items():
-        gpoly = gpoly + part * Poly.var(xq, b - 1)
-    g = SigmaPoly(p, -gpoly)
-    epq = ("epq", p, q)
-    ab = ("alphabar", p, q)
-    wbar_word = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
-    samples = sample_vectors(space, 2)
-    for v in samples:
+    epq, ab = ("epq", f.vertex, q), ("alphabar", f.vertex, q)
+
+    def images(v, f0p, wbar, g):
         lhs = invert_sigma(space, f, act(space, ab, v), depth)
-        t1 = act(space, ab, invert_sigma(space, f, v, depth))
-        t2 = act_word(
-            space,
-            wbar_word + [epq],
-            act_sigma(space, g, invert_sigma(space, f0p, invert_sigma(space, f, v, depth), depth)),
-        )
-        diff = lhs - (t1 + t2)
-        if not _above_window(space, f, diff, depth):
-            return (v, lhs, t1 + t2)
-    return None
+        inv = invert_sigma(space, f, v, depth)
+        t2 = act_word(space, wbar + [epq], act_sigma(space, g, invert_sigma(space, f0p, inv, depth)))
+        return lhs, act(space, ab, inv) + t2
+
+    return _window_walk(space, f, q, depth, images)

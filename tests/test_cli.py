@@ -307,6 +307,21 @@ BAD_INPUTS = {
         "word exceeds oracle bound 4",
     ),
     "missing_input_file": ({}, ["info", "missing.poset"], "No such file or directory: 'missing.poset'"),
+    "negative_samples": (
+        {"fig2.poset": FIG2_DSL},
+        ["verify-algebra", "fig2.poset", "--samples", "-3"],
+        "--samples -3 is not a non-negative int",
+    ),
+    "negative_depth": (
+        {"fig2.poset": FIG2_DSL},
+        ["verify-algebra", "fig2.poset", "--depth", "-2"],
+        "--depth -2 is not a non-negative int",
+    ),
+    "negative_depth_in_config": (
+        {"cfg.json": '{"depth": -1}', "fig2.poset": FIG2_DSL},
+        ["--config", "cfg.json", "verify-algebra", "fig2.poset"],
+        "--depth -1 is not a non-negative int",
+    ),
 }
 
 

@@ -136,6 +136,55 @@ def test_amalgam_rejects_bad_map():
         amalgam_pushout(ideal, chain, {"a": "p"})  # image not an ideal
 
 
+def _parent_amalgam_pushout(ideal, n, phi):
+    """amalgam_pushout through the product monoid and a crowned pushout
+    along the two tagged ideal copies, kept as the reference."""
+    m = ideal.monoid
+    image = frozenset(phi.values())
+    constructions._check_ideal_iso(m, ideal.prime_set, n, image, phi)
+    OrderIdeal(n, image)
+    inj1 = {p: f"{p}@1" for p in m.primes}
+    tag2 = {q: f"{q}@2" for q in n.primes}
+    primes = tuple(sorted([*inj1.values(), *tag2.values()]))
+    prod = PrimitiveMonoid(PrimePair(primes, _rel_image(m.pair.rel, inj1) | _rel_image(n.pair.rel, tag2)))
+    left = OrderIdeal(prod, {inj1[p] for p in ideal.prime_set})
+    right = OrderIdeal(prod, {tag2[q] for q in image})
+    pushed = crowned_pushout(left, right, {inj1[p]: tag2[phi[p]] for p in ideal.prime_set})
+    inv = {v: k for k, v in phi.items()}
+    inj2 = {q: (inj1[inv[q]] if q in image else tag2[q]) for q in n.primes}
+    return pushed.monoid, inj1, inj2, pushed.ideal
+
+
+def test_amalgam_matches_the_crowned_pushout_route():
+    # every bijection between equal-sized lower prime sets of two catalogue
+    # monoids with at most 3 primes; those that are not ideal isomorphisms
+    # must raise the same error
+    monoids = [PrimitiveMonoid(pair) for pair in enumerate_prime_pairs(3)]
+    verdicts = Counter()
+    for m, n in itertools.product(monoids, repeat=2):
+        for low in lower_prime_sets(m):
+            src = sorted(low)
+            for image in lower_prime_sets(n):
+                if len(image) != len(low):
+                    continue
+                for dst in itertools.permutations(sorted(image)):
+                    phi = dict(zip(src, dst))
+                    try:
+                        mon, inj1, inj2, ideal = _parent_amalgam_pushout(OrderIdeal(m, low), n, phi)
+                    except MonoidError as exc:
+                        with pytest.raises(MonoidError) as new:
+                            amalgam_pushout(OrderIdeal(m, low), n, phi)
+                        assert str(new.value) == str(exc)
+                        verdicts["error"] += 1
+                        continue
+                    out = amalgam_pushout(OrderIdeal(m, low), n, phi)
+                    assert (out.monoid.primes, out.monoid.pair.rel) == (mon.primes, mon.pair.rel)
+                    assert (out.inj1, out.inj2) == (inj1, inj2)
+                    assert out.ideal.monoid is out.monoid and out.ideal.prime_set == ideal.prime_set
+                    verdicts[len(low)] += 1
+    assert verdicts["error"] and all(verdicts[k] for k in range(4))
+
+
 # -- crowned pushout --------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver, fig2_poset, make_poset, quiver_T
-from posetalg.primon import CongruenceOracle, MonoidError, from_poset
+from posetalg.primon import ORACLE_WORD_LIMIT, CongruenceOracle, MonoidError, from_poset
 from posetalg.graphmon import (
     _chain_order,
     build_Er,
@@ -306,20 +306,21 @@ def test_chain_order_pins_the_lemma_it_rests_on():
     assert chain.reduce({"v2": 1, "v0": 1}) == chain.reduce({"v2": 1})
 
 
-def test_Er_check_reads_each_class_once(monkeypatch):
-    # a comparison per pair of words would convert 4 * C(W, 2) = 2,002,000 words
-    calls = []
-    as_vec = CongruenceOracle._as_vec
+def test_Er_check_builds_no_oracle(monkeypatch):
+    # an oracle on E_44's 45 vertices at bound 4 would be over the word limit
+    assert comb(45 + 4, 4) > ORACLE_WORD_LIMIT
+    built = []
+    init = CongruenceOracle.__init__
 
-    def counted(self, word):
-        calls.append(word)
-        return as_vec(self, word)
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(CongruenceOracle, "_as_vec", counted)
-    words = comb(9 + 1 + 4, 4)
-    assert words == 1001
-    assert check_Er_equals_chain(9, 4) is None
-    assert len(calls) <= 2 * words + 4
+    monkeypatch.setattr(CongruenceOracle, "__init__", counted)
+    assert check_Er_equals_chain(44, 4) is None
+    assert built == []
+    graph_monoid(build_Er(2), 4)
+    assert len(built) == 1
 
 
 def test_chain_split_reads_the_vertices_in_loop_chain_order():

@@ -696,6 +696,20 @@ def test_sigma_poly_reads_the_poset():
     assert sigma_poly(FIG2, "p", {("b", "a", "b"): 1}) == SigmaPoly("p", Poly({((("x", "a"), 1), (("x", "b"), 2)): 1}))
 
 
+def test_sigma_poly_rejects_a_monomial_spec_given_as_one_string():
+    # "ab" would split into the covers a and b
+    for spec in ("ab", "a"):
+        with pytest.raises(AlgebraError, match=f"monomial spec {spec!r} is a bare string"):
+            sigma_poly(FIG2, "p", {(): 1, spec: 1})
+
+
+@pytest.mark.parametrize("maxdeg", [-1, True, 2.5, "3", None])
+def test_sample_vectors_rejects_a_maxdeg_that_is_not_a_non_negative_int(maxdeg):
+    with pytest.raises(AlgebraError, match=re.escape(f"maxdeg {maxdeg!r} is not a non-negative int")):
+        sample_vectors(SPACE, maxdeg)
+    assert len(sample_vectors(SPACE, 0)) == len(SPACE.all_leaves())
+
+
 def test_invert_sigma_minimal_vertex_scalar():
     f = sigma_poly(FIG2, "a", {(): 2})
     v = leaf_vector(SPACE, (("a", 0),))
@@ -896,6 +910,169 @@ def test_alphabar_inverse_identity(q):
     ]
     for f in fs:
         assert check_alphabar_inverse_identity(SPACE, f, q, 6) is None
+
+
+def _parent_corner_identity(space, f, q, depth):
+    """check_corner_inverse_identity before the shared sample walk, kept as
+    the reference; it reads invert_sigma through the module, so a patched
+    one reaches both."""
+    P = space.poset
+    p = f.vertex
+    _, wmono, f0p, _ = _factor_bottom(f, P, q)
+    samples = sample_vectors(space, 2)
+    epq = ("epq", p, q)
+    wbar_word = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
+    for v in samples:
+        lhs = toeplitz.invert_sigma(space, f, act(space, epq, v), depth)
+        mid = act_word(space, wbar_word + [epq], toeplitz.invert_sigma(space, f0p, v, depth))
+        rhs = act_word(space, wbar_word, toeplitz.invert_sigma(space, f0p, act(space, epq, v), depth))
+        for other in (mid, rhs):
+            if not _parent_above_window(space, f, lhs - other, depth):
+                return (v, lhs, other)
+    return None
+
+
+def _parent_above_window(space, f, diff, depth):
+    P = space.poset
+    p = f.vertex
+    for path, c in diff.coeffs.items():
+        root, j = path[0]
+        if root != p:
+            return False
+        covers = lower_covers(P, p)
+        cutoff = depth - f.degree_at(("x", covers[j - 1]))
+        if c.num.degree_span(zvar(p, j))[0] <= cutoff:
+            return False
+    return True
+
+
+def _parent_alphabar_identity(space, f, q, depth):
+    """check_alphabar_inverse_identity before the shared sample walk."""
+    P = space.poset
+    p = f.vertex
+    _, wmono, f0p, rest = _factor_bottom(f, P, q)
+    xq = ("x", q)
+    gpoly = Poly()
+    for b, part in rest.items():
+        gpoly = gpoly + part * Poly.var(xq, b - 1)
+    g = SigmaPoly(p, -gpoly)
+    epq = ("epq", p, q)
+    ab = ("alphabar", p, q)
+    wbar_word = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
+    inv = toeplitz.invert_sigma
+    for v in sample_vectors(space, 2):
+        lhs = inv(space, f, act(space, ab, v), depth)
+        t1 = act(space, ab, inv(space, f, v, depth))
+        t2 = act_word(space, wbar_word + [epq], act_sigma(space, g, inv(space, f0p, inv(space, f, v, depth), depth)))
+        if not _parent_above_window(space, f, lhs - (t1 + t2), depth):
+            return (v, lhs, t1 + t2)
+    return None
+
+
+def _outcome(check, *args):
+    try:
+        return repr(check(*args))
+    except Exception as exc:  # the error is part of the outcome
+        return (type(exc), str(exc))
+
+
+def _identity_cases():
+    for poset, f in _digest_family():
+        space = build_space(poset)
+        for q in lower_covers(poset, f.vertex):
+            for depth in range(7):
+                yield space, f, q, depth
+
+
+@pytest.mark.hashseed
+def test_identity_walk_matches_the_parent_loops(monkeypatch):
+    # the digest family at depths 0..6, where the alphabar identity fails
+    # at depths 1 and 2 for some covers, then with an invert_sigma that adds
+    # its input, or a leaf off the polynomial's vertex, so that most cases
+    # return a counterexample
+    pairs = [
+        (check_corner_inverse_identity, _parent_corner_identity),
+        (check_alphabar_inverse_identity, _parent_alphabar_identity),
+    ]
+    wrongs = [
+        None,
+        lambda space, f, v, d: invert_sigma(space, f, v, d) + v,
+        lambda space, f, v, d: invert_sigma(space, f, v, d) + leaf_vector(space, space.all_leaves()[0]),
+    ]
+    failing = []
+    for wrong in wrongs:
+        if wrong:
+            monkeypatch.setattr(toeplitz, "invert_sigma", wrong)
+        verdicts = []
+        for space, f, q, depth in _identity_cases():
+            for check, parent in pairs:
+                got = _outcome(check, space, f, q, depth)
+                assert got == _outcome(parent, space, f, q, depth), (f, q, depth)
+                verdicts.append(got != "None")
+        failing.append(sum(verdicts))
+    assert 0 < failing[0] < len(verdicts) // 2 < min(failing[1:])
+    for check, parent in pairs:  # a bad cover and a bad depth, in the parent's order
+        for q, depth in (("zz", 3), ("a", -1), ("zz", -1)):
+            f = _digest_family()[0][1]
+            assert _outcome(check, SPACE, f, q, depth) == _outcome(parent, SPACE, f, q, depth)
+
+
+def _parent_check_relation(space, lhs, rhs, samples=None):
+    """check_relation before the shared sample walk: on a foreign sample it
+    skips the generic check, and its fallback reruns the selection."""
+    if samples is None:
+        samples = sample_vectors(space)
+    for side in (lhs, rhs):
+        act_expr(space, side, RepVector(space))
+    roots = {_word_root(word) for _, word in lhs + rhs}
+    every = None in roots
+    kept = []
+    for v in samples:
+        if type(v) is not RepVector or v.space is not space:
+            kept = None
+            break
+        if every:
+            kept.append(v)
+            continue
+        for path in v.coeffs:
+            if path[0][0] in roots:
+                kept.append(v)
+                break
+    if kept is not None and toeplitz._agrees_generically(space, lhs, rhs, kept):
+        return None
+    for v in samples:
+        if v.space is not space:
+            raise RepError("vector belongs to a different space (context mismatch)")
+        if every or any(path[0][0] in roots for path in v.coeffs):
+            left, right = act_expr(space, lhs, v), act_expr(space, rhs, v)
+            if left != right:
+                return (v, left, right)
+    return None
+
+
+@pytest.mark.hashseed
+def test_relation_walk_matches_the_parent_loop():
+    # each relation and each lhs against the next relation's rhs, at sample
+    # degrees 0..6, then with a foreign sample first, in the middle and last
+    verdicts = {True: 0, False: 0, "error": 0}
+    for poset in (FIG2, _claw()):
+        space = build_space(poset)
+        rels = [(lhs, rhs) for _, lhs, rhs in relation_suite(poset)]
+        mixed = [(lhs, rels[(i + 1) % len(rels)][1]) for i, (lhs, _) in enumerate(rels)]
+        foreign = leaf_vector(build_space(poset), space.all_leaves()[0])
+        for d in range(7):
+            samples = sample_vectors(space, d)
+            for lhs, rhs in rels + mixed:
+                got = _outcome(check_relation, space, lhs, rhs, samples)
+                assert got == _outcome(_parent_check_relation, space, lhs, rhs, samples)
+                verdicts[got == "None"] += 1
+        for lhs, rhs in rels[:4] + mixed[:4]:
+            for at in (0, len(samples) // 2, len(samples)):
+                with_foreign = samples[:at] + [foreign] + samples[at:]
+                got = _outcome(check_relation, space, lhs, rhs, with_foreign)
+                assert got == _outcome(_parent_check_relation, space, lhs, rhs, with_foreign)
+                verdicts["error" if type(got) is tuple else got == "None"] += 1
+    assert min(verdicts.values()) > 10
 
 
 def test_relation_suite_covers_all_families():
