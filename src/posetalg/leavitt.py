@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poset import LabelledPoset, LowerSet, PosetError, _require_cover, lower_covers
-from .ratfunc import Poly, poly_str, t_poly
+from .ratfunc import Poly, RatFunc, poly_str, t_poly
 
 # Step = (upper vertex, lower cover, exponent >= 0)
 
@@ -97,7 +97,7 @@ class AlgElement:
     def __eq__(self, other):
         return (
             isinstance(other, AlgElement)
-            and self.poset == other.poset
+            and (self.poset is other.poset or self.poset == other.poset)
             and self.terms == other.terms
         )
 
@@ -119,7 +119,7 @@ class AlgElement:
         return AlgElement(self.poset, {k: cc * c for k, cc in self.terms.items()})
 
     def _check_mate(self, other):
-        if not isinstance(other, AlgElement) or other.poset != self.poset:
+        if not isinstance(other, AlgElement) or (other.poset is not self.poset and other.poset != self.poset):
             raise AlgebraError("operands live over different posets")
 
     def __mul__(self, other):
@@ -185,11 +185,20 @@ def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:
         return out
     if kind == "t":
         (i,) = args
+        _require_t_index(i, AlgebraError)
         return scalar_element(P, t_poly(i))
     if kind == "scalar":
         (c,) = args
         return scalar_element(P, c if isinstance(c, Poly) else Poly.const(c))
     raise AlgebraError(f"unknown generator kind {kind!r}")
+
+
+def _require_t_index(i, error):
+    """Raise the given error type unless i is a positive int (a bool is
+    not one): the twist t_i -> t_{i+n_p-1} would send t_0 or a t of lower
+    index onto a t that the step maps give to a slot variable."""
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+        raise error(f"scalar index {i!r} is not a positive int")
 
 
 def scalar_element(poset, coeff: Poly) -> AlgElement:
@@ -516,18 +525,14 @@ def _parse_factor(poset, toks, i):
 def _invert_scalar(x: AlgElement) -> AlgElement:
     """Inverse of a scalar monomial element (negative powers are only legal
     on Laurent monomial scalars such as t3)."""
-    coeffs = set()
     for key, c in x.terms.items():
         if key.left or key.right or key.powers:
             raise AlgebraError("negative powers are only defined for scalars")
         if len(c.terms) != 1:
             raise AlgebraError("cannot invert a multi-term scalar")
-        coeffs.add(tuple(c.terms.items()))
-    if len(coeffs) != 1 or len(x.terms) != len(x.poset.elements):
+    if len(set(x.terms.values())) != 1 or len(x.terms) != len(x.poset.elements):
         raise AlgebraError("negative powers are only defined for global scalars")
-    ((mono, c),) = next(iter(coeffs))
-    inv = Poly({tuple((v, -e) for v, e in mono): Fraction(1) / c})
-    return scalar_element(x.poset, inv)
+    return scalar_element(x.poset, RatFunc(c).inverse().num)
 
 
 def _parse_atom(poset, toks, i):

@@ -502,18 +502,8 @@ def is_complete_hom(f: dict, src: LabelledPoset, dst: LabelledPoset) -> bool:
         return False
     if len(set(f.values())) != len(f):
         return False
-    if any(f[q] not in dst.strict[f[p]] for p in src.elements for q in src.strict[p]):
-        return False
-    for p in src.elements:
-        covs = lower_covers(src, p)
-        if not covs:
-            continue
-        img = lower_covers(dst, f[p])
-        if len(img) != len(covs):
-            return False
-        if tuple(f[q] for q in covs) != img:
-            return False
-    return True
+    # every q < p is a chain of covers, so keeping covers keeps the order
+    return all(tuple(f[q] for q in covs) == lower_covers(dst, f[p]) for p, covs in src.labels.items())
 
 
 def _relation_isos(elems1, rel1, elems2, rel2):

@@ -56,15 +56,6 @@ def _poly(terms):
     return p
 
 
-def _canonical_mono(mono):
-    """A monomial with its variables sorted, a repeated variable's
-    exponents summed and a zero exponent dropped."""
-    exps = {}
-    for v, e in mono:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
-
-
 class Poly:
     """Canonical sparse polynomial: a read-only {monomial: nonzero int or
     Fraction}, each monomial a tuple of (variable, nonzero exponent) pairs
@@ -79,7 +70,7 @@ class Poly:
             for mono, c in dict(terms).items():
                 # a lone variable with a nonzero exponent is canonical as given
                 if len(mono) > 1 or mono and not mono[0][1]:
-                    mono = _canonical_mono(mono)
+                    mono = _mono_mul((), mono)
                 c = _coerce(c)
                 out[mono] = _coerce(out[mono] + c) if mono in out else c
             out = {mono: c for mono, c in out.items() if c}
@@ -159,13 +150,7 @@ class Poly:
         """
         out = {}
         for mono, c in self.terms.items():
-            d = {}
-            for v, e in mono:
-                if v in mapping:
-                    v, k = mapping[v]
-                    e *= k
-                d[v] = d.get(v, 0) + e
-            acc = tuple(sorted(kv for kv in d.items() if kv[1]))
+            acc = _mono_mul((), ((mapping[v][0], e * mapping[v][1]) if v in mapping else (v, e) for v, e in mono))
             s = out.get(acc, 0) + c
             if s:
                 out[acc] = s
@@ -203,13 +188,15 @@ def mono_exponent(mono, v):
 
 
 def _mono_mul(m1, m2):
+    """The canonical monomial of m1 times m2: m1 canonical, m2 any
+    (variable, exponent) pairs, repeats and zero exponents allowed."""
     d = dict(m1)
     for v, e in m2:
         s = d.get(v, 0) + e
         if s:
             d[v] = s
         else:
-            del d[v]
+            d.pop(v, None)
     return tuple(sorted(d.items()))
 
 
@@ -436,15 +423,8 @@ class RatFunc:
     def subst_monomials(self, mapping):
         if not self.content:
             return self
-        d = self.den.subst_monomials(mapping).terms
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        p = self.prim.subst_monomials(mapping).terms
-        if not p:  # colliding monomials cancelled
-            return _rat(0, _ZERO, _ONE)
-        cn, p = _split(p)
-        cd, d = _split(d)
-        return _rat(_q(Fraction(self.content * cn) / cd), p, d)
+        r = RatFunc(self.prim.subst_monomials(mapping), self.den.subst_monomials(mapping))
+        return _rat(_q(self.content * r.content), r.prim, r.den)
 
     def __repr__(self):
         if self.den is _ONE:

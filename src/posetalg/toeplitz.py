@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .poset import LabelledPoset, _descents, _reject_bare_string, _require_count, _require_cover, lower_covers
 from .ratfunc import Poly, RatFunc, _poly, mono_exponent, t_poly
-from .leavitt import AlgElement, AlgebraError, TermKey, sigma_j_index, sigma_p_poly, t_shift
+from .leavitt import AlgElement, AlgebraError, TermKey, _require_t_index, sigma_j_index, sigma_p_poly, t_shift
 
 
 def zvar(vertex, slot):
@@ -203,6 +203,8 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
     _check_space(space, vec)
     P = space.poset
     kind = gen[0]
+    if kind == "t":
+        _require_t_index(gen[1], RepError)
     if kind in ("scalar", "t"):
         val = RatFunc.of(gen[1] if kind == "scalar" else t_poly(gen[1]))
         return RepVector._trusted(space, {path: c * val for path, c in vec.coeffs.items()})
@@ -279,7 +281,7 @@ def act_element(space: Space, x: AlgElement, vec: RepVector) -> RepVector:
     Every term lives in the corner at the start of its left path, so it
     acts only on the paths of vec with that root; a term whose corner
     holds no path gives zero, once its steps are checked."""
-    if x.poset != space.poset:
+    if x.poset is not space.poset and x.poset != space.poset:
         raise RepError("element and space live over different posets")
     _check_space(space, vec)
     P = space.poset

@@ -106,6 +106,19 @@ def test_generator_shapes():
         g("nope", "p")
 
 
+@pytest.mark.parametrize("i", [0, -1, True, 1.0, "1"])
+def test_t_index_is_a_positive_int(i):
+    # the twist t_i -> t_{i+n_p-1} would move t_0 onto a slot's t
+    with pytest.raises(AlgebraError, match="is not a positive int"):
+        g("t", i)
+
+
+def test_parse_rejects_t0():
+    for text in ("t0", "t00 * e[p]", "t0^-1"):
+        with pytest.raises(AlgebraError, match="scalar index 0 is not a positive int"):
+            parse_element(FIG2, text)
+
+
 def all_generators(poset):
     """Every generator kind of the poset: e and eprime at each vertex, the
     five cover kinds at each cover, one t and one scalar."""

@@ -504,6 +504,49 @@ def test_complete_hom_respects_labels():
     assert is_complete_hom({"a": "b", "b": "a", "p": "p"}, fig2, flipped)
 
 
+def reference_complete_hom(f, src, dst):
+    """is_complete_hom with the order and cover-count checks that the
+    cover check implies spelled out."""
+    if set(f) != set(src.elements):
+        return False
+    if any(v not in dst.strict for v in f.values()):
+        return False
+    if len(set(f.values())) != len(f):
+        return False
+    if any(f[q] not in dst.strict[f[p]] for p in src.elements for q in src.strict[p]):
+        return False
+    for p in src.elements:
+        covs = lower_covers(src, p)
+        if not covs:
+            continue
+        img = lower_covers(dst, f[p])
+        if len(img) != len(covs):
+            return False
+        if tuple(f[q] for q in covs) != img:
+            return False
+    return True
+
+
+def test_complete_hom_matches_the_reference_on_catalogue():
+    # every injective map between catalogue posets with n <= 4, each also
+    # with every cover order reversed
+    posets = []
+    for n in range(5):
+        for poset in enumerate_posets(n):
+            posets.append(poset)
+            if any(len(covs) > 1 for covs in poset.labels.values()):
+                reversed_labels = {p: covs[::-1] for p, covs in poset.labels.items()}
+                posets.append(LabelledPoset(poset.elements, poset.strict, reversed_labels))
+    verdicts = Counter()
+    for src, dst in itertools.product(posets, repeat=2):
+        for image in itertools.permutations(dst.elements, len(src.elements)):
+            f = dict(zip(src.elements, image))
+            verdict = is_complete_hom(f, src, dst)
+            assert verdict == reference_complete_hom(f, src, dst), (f, src, dst)
+            verdicts[verdict] += 1
+    assert verdicts == {True: 1911, False: 15093}
+
+
 def test_poset_pair_iso():
     def iso(x, y):
         return monoid_iso(PrimitiveMonoid(x), PrimitiveMonoid(y))

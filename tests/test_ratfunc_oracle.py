@@ -5,9 +5,13 @@ and sums of them divided by a monomial, in three variables with integer and
 rational coefficients, are evaluated twice: by the integer kernel and by
 sympy.  The kernel must call two expressions equal
 exactly when ``sympy.cancel`` reduces their difference to zero, and its
-content * P / D form must be the expression itself.
+content * P / D form must be the expression itself.  Random monomial
+substitutions into Poly and RatFunc are checked against ``sympy.subs`` the
+same way.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -129,3 +133,90 @@ def test_equality_matches_sympy_cancel(a, b, c):
         assert (rl == rr) == (sympy.cancel(sl - sr) == 0)
         check_form(rl, sl)
         check_form(rr, sr)
+
+
+# -- monomial substitution --------------------------------------------------------
+
+
+@st.composite
+def substitutions(draw):
+    """A substitution v -> w**k of some of the variables, k in -2..2."""
+    mapping = {}
+    for v in VARS:
+        if draw(st.booleans()):
+            mapping[v] = (draw(st.sampled_from(VARS)), draw(st.integers(-2, 2)))
+    return mapping
+
+
+def sympy_subst(s, mapping):
+    return s.subs({SYMS[VARS.index(v)]: SYMS[VARS.index(w)] ** k for v, (w, k) in mapping.items()}, simultaneous=True)
+
+
+def colliding_pair(mapping):
+    """Two distinct monomials with exponents in -1..1 that the substitution
+    sends to one; None when it sends no two of them to one."""
+    seen = {}
+    for exps in itertools.product(range(-1, 2), repeat=len(VARS)):
+        image = Counter()
+        for v, e in zip(VARS, exps):
+            w, k = mapping.get(v, (v, 1))
+            image[w] += e * k
+        image = frozenset((w, e) for w, e in image.items() if e)
+        mono = Poly({tuple((v, e) for v, e in zip(VARS, exps) if e): 1})
+        if image in seen:
+            return seen[image], mono
+        seen[image] = mono
+    return None
+
+
+@st.composite
+def substituted(draw):
+    """A substitution and a numerator and denominator of up to two drawn
+    terms each, to which two monomials that the substitution sends to one
+    may be added with opposite signs, so that their images cancel; an empty
+    denominator is 1."""
+    mapping = draw(substitutions())
+    pair = colliding_pair(mapping)
+    parts = []
+    for _ in range(2):
+        part = sum(draw(st.lists(monomial_polys(), min_size=0, max_size=2)), Poly())
+        if pair and draw(st.booleans()):
+            c = draw(st.sampled_from([1, -3, Fraction(1, 2)]))
+            part = part + (pair[0] - pair[1]).scale(c)
+        parts.append(part)
+    return mapping, parts[0], parts[1] if parts[1] else Poly.const(1)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(substituted())
+def test_substitution_matches_sympy_subs(case):
+    mapping, num, den = case
+    got = num.subst_monomials(mapping)
+    assert sympy.expand(to_sympy(got) - sympy_subst(to_sympy(num), mapping)) == 0
+    assert all(e for mono in got.terms for _, e in mono) and all(got.terms.values())
+    # the substitution acts on the held form content * P / D, whose D may
+    # differ from den: 0 / den is 0 and den / den is 1
+    r = RatFunc(num, den)
+    s_num, s_den = sympy_subst(to_sympy(r.num), mapping), sympy_subst(to_sympy(r.den), mapping)
+    if r.is_zero():
+        assert r.subst_monomials(mapping) is r
+    elif sympy.cancel(s_den) == 0:
+        with pytest.raises(ZeroDivisionError):
+            r.subst_monomials(mapping)
+    else:
+        check_form(r.subst_monomials(mapping), s_num / s_den)
+
+
+def test_substitution_cancels_colliding_monomials():
+    # z_p_1 * t1 and z_p_2 both go to t1^2 and cancel, and so does the
+    # denominator z_p_1^2 - z_p_2
+    z1, z2, t = VARS
+    mapping = {z1: (t, 1), z2: (t, 2)}
+    num = Poly({((z1, 1), (t, 1)): 1, ((z2, 1),): -1, ((z1, 1),): 2})
+    den = Poly({((z1, 2),): 1, ((z2, 1),): -1})
+    assert num.subst_monomials(mapping) == Poly({((t, 1),): 2})
+    assert den.subst_monomials(mapping).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        RatFunc(num, den).subst_monomials(mapping)
+    cancelled = RatFunc(num - Poly({((z1, 1),): 2}), Poly({(): 1, ((z1, 1),): 1}))
+    check_form(cancelled.subst_monomials(mapping), sympy.Integer(0))

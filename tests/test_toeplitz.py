@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import PosetError, enumerate_posets, fig2_poset, lower_covers, make_poset
+from posetalg.poset import LabelledPoset, PosetError, enumerate_posets, fig2_poset, lower_covers, make_poset
 from posetalg.ratfunc import Poly, RatFunc, t_poly
 from posetalg.leavitt import AlgebraError, AlgElement, TermKey, generator, one, parse_element
 from posetalg import toeplitz
@@ -571,6 +571,29 @@ def test_act_element_rejects_foreign_poset():
         act_element(SPACE, one(other), leaf_vector(SPACE, (("a", 0),)))
 
 
+def test_one_poset_object_is_never_compared_field_by_field(monkeypatch):
+    calls = []
+    compare = LabelledPoset.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return compare(self, other)
+
+    monkeypatch.setattr(LabelledPoset, "__eq__", counted)
+    x = generator(FIG2, "alpha", "p", "b") * generator(FIG2, "beta", "p", "a")
+    v = act_element(SPACE, x + x, leaf_vector(SPACE, (("p", 1), ("a", 0))))
+    assert x == x and not v.is_zero()
+    assert calls == []
+    # an equal poset held in another object is compared, and agrees
+    twin = fig2_poset()
+    assert x == parse_element(twin, "a[p,b] * b[p,a]") and calls
+    # different posets still raise
+    with pytest.raises(AlgebraError, match="different posets"):
+        x * one(chain(1))
+    with pytest.raises(RepError, match="different posets"):
+        act_element(SPACE, one(chain(1)), leaf_vector(SPACE, (("a", 0),)))
+
+
 def test_corner_consistency():
     # elements over a lower subset act identically via the subspace and kill
     # vectors supported outside it
@@ -1130,6 +1153,12 @@ def test_algebra_outputs_digest():
             for v in sample_vectors(space, 2):
                 h.update(repr(invert_sigma(space, f, v, 4)).encode())
     assert h.hexdigest() == "64c0951d9af155ffab18064a1a682a79b79fb83c222de43c45d10493fcd92492"
+
+
+@pytest.mark.parametrize("i", [0, -1, True, 1.0, "1"])
+def test_act_rejects_a_t_index_that_is_not_a_positive_int(i):
+    with pytest.raises(RepError, match="is not a positive int"):
+        act(SPACE, ("t", i), leaf_vector(SPACE, (("a", 0),)))
 
 
 def test_act_takes_t_generators_like_generator():
