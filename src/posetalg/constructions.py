@@ -26,7 +26,6 @@ from .poset import (
     _descents,
     _require_count,
     compute_lower_covers,
-    lower_covers,
 )
 from .primon import (
     CongruenceOracle,
@@ -300,9 +299,10 @@ def sub_poset(base: LabelledPoset, members) -> LabelledPoset:
 def _merge_lower_parts(poset: LabelledPoset, psi: dict, mu: dict):
     """Poset-level crowned pushout along the element map mu.
 
-    mu sends each element of the dropped part z2 to its partner in z1 and
-    fixes every other element; each survivor's down-set becomes the image of
-    its old down-set under mu.  That image is the inherited order plus x < y
+    mu sends each element of a dropped part z2 to its partner in z1 and
+    fixes every other element (one map may carry several gluings of
+    disjoint parts); each survivor's down-set becomes the image of its old
+    down-set under mu.  That image is the inherited order plus x < y
     whenever x is in z1, y is outside z1 and mu^-1(x) < y: both parts are
     down-closed, so once z1 and z2 are disjoint no z1 element lies above a z2
     element.  Label order ranks a cover by its old position, else by the old
@@ -357,29 +357,31 @@ def _by_image(psi, part, name):
     return by_image
 
 
-def _glue_overlap(poset, psi, covered: set, fresh: set):
-    """One pairwise merge of the psi-overlap of two lower parts: each fresh
-    element over the overlap goes to the covered element with its image."""
+def _glue_overlap(psi, covered: set, fresh: set, mu: dict):
+    """Record in mu one gluing of the psi-overlap of two lower parts: each fresh
+    element over it (the dropped part z2) goes to the covered one with its
+    image.  Returns the merged part, covered | (fresh - z2)."""
     common = {psi[x] for x in covered} & {psi[x] for x in fresh}
-    if not common:
-        return poset, psi, {e: e for e in poset.elements}, covered | fresh
     z1 = {x for x in covered if psi[x] in common}
     z2 = {x for x in fresh if psi[x] in common}
     _by_image(psi, z2, "fresh")
     partner = _by_image(psi, z1, "covered")
     if z1 & z2:
         raise PosetError("the lower parts to glue overlap")
-    mu = {e: partner[psi[e]] if e in z2 else e for e in poset.elements}
-    new_poset, new_psi = _merge_lower_parts(poset, psi, mu)
-    return new_poset, new_psi, mu, {mu[x] for x in covered | fresh}
+    mu.update((e, partner[psi[e]]) for e in z2)
+    return covered | (fresh - z2)
 
 
 def reconstruct_down(base: LabelledPoset, top: str) -> Reconstruction:
     """Rebuild the down-set monoid of a maximal element from its unfolding.
 
-    Step i processes the elements of depth r-i-2: the overlaps of the
+    Step i processes the elements of depth d = r-i-2: the overlaps of the
     images of their covers' down-sets are identified two at a time by
-    crowned pushouts, in cover-label order.
+    crowned pushouts, in cover-label order.  A step records its gluings in
+    one map and merges once, if it glued anything.  That is exact: the parts
+    below distinct depth-(d+1) elements are disjoint, as deeper steps glue
+    only under one node, which has a single chain above it; so the gluings
+    touch disjoint survivors, their maps compose as a union, and no cover moves.
     """
     unf = build_F(base, top)
     poset, psi = unf.result.poset, dict(unf.result.psi)
@@ -390,22 +392,17 @@ def reconstruct_down(base: LabelledPoset, top: str) -> Reconstruction:
     # the down-set is a root-to-leaf path of the tree: r is its height.
     depths = _depths(poset)
     r = max(depths.values())
-    stages = [MappedPoset(poset, dict(psi))]
-    step_maps = []
-    for i in range(max(r - 1, 0)):
-        d = r - i - 2
-        total_mu = {e: e for e in poset.elements}
-        for q in sorted(e for e in poset.elements if depths[e] == d):
-            covers = lower_covers(poset, q)
-            if len(covers) < 2:
-                continue
-            covered = poset.strict[covers[0]] | {covers[0]}
-            for v in covers[1:]:
-                fresh = poset.strict[v] | {v}
-                poset, psi, mu, covered = _glue_overlap(poset, psi, covered, fresh)
-                total_mu = {e: mu[x] for e, x in total_mu.items()}
+    stages, step_maps = [MappedPoset(poset, dict(psi))], []
+    for d in range(r - 2, -1, -1):
+        mu = {}
+        for first, *rest in (covers for q, covers in poset.labels.items() if depths[q] == d and len(covers) > 1):
+            covered = poset.strict[first] | {first}
+            for v in rest:
+                covered = _glue_overlap(psi, covered, poset.strict[v] | {v}, mu)
+        step_maps.append({e: mu.get(e, e) for e in poset.elements})
+        if mu:
+            poset, psi = _merge_lower_parts(poset, psi, step_maps[-1])
         stages.append(MappedPoset(poset, dict(psi)))
-        step_maps.append(total_mu)
     # the last stage must be isomorphic to the down-set through psi
     target = sub_poset(base, base.strict[top] | {top})
     if sorted(psi.values()) != sorted(target.elements) or len(poset.elements) != len(target.elements):
@@ -436,7 +433,8 @@ def assemble(base: LabelledPoset) -> Assembly:
     elements, glued along shared lower parts by crowned pushouts.
 
     The copy of e in the reconstruction of the maximal element m is named
-    ``e@m``, so no base id may contain ``~`` or ``@``.
+    ``e@m``, so no base id may contain ``~`` or ``@``.  The parts are
+    disjoint down-sets, so one merge after all gluings is their composite.
     """
     _reject_reserved(base, "~@")
     recs = {m: reconstruct_down(base, m) for m in sorted(base.maximal())}
@@ -452,11 +450,10 @@ def assemble(base: LabelledPoset) -> Assembly:
     labels = {p: labels[p] for p in elements if p in labels}
     poset = LabelledPoset._trusted(elements, {p: strict[p] for p in elements}, labels)
 
-    gluings = 0
-    covered = set()
+    covered, mu = set(), {}
     for fresh in parts:
-        before = len(poset.elements)
-        poset, psi, _, covered = _glue_overlap(poset, psi, covered, fresh)
-        if len(poset.elements) != before:
-            gluings += 1
+        covered = _glue_overlap(psi, covered, fresh, mu)
+    if mu:
+        poset, psi = _merge_lower_parts(poset, psi, {e: mu.get(e, e) for e in elements})
+    gluings = sum(not mu.keys().isdisjoint(fresh) for fresh in parts)
     return Assembly(from_poset(poset), poset, psi, recs, gluings)

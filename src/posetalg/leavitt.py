@@ -189,7 +189,9 @@ def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:
         return scalar_element(P, t_poly(i))
     if kind == "scalar":
         (c,) = args
-        return scalar_element(P, c if isinstance(c, Poly) else Poly.const(c))
+        c = c if isinstance(c, Poly) else Poly.const(c)
+        _require_t_indices(c, AlgebraError)
+        return scalar_element(P, c)
     raise AlgebraError(f"unknown generator kind {kind!r}")
 
 
@@ -199,6 +201,14 @@ def _require_t_index(i, error):
     index onto a t that the step maps give to a slot variable."""
     if isinstance(i, bool) or not isinstance(i, int) or i < 1:
         raise error(f"scalar index {i!r} is not a positive int")
+
+
+def _require_t_indices(x, error):
+    """_require_t_index on the index of each t variable of x, a Poly or a
+    RatFunc: a scalar may not hold t_0 or a t of lower index either."""
+    for v in x.variables():
+        if v[0] == "t":
+            _require_t_index(v[1], error)
 
 
 def scalar_element(poset, coeff: Poly) -> AlgElement:

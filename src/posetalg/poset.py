@@ -565,8 +565,11 @@ def _relation_isos(elems1, rel1, elems2, rel2):
 
 
 def relation_iso(elems1, rel1, elems2, rel2):
-    """The first bijection ``_relation_isos`` finds, or None.  Used for
-    poset isomorphism and for prime-pair isomorphism."""
+    """The first bijection ``_relation_isos`` finds, or None; on equal pairs
+    of distinct elements that is the identity, returned with no search."""
+    ordered = sorted(elems1)
+    if ordered == sorted(elems2) and rel1 == rel2 and len(set(ordered)) == len(ordered):
+        return {e: e for e in ordered}
     return next(_relation_isos(elems1, rel1, elems2, rel2), None)
 
 

@@ -31,7 +31,16 @@ from fractions import Fraction
 
 from .poset import LabelledPoset, _descents, _reject_bare_string, _require_count, _require_cover, lower_covers
 from .ratfunc import Poly, RatFunc, _poly, mono_exponent, t_poly
-from .leavitt import AlgElement, AlgebraError, TermKey, _require_t_index, sigma_j_index, sigma_p_poly, t_shift
+from .leavitt import (
+    AlgElement,
+    AlgebraError,
+    TermKey,
+    _require_t_index,
+    _require_t_indices,
+    sigma_j_index,
+    sigma_p_poly,
+    t_shift,
+)
 
 
 def zvar(vertex, slot):
@@ -207,6 +216,7 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
         _require_t_index(gen[1], RepError)
     if kind in ("scalar", "t"):
         val = RatFunc.of(gen[1] if kind == "scalar" else t_poly(gen[1]))
+        _require_t_indices(val, RepError)
         return RepVector._trusted(space, {path: c * val for path, c in vec.coeffs.items()})
 
     if kind == "e":

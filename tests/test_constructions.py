@@ -694,7 +694,7 @@ def test_glue_overlap_rejects_overlapping_parts():
     poset = fig2_poset()
     psi = {e: e for e in poset.elements}
     with pytest.raises(PosetError, match="overlap"):
-        _glue_overlap(poset, psi, {"a"}, {"a", "b"})
+        _glue_overlap(psi, {"a"}, {"a", "b"}, {})
 
 
 @st.composite
@@ -883,6 +883,131 @@ def test_merge_matches_the_full_rebuild():
 @given(layered_posets())
 def test_merge_matches_the_full_rebuild_on_layered_posets(base):
     assert_merge_matches_full_rebuild([base])
+
+
+def per_glue_overlap(poset, psi, covered, fresh):
+    """One gluing as it was before each stage merged once: the poset is
+    merged at once and the glued poset, psi, element map and merged part
+    come back.  Kept with the two functions below as the reference."""
+    common = {psi[x] for x in covered} & {psi[x] for x in fresh}
+    if not common:
+        return poset, psi, {e: e for e in poset.elements}, covered | fresh
+    z1 = {x for x in covered if psi[x] in common}
+    z2 = {x for x in fresh if psi[x] in common}
+    constructions._by_image(psi, z2, "fresh")
+    partner = constructions._by_image(psi, z1, "covered")
+    if z1 & z2:
+        raise PosetError("the lower parts to glue overlap")
+    mu = {e: partner[psi[e]] if e in z2 else e for e in poset.elements}
+    new_poset, new_psi = constructions._merge_lower_parts(poset, psi, mu)
+    return new_poset, new_psi, mu, {mu[x] for x in covered | fresh}
+
+
+def per_glue_reconstruct_down(base, top):
+    unf = build_F(base, top)
+    poset, psi = unf.result.poset, dict(unf.result.psi)
+    depths = _depths(poset)
+    r = max(depths.values())
+    stages = [constructions.MappedPoset(poset, dict(psi))]
+    step_maps = []
+    for i in range(max(r - 1, 0)):
+        d = r - i - 2
+        total_mu = {e: e for e in poset.elements}
+        for q in sorted(e for e in poset.elements if depths[e] == d):
+            covers = lower_covers(poset, q)
+            if len(covers) < 2:
+                continue
+            covered = poset.strict[covers[0]] | {covers[0]}
+            for v in covers[1:]:
+                fresh = poset.strict[v] | {v}
+                poset, psi, mu, covered = per_glue_overlap(poset, psi, covered, fresh)
+                total_mu = {e: mu[x] for e, x in total_mu.items()}
+        stages.append(constructions.MappedPoset(poset, dict(psi)))
+        step_maps.append(total_mu)
+    target = sub_poset(base, base.strict[top] | {top})
+    if poset.elements != target.elements:
+        stages.append(constructions.MappedPoset(target, {e: e for e in target.elements}))
+        step_maps.append(dict(psi))
+    return stages, step_maps
+
+
+def per_glue_assemble(base):
+    constructions._reject_reserved(base, "~@")
+    parts, strict, labels, psi = [], {}, {}, {}
+    for m in sorted(base.maximal()):
+        stages, _ = per_glue_reconstruct_down(base, m)
+        last = stages[-1]
+        tag = {e: f"{e}@{m}" for e in last.poset.elements}
+        parts.append(set(tag.values()))
+        strict.update((tag[p], frozenset(tag[q] for q in below)) for p, below in last.poset.strict.items())
+        labels.update((tag[p], tuple(tag[q] for q in kids)) for p, kids in last.poset.labels.items())
+        psi.update((tag[e], last.psi[e]) for e in tag)
+    elements = tuple(sorted(strict))
+    labels = {p: labels[p] for p in elements if p in labels}
+    poset = LabelledPoset._trusted(elements, {p: strict[p] for p in elements}, labels)
+    gluings, covered = 0, set()
+    for fresh in parts:
+        before = len(poset.elements)
+        poset, psi, _, covered = per_glue_overlap(poset, psi, covered, fresh)
+        gluings += len(poset.elements) != before
+    return poset, psi, gluings
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _staged(stages, step_maps):
+    return [(_ordered(s.poset), list(s.psi.items())) for s in stages], [list(m.items()) for m in step_maps]
+
+
+def assert_stage_merges_match_the_per_glue_reference(base):
+    for top in sorted(base.maximal()):
+        rec = reconstruct_down(base, top)
+        assert _staged(rec.stages, rec.step_maps) == _staged(*per_glue_reconstruct_down(base, top))
+    asm = assemble(base)
+    poset, psi, gluings = per_glue_assemble(base)
+    assert (_ordered(asm.poset), list(asm.psi.items()), asm.gluings) == (_ordered(poset), list(psi.items()), gluings)
+    return asm.gluings
+
+
+@pytest.mark.hashseed
+def test_stage_merges_match_the_per_glue_reference():
+    assert sum(assert_stage_merges_match_the_per_glue_reference(base) for base in surgery_bases()) > 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(layered_posets())
+def test_stage_merges_match_the_per_glue_reference_on_layered_posets(base):
+    assert_stage_merges_match_the_per_glue_reference(base)
+
+
+def test_stage_merges_fail_like_the_per_glue_reference():
+    tilde = make_poset(["a~1", "b"], [("a~1", "b")])
+    at = make_poset(["a@1", "b"], [("a@1", "b")])
+    for base, top in [(tilde, "b"), (fig2_poset(), "a"), (fig2_poset(), "zz"), (at, "b")]:
+        got = _outcome(lambda: reconstruct_down(base, top).stages)
+        want = _outcome(lambda: per_glue_reconstruct_down(base, top)[0])
+        assert got == want
+        assert _outcome(lambda: assemble(base).gluings) == _outcome(lambda: per_glue_assemble(base)[2])
+    # the glue's own checks, on parts of the Fig. 2 poset
+    fig2 = fig2_poset()
+    one_image = {e: "a" for e in fig2.elements}
+    cases = [
+        (one_image, {"p"}, {"a", "b"}),
+        (one_image, {"a", "b"}, {"p"}),
+        ({e: e for e in fig2.elements}, {"a"}, {"a", "b"}),
+    ]
+    messages = set()
+    for psi, covered, fresh in cases:
+        got = _outcome(_glue_overlap, psi, covered, fresh, {})
+        assert got == _outcome(per_glue_overlap, fig2, psi, covered, fresh) and got[0] is PosetError
+        messages.add(got[1])
+    assert len(messages) == 3
 
 
 def assert_tree_depths_hold(base):

@@ -36,8 +36,10 @@ from posetalg.poset import (
     parse_poset,
     poset_iso,
     quiver_T,
+    relation_iso,
     to_dot,
 )
+import posetalg.poset as poset_module
 from posetalg.constructions import build_F
 from posetalg.primon import PrimePair, PrimitiveMonoid, enumerate_prime_pairs, monoid_iso
 
@@ -761,3 +763,45 @@ def test_relation_isos_with_an_end_outside_the_elements_keep_their_verdict():
         assert list(_relation_isos(*case)) == list(counting_relation_isos(*case))
     assert list(_relation_isos(*cases[0])) == [{"a": "a", "b": "b"}]
     assert list(_relation_isos(*cases[1])) == []
+
+
+def test_relation_iso_is_the_first_listed_bijection():
+    # every prime pair with <= 5 primes and every poset with n <= 6, against
+    # itself (the equal-pair shortcut), a randomly renamed copy on the same
+    # names and the relation with one pair toggled: the verdict and the
+    # witness are the search's first result
+    rng = random.Random(32)
+    posets = [p for n in range(7) for p in enumerate_posets(n)]
+    cases = [(p.elements, {(q, x) for x in p.elements for q in p.strict[x]}) for p in posets]
+    cases += [(pair.primes, pair.rel) for pair in enumerate_prime_pairs(5)]
+    shortcuts = 0
+    for elems, rel in cases:
+        name = dict(zip(elems, rng.sample(elems, len(elems))))
+        others = [set(rel), {(name[q], name[p]) for q, p in rel}]
+        others += [set(rel) ^ {(elems[0], elems[-1])}] if elems else []
+        for other_rel in others:
+            got = relation_iso(elems, rel, elems, other_rel)
+            assert got == next(_relation_isos(elems, rel, elems, other_rel), None)
+            assert got is None or list(got) == sorted(elems)
+            shortcuts += other_rel == rel
+    assert shortcuts > len(cases)  # some renamings are automorphisms
+    assert relation_iso(["a", "a"], set(), ["a", "a"], set()) is None  # no bijection of repeats
+
+
+def test_monoid_iso_of_equal_pairs_skips_the_search():
+    searches = Counter()
+
+    def counted(*args):
+        searches["calls"] += 1
+        return _relation_isos(*args)
+
+    pairs = enumerate_prime_pairs(4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poset_module, "_relation_isos", counted)
+        for pair in pairs:
+            twin = PrimePair(tuple(pair.primes), set(pair.rel))
+            iso = monoid_iso(PrimitiveMonoid(pair), PrimitiveMonoid(twin))
+            assert iso == {p: p for p in pair.primes}
+        assert searches["calls"] == 0
+        assert monoid_iso(PrimitiveMonoid(pair), PrimitiveMonoid(PrimePair(pair.primes, frozenset()))) is None
+        assert searches["calls"] == 1

@@ -1161,6 +1161,18 @@ def test_act_rejects_a_t_index_that_is_not_a_positive_int(i):
         act(SPACE, ("t", i), leaf_vector(SPACE, (("a", 0),)))
 
 
+@pytest.mark.parametrize("coeff", [t_poly(0), t_poly(-1, 2), RatFunc(Poly.const(1), Poly.const(1) + t_poly(0))])
+def test_scalars_holding_a_t_index_that_is_not_positive_are_rejected(coeff):
+    # t_0 in a scalar would meet the twist's slot variables just as ("t", 0) does
+    v = leaf_vector(SPACE, (("a", 0),))
+    with pytest.raises(RepError, match="is not a positive int"):
+        act(SPACE, ("scalar", coeff), v)
+    if isinstance(coeff, Poly):
+        with pytest.raises(AlgebraError, match="is not a positive int"):
+            generator(FIG2, "scalar", coeff)
+    assert act(SPACE, ("scalar", t_poly(1)), v) == act(SPACE, ("t", 1), v)
+
+
 def test_act_takes_t_generators_like_generator():
     for poset in [FIG2, _claw()]:
         space = build_space(poset)
