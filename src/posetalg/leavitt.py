@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poset import LabelledPoset, LowerSet, PosetError, _require_cover, lower_covers
 from .ratfunc import Poly, RatFunc, poly_str, t_poly
@@ -62,8 +62,7 @@ def sigma_p_poly(poly: Poly, np_: int) -> Poly:
     return poly.subst_monomials(t_shift(poly, np_ - 1))
 
 
-@dataclass(frozen=True)
-class TermKey:
+class TermKey(NamedTuple):
     left: tuple  # descending steps, top-down: left[-1] ends at mid
     mid: str  # bottom vertex
     powers: tuple  # sorted (cover, nonzero exponent)
@@ -123,7 +122,7 @@ class AlgElement:
             raise AlgebraError("operands live over different posets")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if type(other) is not AlgElement and isinstance(other, (int, Fraction, Poly)):  # Fraction's ABC check is slow
             return self.scale(other)
         self._check_mate(other)
         out = {}
@@ -147,11 +146,6 @@ class AlgElement:
 # generators
 
 
-def _unit_key(poset, p):
-    poset.check(p)
-    return TermKey((), p, (), ())
-
-
 # the term of each generator at a cover q of p; e(p,q) is stored in its
 # beta.betabar form
 _COVER_KEYS = {
@@ -163,56 +157,58 @@ _COVER_KEYS = {
 }
 
 
+# the number of arguments each generator kind takes
+_ARITY = {**dict.fromkeys(_COVER_KEYS, 2), "e": 1, "eprime": 1, "t": 1, "scalar": 1}
+
+
+def _require_arity(gen, error):
+    """Raise the given error type, naming gen, unless gen is a tuple
+    (kind, *args) of a known kind with that kind's number of arguments."""
+    kind = gen[0] if type(gen) is tuple and gen else None
+    if not isinstance(kind, str) or kind not in _ARITY:
+        raise error(f"unknown generator {gen!r}")
+    if len(gen) != 1 + _ARITY[kind]:
+        raise error(f"malformed generator {gen!r}: {kind} takes {_ARITY[kind]} argument(s)")
+
+
 def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:
     """One of e, epq, eprime, alpha, alphabar, beta, betabar, t, scalar.
 
     The complement eprime(p) expands through the orthogonal decomposition
     of e(p).
     """
-    P = poset
+    _require_arity((kind, *args), AlgebraError)
     if kind in _COVER_KEYS:
         p, q = args
-        _require_cover(P, p, q, AlgebraError)
-        return AlgElement(P, {_COVER_KEYS[kind](p, q): Poly.const(1)})
+        _require_cover(poset, p, q, AlgebraError)
+        return AlgElement(poset, {_COVER_KEYS[kind](p, q): Poly.const(1)})
     if kind == "e":
         (p,) = args
-        return AlgElement(P, {_unit_key(P, p): Poly.const(1)})
+        poset.check(p)
+        return AlgElement(poset, {TermKey((), p, (), ()): Poly.const(1)})
     if kind == "eprime":
         (p,) = args
-        out = generator(P, "e", p)
-        for q in lower_covers(P, p):
-            out = out - generator(P, "epq", p, q)
+        out = generator(poset, "e", p)
+        for q in lower_covers(poset, p):
+            out = out - generator(poset, "epq", p, q)
         return out
-    if kind == "t":
-        (i,) = args
-        _require_t_index(i, AlgebraError)
-        return scalar_element(P, t_poly(i))
-    if kind == "scalar":
-        (c,) = args
-        c = c if isinstance(c, Poly) else Poly.const(c)
-        _require_t_indices(c, AlgebraError)
-        return scalar_element(P, c)
-    raise AlgebraError(f"unknown generator kind {kind!r}")
-
-
-def _require_t_index(i, error):
-    """Raise the given error type unless i is a positive int (a bool is
-    not one): the twist t_i -> t_{i+n_p-1} would send t_0 or a t of lower
-    index onto a t that the step maps give to a slot variable."""
-    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
-        raise error(f"scalar index {i!r} is not a positive int")
+    c = t_poly(args[0]) if kind == "t" else args[0]
+    c = c if isinstance(c, Poly) else Poly.const(c)
+    _require_t_indices(c, AlgebraError)
+    return scalar_element(poset, c)
 
 
 def _require_t_indices(x, error):
-    """_require_t_index on the index of each t variable of x, a Poly or a
-    RatFunc: a scalar may not hold t_0 or a t of lower index either."""
+    """Raise the given error type unless each t variable of x, a Poly or a
+    RatFunc, has a positive int index (a bool is not one): the twist t_i ->
+    t_{i+n_p-1} would send t_0 or a t of lower index onto a slot's t."""
     for v in x.variables():
-        if v[0] == "t":
-            _require_t_index(v[1], error)
+        if v[0] == "t" and (isinstance(v[1], bool) or not isinstance(v[1], int) or v[1] < 1):
+            raise error(f"scalar index {v[1]!r} is not a positive int")
 
 
 def scalar_element(poset, coeff: Poly) -> AlgElement:
-    return AlgElement(poset, {_unit_key(poset, p): coeff for p in poset.elements})
+    return AlgElement(poset, {TermKey((), p, (), ()): coeff for p in poset.elements})
 
 
 def one(poset) -> AlgElement:
@@ -437,21 +433,20 @@ def _strip_left(cur: AlgElement, path, right_path):
 def _lemma26_exhaustive(poset: LabelledPoset) -> bool:
     """Sandwiches betabar . monomial . beta: a scalar multiple of the lower
     idempotent on the same cover, zero across different covers, for every
-    cover exponent in -2..2."""
+    cover exponent in -2..2.  Each monomial is its one normal-form term (its
+    powers sit on distinct covers, so none mixes); the empty one is e(p)."""
     for p in poset.elements:
         covers = lower_covers(poset, p)
         if not covers:
             continue
+        betabars, betas = ([generator(poset, kind, p, q) for q in covers] for kind in ("betabar", "beta"))
         for exps in itertools.product(range(-2, 3), repeat=len(covers)):
-            m = one(poset)
-            for q, e in zip(covers, exps):
-                kind = "alpha" if e > 0 else "alphabar"
-                for _ in range(abs(e)):
-                    m = m * generator(poset, kind, p, q)
-            for q in covers:
-                left = generator(poset, "betabar", p, q) * m  # the same product for every q2
-                for q2 in covers:
-                    res = left * generator(poset, "beta", p, q2)
+            powers = tuple(sorted((q, e) for q, e in zip(covers, exps) if e))
+            m = AlgElement(poset, {TermKey((), p, powers, ()): 1})
+            for q, betabar in zip(covers, betabars):
+                left = betabar * m  # the same product for every q2
+                for q2, beta in zip(covers, betas):
+                    res = left * beta
                     if q != q2:
                         if not res.is_zero():
                             return False

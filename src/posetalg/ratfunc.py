@@ -121,7 +121,7 @@ class Poly:
         return _poly(_settle(_lincomb(1, self.terms, -1, other.terms)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):  # Fraction's ABC check is slow
             return self.scale(other)
         return _poly(_settle(_mul(self.terms, other.terms)))
 
@@ -421,6 +421,10 @@ class RatFunc:
         return self * RatFunc.of(other).inverse()
 
     def subst_monomials(self, mapping):
+        """Poly.subst_monomials on the held numerator and denominator, with
+        no gcd taken: exact only when the substitution is injective on
+        monomials, else a held denominator can vanish.  The t shifts, the
+        step maps and the involution are all bijections on monomials."""
         if not self.content:
             return self
         r = RatFunc(self.prim.subst_monomials(mapping), self.den.subst_monomials(mapping))

@@ -35,7 +35,7 @@ from .leavitt import (
     AlgElement,
     AlgebraError,
     TermKey,
-    _require_t_index,
+    _require_arity,
     _require_t_indices,
     sigma_j_index,
     sigma_p_poly,
@@ -210,10 +210,9 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
     ("betabar", p, q), ("t", i) or ("scalar", value), the kinds that
     leavitt.generator takes apart from eprime."""
     _check_space(space, vec)
+    _require_arity(gen, RepError)
     P = space.poset
     kind = gen[0]
-    if kind == "t":
-        _require_t_index(gen[1], RepError)
     if kind in ("scalar", "t"):
         val = RatFunc.of(gen[1] if kind == "scalar" else t_poly(gen[1]))
         _require_t_indices(val, RepError)
@@ -223,6 +222,8 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
         p = gen[1]
         P.check(p)
         return RepVector._trusted(space, {path: c for path, c in vec.coeffs.items() if path[0][0] == p})
+    if kind == "eprime":
+        raise RepError(f"unknown generator {gen!r}")
 
     p, q = gen[1], gen[2]
     _require_cover(P, p, q, RepError)
@@ -232,8 +233,6 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
         zpow = RatFunc(Poly.var(z))
     elif kind == "alpha":
         zpow = RatFunc(Poly.var(z, -1))
-    elif kind not in ("epq", "beta", "betabar"):
-        raise RepError(f"unknown generator {gen!r}")
 
     # every path below is a path of vec, or one moved along a lower cover
     # of the space's poset, so the result skips the public checks; each

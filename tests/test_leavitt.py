@@ -119,6 +119,22 @@ def test_parse_rejects_t0():
             parse_element(FIG2, text)
 
 
+@pytest.mark.parametrize(
+    "kind, args, msg",
+    [
+        ("alpha", ("p",), "malformed generator"),
+        ("e", ("p", "a"), "malformed generator"),
+        ("t", (), "malformed generator"),
+        ("alpha", ("p", "a", "x"), "malformed generator"),
+        ("gamma", ("p", "a"), "unknown generator"),
+        (["alpha"], ("p", "a"), "unknown generator"),
+    ],
+)
+def test_malformed_generators_are_typed_errors(kind, args, msg):
+    with pytest.raises(AlgebraError, match=msg):
+        generator(FIG2, kind, *args)
+
+
 def all_generators(poset):
     """Every generator kind of the poset: e and eprime at each vertex, the
     five cover kinds at each cover, one t and one scalar."""
@@ -607,3 +623,33 @@ def test_lemma26_matches_the_per_pair_loop(monkeypatch):
     monkeypatch.setattr(leavitt_module, "generator", lambda P, kind, *a: real(P, "alpha" if kind == "beta" else kind, *a))
     for poset in [FIG2, diamond(), star3]:
         assert _lemma26_exhaustive(poset) == lemma26_per_pair(poset) is False
+
+
+def star(k):
+    leaves = [f"q{i}" for i in range(k)]
+    return make_poset(["p"] + leaves, [(q, "p") for q in leaves])
+
+
+def test_lemma26_monomials_are_their_normal_form():
+    # the powers sit on distinct covers, so the product of the alpha and
+    # alphabar powers is the one term _lemma26_exhaustive builds directly
+    for poset in [p for n in range(6) for p in enumerate_posets(n)]:
+        for p in poset.elements:
+            covers = lower_covers(poset, p)
+            alphas = {q: (generator(poset, "alpha", p, q), generator(poset, "alphabar", p, q)) for q in covers}
+            for exps in itertools.product(range(-2, 3), repeat=len(covers)):
+                m = one(poset)
+                for q, e in zip(covers, exps):
+                    for _ in range(abs(e)):
+                        m = m * alphas[q][e < 0]
+                powers = tuple(sorted((q, e) for q, e in zip(covers, exps) if e))
+                direct = AlgElement(poset, {TermKey((), p, powers, ()): 1})
+                assert direct == (m if any(exps) else generator(poset, "e", p))
+
+
+def test_lemma26_matches_the_per_pair_loop_on_four_covers(monkeypatch):
+    star4 = star(4)
+    assert _lemma26_exhaustive(star4) == lemma26_per_pair(star4) is True
+    real = leavitt_module.generator
+    monkeypatch.setattr(leavitt_module, "generator", lambda P, kind, *a: real(P, "alpha" if kind == "beta" else kind, *a))
+    assert _lemma26_exhaustive(star4) == lemma26_per_pair(star4) is False

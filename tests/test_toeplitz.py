@@ -1183,3 +1183,20 @@ def test_act_takes_t_generators_like_generator():
         for v in sample_vectors(space, 1):
             word = [("t", 3), ("beta", "p", "a")]
             assert act_word(space, word, v) == act_element(space, x, v)
+
+
+@pytest.mark.parametrize(
+    "gen, msg",
+    [
+        (("alpha", "p"), "malformed generator"),
+        (("t",), "malformed generator"),
+        (("gamma",), "unknown generator"),
+        (("alpha", "p", "a", "x"), "malformed generator"),
+        ("alpha", "unknown generator"),
+        ((), "unknown generator"),
+        (("eprime", "p"), "unknown generator"),
+    ],
+)
+def test_malformed_generators_are_typed_errors(gen, msg):
+    with pytest.raises(RepError, match=msg):
+        act(SPACE, gen, leaf_vector(SPACE, (("a", 0),)))
