@@ -164,11 +164,11 @@ _ARITY = {**dict.fromkeys(_COVER_KEYS, 2), "e": 1, "eprime": 1, "t": 1, "scalar"
 def _require_arity(gen, error):
     """Raise the given error type, naming gen, unless gen is a tuple
     (kind, *args) of a known kind with that kind's number of arguments."""
-    kind = gen[0] if type(gen) is tuple and gen else None
-    if not isinstance(kind, str) or kind not in _ARITY:
+    arity = _ARITY.get(gen[0]) if type(gen) is tuple and gen and type(gen[0]) is str else None
+    if arity is None:
         raise error(f"unknown generator {gen!r}")
-    if len(gen) != 1 + _ARITY[kind]:
-        raise error(f"malformed generator {gen!r}: {kind} takes {_ARITY[kind]} argument(s)")
+    if len(gen) != 1 + arity:
+        raise error(f"malformed generator {gen!r}: {gen[0]} takes {arity} argument(s)")
 
 
 def generator(poset: LabelledPoset, kind: str, *args) -> AlgElement:

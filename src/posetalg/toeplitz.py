@@ -298,26 +298,26 @@ def act_element(space: Space, x: AlgElement, vec: RepVector) -> RepVector:
     for path, c in vec.coeffs.items():
         corners.setdefault(path[0][0], {})[path] = c
     total = RepVector(space)
-    for key, coeff in x.terms.items():
-        root = key.left[0][0] if key.left else key.mid
+    for (left, mid, powers, right), coeff in x.terms.items():
+        root = left[0][0] if left else mid
         corner = corners.get(root)
         if corner is None:
             P.check(root)
-            for u, v, _ in key.left:
+            for u, v, _ in left:
                 _require_cover(P, u, v, RepError)
-            for q, _ in key.powers:
-                _require_cover(P, key.mid, q, RepError)
-            for u, v, _ in key.right:
+            for q, _ in powers:
+                _require_cover(P, mid, q, RepError)
+            for u, v, _ in right:
                 _require_cover(P, u, v, RepError)
             continue
         word = []
-        for u, v, m in key.left:
+        for u, v, m in left:
             word += [("alpha", u, v)] * m
             word.append(("beta", u, v))
         word.append(("scalar", RatFunc(coeff)))
-        for q, e in key.powers:
-            word += [("alpha" if e > 0 else "alphabar", key.mid, q)] * abs(e)
-        for u, v, m in key.right:
+        for q, e in powers:
+            word += [("alpha" if e > 0 else "alphabar", mid, q)] * abs(e)
+        for u, v, m in right:
             word.append(("betabar", u, v))
             word += [("alphabar", u, v)] * m
         total = total + act_word(space, word, RepVector._trusted(space, corner))
