@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poset import LabelledPoset, _descents, _reject_bare_string, _require_count, _require_cover, lower_covers
-from .ratfunc import Poly, RatFunc, _poly, mono_exponent, t_poly
+from .ratfunc import _ONE, Poly, RatFunc, _poly, _rat, mono_exponent, t_poly
 from .leavitt import (
     AlgElement,
     AlgebraError,
@@ -229,10 +229,8 @@ def act(space: Space, gen, vec: RepVector) -> RepVector:
     _require_cover(P, p, q, RepError)
     slot = P.label_index(p, q)
     z = zvar(p, slot)
-    if kind == "alphabar":
-        zpow = RatFunc(Poly.var(z))
-    elif kind == "alpha":
-        zpow = RatFunc(Poly.var(z, -1))
+    if kind in ("alpha", "alphabar"):  # z^-1 or z, a monomial already in normal form
+        zpow = _rat(1, Poly.var(z, -1 if kind == "alpha" else 1), _ONE)
 
     # every path below is a path of vec, or one moved along a lower cover
     # of the space's poset, so the result skips the public checks; each
