@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poset import LabelledPoset, _descents, _reject_bare_string, _require_count, _require_cover, lower_covers
-from .ratfunc import _ONE, Poly, RatFunc, _poly, _rat, mono_exponent, t_poly
+from .ratfunc import Poly, RatFunc, _ONE, _poly, _rat, mono_exponent, t_poly
 from .leavitt import (
     AlgElement,
     AlgebraError,
