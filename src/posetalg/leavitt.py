@@ -114,7 +114,8 @@ class AlgElement:
         return self + (-other)
 
     def scale(self, c):
-        c = c if isinstance(c, Poly) else Poly.const(c)
+        """This element times a number (an int or a Fraction, both central)."""
+        c = Poly.const(c)
         return AlgElement(self.poset, {k: cc * c for k, cc in self.terms.items()})
 
     def _check_mate(self, other):
@@ -122,8 +123,8 @@ class AlgElement:
             raise AlgebraError("operands live over different posets")
 
     def __mul__(self, other):
-        if type(other) is not AlgElement and isinstance(other, (int, Fraction, Poly)):  # Fraction's ABC check is slow
-            return self.scale(other)
+        if type(other) is not AlgElement:  # Fraction's ABC check is slow
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         self._check_mate(other)
         out = {}
         for k1, c1 in self.terms.items():
@@ -134,9 +135,7 @@ class AlgElement:
         return AlgElement(self.poset, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __repr__(self):
         return format_element(self)
@@ -225,13 +224,8 @@ def _cross_scalar(poset, upper, through_cover, powers):
     positive t, each alphabar one negative t."""
     k = poset.n_covers(upper)
     j = poset.label_index(upper, through_cover)
-    out = Poly.const(1)
-    for q, e in powers:
-        if q == through_cover:
-            continue
-        ell = poset.label_index(upper, q)
-        out = out * t_poly(sigma_j_index(k, j, ell), e)
-    return out
+    mono = ((("t", sigma_j_index(k, j, poset.label_index(upper, q))), e) for q, e in powers if q != through_cover)
+    return Poly({tuple(mono): 1})
 
 
 def _mul_terms(poset, k1: TermKey, c1: Poly, k2: TermKey, c2: Poly):
@@ -264,24 +258,22 @@ def _mul_terms(poset, k1: TermKey, c1: Poly, k2: TermKey, c2: Poly):
                 comb[q] = (a, b - e)
         return _expand_mixed(poset, list(k1.left), k1.mid, comb, c1 * c2, list(k2.right))
 
-    if not rise:
-        # the left factor is exhausted: its bottom monomial and coefficient
-        # migrate down the remaining descending steps of the right factor
-        (u, e, n) = fall.pop(0)
-        net = dict(k1.powers).get(e, 0) + n
-        if net < 0:
-            return []
-        scal = _cross_scalar(poset, u, e, k1.powers)
-        S = sigma_p_poly(c1, poset.n_covers(u)) * scal
-        new_left = list(k1.left) + [(u, e, net)]
-        for (u2, v2, m2) in fall:
-            S = sigma_p_poly(S, poset.n_covers(u2))
-            new_left.append((u2, v2, m2))
-        return [(TermKey(tuple(new_left), k2.mid, k2.powers, k2.right), S * c2)]
-
-    # the right factor is exhausted: the mirror of the case above
-    mirrored = _mul_terms(poset, *_involute_term(k2, c2), *_involute_term(k1, c1))
-    return [_involute_term(key, coeff) for key, coeff in mirrored]
+    # one factor is exhausted: its bottom monomial and coefficient migrate
+    # top-down along the other factor's remaining steps, a left factor's
+    # into descending alpha^n beta steps, a right factor's (with its
+    # exponents read against alphabar^n) into ascending ones
+    powers, coeff, steps, s = (k1.powers, c1, fall, 1) if not rise else (k2.powers, c2, rise[::-1], -1)
+    (u, e, n) = steps[0]
+    net = n + s * dict(powers).get(e, 0)
+    if net < 0:
+        return []
+    S = sigma_p_poly(coeff, poset.n_covers(u)) * _cross_scalar(poset, u, e, powers)
+    for (u2, _, _) in steps[1:]:
+        S = sigma_p_poly(S, poset.n_covers(u2))
+    steps[0] = (u, e, net)
+    if s > 0:
+        return [(TermKey(k1.left + tuple(steps), k2.mid, k2.powers, k2.right), S * c2)]
+    return [(TermKey(k1.left, k1.mid, k1.powers, tuple(steps[::-1]) + k2.right), c1 * S)]
 
 
 def _expand_mixed(poset, left, mid, comb, coeff, right):
@@ -317,23 +309,15 @@ def _expand_mixed(poset, left, mid, comb, coeff, right):
 # involution, grading, ideals
 
 
-def _involute_term(key: TermKey, coeff: Poly):
-    """The mirror of one term: its descending steps, read bottom-up, become
-    the ascending ones and vice versa, the monomial and t_k are inverted."""
-    mirrored = TermKey(
-        key.right[::-1],
-        key.mid,
-        tuple((q, -e) for q, e in key.powers),
-        key.left[::-1],
-    )
-    inverse_t = {v: (v, -1) for v in coeff.variables() if v[0] == "t"}
-    return mirrored, coeff.subst_monomials(inverse_t)
-
-
 def involute(x: AlgElement) -> AlgElement:
     """The anti-automorphism t_k -> t_k^{-1}, alpha <-> alphabar,
-    beta <-> betabar, products reversed."""
-    return AlgElement(x.poset, dict(_involute_term(key, coeff) for key, coeff in x.terms.items()))
+    beta <-> betabar, products reversed: in each term the descending steps,
+    read bottom-up, become the ascending ones and vice versa."""
+    terms = {}
+    for key, coeff in x.terms.items():
+        mirrored = TermKey(key.right[::-1], key.mid, tuple((q, -e) for q, e in key.powers), key.left[::-1])
+        terms[mirrored] = coeff.subst_monomials({v: (v, -1) for v in coeff.variables() if v[0] == "t"})
+    return AlgElement(x.poset, terms)
 
 
 def grade(x: AlgElement) -> dict:
@@ -471,7 +455,8 @@ _TOKEN = re.compile(
 def parse_element(poset: LabelledPoset, text: str) -> AlgElement:
     """Parse the linear syntax: a[p,q] A[p,q] b[p,q] B[p,q] e[p] e[p,q]
     tN (tN^-1), integers and rationals, with + - * ^ and parentheses.
-    Numbers are unsigned tokens, so ``-`` is always an operator."""
+    Numbers are unsigned tokens, so ``-`` is always an operator; a unary
+    ``-`` negates the whole power after it, so ``-t1^2`` is -(t1^2)."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -506,6 +491,9 @@ def _parse_product(poset, toks, i):
 
 
 def _parse_factor(poset, toks, i):
+    if i < len(toks) and toks[i]["op"] == "-":  # a sign applies to the whole power
+        expr, j = _parse_factor(poset, toks, i + 1)
+        return -expr, j
     base, i = _parse_atom(poset, toks, i)
     while i < len(toks) and toks[i]["op"] == "^":
         negative = i + 1 < len(toks) and toks[i + 1]["op"] == "-"
@@ -549,9 +537,6 @@ def _parse_atom(poset, toks, i):
         if j >= len(toks) or toks[j]["op"] != ")":
             raise AlgebraError("unbalanced parenthesis")
         return expr, j + 1
-    if tok["op"] == "-":
-        expr, j = _parse_atom(poset, toks, i + 1)
-        return -expr, j
     if tok.lastgroup == "t":
         return generator(poset, "t", int(tok["t"])), i + 1
     if tok.lastgroup == "num":

@@ -121,8 +121,8 @@ class Poly:
         return _poly(_settle(_lincomb(1, self.terms, -1, other.terms)))
 
     def __mul__(self, other):
-        if type(other) is not Poly and isinstance(other, (int, Fraction)):  # Fraction's ABC check is slow
-            return self.scale(other)
+        if type(other) is not Poly:  # Fraction's ABC check is slow
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         return _poly(_settle(_mul(self.terms, other.terms)))
 
     def scale(self, c):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from posetalg.leavitt import (
     project_mod_ideal,
     scalar_element,
     sigma_j_index,
+    sigma_p_poly,
 )
 
 FIG2 = fig2_poset()
@@ -210,6 +212,26 @@ def test_operands_must_share_poset():
         g("e", "p") * generator(other, "e", "p")
 
 
+def test_only_numbers_scale_an_element():
+    # the t's are not central, so a Poly is no scalar factor: t1 goes through
+    # its generator, which twists as it crosses a step
+    x = g("betabar", "p", "a")
+    products = [
+        lambda: x * t_poly(1),
+        lambda: t_poly(1) * x,
+        lambda: Poly.const(2) * x,
+        lambda: x * Poly.const(2),
+        lambda: x * 2.5,
+        lambda: 2.5 * x,
+    ]
+    for product in products:
+        with pytest.raises(TypeError):
+            product()
+    assert format_element(x * g("t", 1)) == "t2*B[p,a]"
+    assert 2 * x == x + x
+    assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
+
+
 def test_associativity_surrogate():
     rng = random.Random(11)
     for _ in range(500):
@@ -337,6 +359,84 @@ def test_probe_isolates_a_trivial_pair_beyond_height_one(poset):
         assert z1 * x * z2 == res
         corner = generator(poset, "e", p) * res * generator(poset, "e", p)
         assert any(not k.left and not k.right and k.mid == p for k in corner.terms)
+
+    check()
+
+
+# -- the product against the mirrored rule it replaced -------------------------------
+
+
+def mirror_term(key, coeff):
+    """The mirror of one term: steps swapped and reversed, the monomial and
+    each t_k inverted."""
+    mirrored = TermKey(key.right[::-1], key.mid, tuple((q, -e) for q, e in key.powers), key.left[::-1])
+    return mirrored, coeff.subst_monomials({v: (v, -1) for v in coeff.variables() if v[0] == "t"})
+
+
+def cross_scalar_by_products(poset, upper, through_cover, powers):
+    k = poset.n_covers(upper)
+    j = poset.label_index(upper, through_cover)
+    out = Poly.const(1)
+    for q, e in powers:
+        if q != through_cover:
+            out = out * t_poly(sigma_j_index(k, j, poset.label_index(upper, q)), e)
+    return out
+
+
+def mirrored_mul_terms(poset, k1, c1, k2, c2):
+    """The product of two terms with the right-exhausted case taken as the
+    mirror of the left-exhausted one, and the cross scalar formed as a
+    product of t powers, as the engine formed it before one migration rule
+    served both cases."""
+    top1 = k1.right[-1][0] if k1.right else k1.mid
+    top2 = k2.left[0][0] if k2.left else k2.mid
+    if top1 != top2:
+        return []
+    rise, fall = list(k1.right), list(k2.left)
+    while rise and fall:
+        if rise[-1][1:] != fall[0][1:]:
+            return []
+        rise.pop()
+        fall.pop(0)
+    if not rise and not fall:  # the bottoms meet: a case the rule leaves as it was
+        return leavitt_module._mul_terms(poset, k1, c1, k2, c2)
+    if not rise:
+        (u, e, n) = fall.pop(0)
+        net = dict(k1.powers).get(e, 0) + n
+        if net < 0:
+            return []
+        S = sigma_p_poly(c1, poset.n_covers(u)) * cross_scalar_by_products(poset, u, e, k1.powers)
+        for u2, _, _ in fall:
+            S = sigma_p_poly(S, poset.n_covers(u2))
+        return [(TermKey(k1.left + ((u, e, net),) + tuple(fall), k2.mid, k2.powers, k2.right), S * c2)]
+    mirrored = mirrored_mul_terms(poset, *mirror_term(k2, c2), *mirror_term(k1, c1))
+    return [mirror_term(key, coeff) for key, coeff in mirrored]
+
+
+def assert_products_match_the_mirrored_rule(poset, terms):
+    for (k1, c1), (k2, c2) in itertools.product(terms, repeat=2):
+        got = leavitt_module._mul_terms(poset, k1, c1, k2, c2)
+        assert got == mirrored_mul_terms(poset, k1, c1, k2, c2), (k1, k2)
+
+
+def test_product_matches_the_mirrored_rule_on_small_posets():
+    # every ordered pair of the distinct terms of the pairwise generator
+    # products, on every poset with at most five elements
+    for n in range(1, 6):
+        for poset in enumerate_posets(n):
+            gens = all_generators(poset)
+            terms = {}
+            for x, y in itertools.product(gens, repeat=2):
+                terms.update((x * y).terms)
+            assert_products_match_the_mirrored_rule(poset, list(terms.items()))
+
+
+@pytest.mark.parametrize("poset", DEEP, ids=DEEP_IDS)
+def test_product_matches_the_mirrored_rule_beyond_height_one(poset):
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(path_terms(poset), path_terms(poset))
+    def check(x, y):
+        assert_products_match_the_mirrored_rule(poset, [*x.terms.items(), *y.terms.items()])
 
     check()
 
@@ -563,6 +663,19 @@ def test_format_round_trip():
     for _ in range(40):
         x = random_element(FIG2, rng) - random_element(FIG2, rng)
         assert parse_element(FIG2, format_element(x)) == x
+    # a leading minus negates the whole power, as format_element writes it
+    t1, a = g("t", 1), g("alpha", "p", "a")
+    assert parse_element(FIG2, "-t1^2") == parse_element(FIG2, format_element(-(t1 * t1))) == -(t1 * t1)
+    assert parse_element(FIG2, "a[p,a]*-t1^2") == -(a * t1 * t1)
+    assert parse_element(FIG2, "-a[p,a]^2") == -(a * a)
+    assert parse_element(FIG2, "(-t1)^2") == t1 * t1
+    assert parse_element(FIG2, "-t1^-1") == -parse_element(FIG2, "t1^-1")
+    # a vertex over a chain and a second cover: two-step paths meet scalars
+    fork = make_poset(["c0", "c1", "c2", "d"], [("c0", "c1"), ("c1", "c2"), ("d", "c2")])
+    rng = random.Random(5)
+    for _ in range(200):
+        x, y = (random_element(fork, rng) - random_element(fork, rng) for _ in range(2))
+        assert parse_element(fork, format_element(x * y)) == x * y
 
 
 def graded_json(x):
