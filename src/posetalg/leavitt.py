@@ -101,6 +101,8 @@ class AlgElement:
         )
 
     def __add__(self, other):
+        if not isinstance(other, AlgElement):
+            return NotImplemented
         self._check_mate(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -111,7 +113,7 @@ class AlgElement:
         return AlgElement(self.poset, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, AlgElement) else NotImplemented
 
     def scale(self, c):
         """This element times a number (an int or a Fraction, both central)."""
@@ -119,7 +121,7 @@ class AlgElement:
         return AlgElement(self.poset, {k: cc * c for k, cc in self.terms.items()})
 
     def _check_mate(self, other):
-        if not isinstance(other, AlgElement) or (other.poset is not self.poset and other.poset != self.poset):
+        if other.poset is not self.poset and other.poset != self.poset:
             raise AlgebraError("operands live over different posets")
 
     def __mul__(self, other):

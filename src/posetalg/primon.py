@@ -110,11 +110,14 @@ def map_elem(dst: PrimitiveMonoid, pmap: dict, x: MonElem) -> MonElem:
     return dst.reduce(word)
 
 
-def _aligned(names, x, error):
-    """x's vector if its prime names are these (this tuple or an equal one)."""
+def _aligned(names, x, kind):
+    """x's vector if x is a kind (MonElem or PhiTuple) over these prime
+    names (this tuple or an equal one), else MonoidError."""
+    if not isinstance(x, kind):
+        raise MonoidError(f"expected a {kind.__name__}, got {type(x).__name__}")
     if x.names is names or x.names == names:
         return x.vec
-    raise MonoidError(error)
+    raise MonoidError("element of another monoid" if kind is MonElem else "counting tuples of different monoids")
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,11 @@ class PhiTuple:
         return dict(self.values)[p]
 
     def add(self, other):
-        w = _aligned(self.names, other, "counting tuples of different monoids")
+        w = _aligned(self.names, other, PhiTuple)
         return PhiTuple(self.names, tuple(map(operator.add, self.vec, w)))
 
     def leq(self, other):
-        w = _aligned(self.names, other, "counting tuples of different monoids")
+        w = _aligned(self.names, other, PhiTuple)
         return all(map(operator.le, self.vec, w))
 
 
@@ -302,13 +305,13 @@ class PrimitiveMonoid:
         return self.reduce({p: 1})
 
     def add(self, x: MonElem, y: MonElem) -> MonElem:
-        names, error = self._names, "element of another monoid"
-        return MonElem(names, self._add_vec(_aligned(names, x, error), _aligned(names, y, error)))
+        names = self._names
+        return MonElem(names, self._add_vec(_aligned(names, x, MonElem), _aligned(names, y, MonElem)))
 
     def phi(self, x: MonElem) -> PhiTuple:
         """The counting-map tuple of an element."""
         names = self._names
-        return PhiTuple(names, self._phi_vec(_aligned(names, x, "element of another monoid")))
+        return PhiTuple(names, self._phi_vec(_aligned(names, x, MonElem)))
 
     # -- enumeration -------------------------------------------------------
 
@@ -359,7 +362,7 @@ class OrderIdeal:
                 raise MonoidError(f"prime set not lower at {p!r}")
 
     def __contains__(self, x: MonElem):
-        _aligned(self.monoid._names, x, "element of another monoid")
+        _aligned(self.monoid._names, x, MonElem)
         return set(x.support()) <= self.prime_set
 
     def elements(self, max_size):
@@ -368,7 +371,7 @@ class OrderIdeal:
 
 def order_ideal(m: PrimitiveMonoid, a: MonElem) -> OrderIdeal:
     """The order-ideal generated by a: downward closure of its support."""
-    _aligned(m._names, a, "element of another monoid")
+    _aligned(m._names, a, MonElem)
     closure = set(a.support()).union(*(m.strictly_below.get(p, ()) for p in a.support()))
     return OrderIdeal(m, closure)
 

@@ -112,13 +112,13 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return _poly(_settle(_lincomb(1, self.terms, 1, other.terms)))
+        return _poly(_settle(_lincomb(1, self.terms, 1, other.terms))) if type(other) is Poly else NotImplemented
 
     def __neg__(self):
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return _poly(_settle(_lincomb(1, self.terms, -1, other.terms)))
+        return _poly(_settle(_lincomb(1, self.terms, -1, other.terms))) if type(other) is Poly else NotImplemented
 
     def __mul__(self, other):
         if type(other) is not Poly:  # Fraction's ABC check is slow

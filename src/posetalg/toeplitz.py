@@ -19,13 +19,12 @@ INVERSE of the matching t (the alpha relations pair a positive t on one
 side with a division by z on the other).
 
 Inverses of the admissible polynomials (zero valuation in every slot) are
-realized as truncated geometric series, exact on a stated degree window.
+realized as truncated geometric series, exact up to their depth.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -122,6 +121,8 @@ class RepVector:
         return all(self.coeffs[p] == other.coeffs[p] for p in self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, RepVector):
+            return NotImplemented
         _check_space(self.space, other)
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
@@ -130,7 +131,7 @@ class RepVector:
         return RepVector._trusted(self.space, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + other.scale(-1) if isinstance(other, RepVector) else NotImplemented
 
     def scale(self, c):
         c = RatFunc.of(c)
@@ -350,9 +351,6 @@ class SigmaPoly:
             raise AlgebraError("negative cover exponent is not a polynomial")
         return max(lows, default=0)
 
-    def degree_at(self, var) -> int:
-        return self.poly.degree_span(var)[1]
-
     def as_element(self, poset) -> AlgElement:
         terms = {}
         for mono, c in self.poly.terms.items():
@@ -382,10 +380,10 @@ def invert_sigma(space: Space, f: SigmaPoly, vec: RepVector, depth: int) -> RepV
 
     Acts as the corner inverse at the polynomial's vertex (leaves rooted
     elsewhere are annihilated); exact on coefficients whose slot degree is
-    at most depth minus the polynomial's slot degree.  No series term g_a
-    holds the slot variable z, so coeff * g_a has the slot degrees of coeff
-    and drop-shifting it by a > deg_z(coeff) gives zero: each slot's series
-    stops at the top slot degree its coefficients reach, or at depth.
+    at most depth, whatever the polynomial's own degree.  No series term
+    g_a holds the slot variable z, so coeff * g_a has the slot degrees of
+    coeff and drop-shifting it by a > deg_z(coeff) gives zero: each slot's
+    series stops at the top slot degree its coefficients reach, or at depth.
     """
     _require_count(depth, "depth", AlgebraError)
     P = space.poset
@@ -499,15 +497,15 @@ def check_relation(space, lhs, rhs, samples=None):
     return _first_disagreement(space, kept, lambda v, s=space, a=lhs, b=rhs: (act_expr(s, a, v), act_expr(s, b, v)))
 
 
-def _first_disagreement(space, samples, images, agrees=operator.eq):
+def _first_disagreement(space, samples, images):
     """The first sample v, in order, whose images(v) = (lhs, *others) hold
-    an other with agrees(lhs, other) false, as (v, lhs, other); None when
-    there is none.  A sample from another space raises RepError."""
+    an other unequal to lhs, as (v, lhs, other); None when there is none.
+    A sample from another space raises RepError."""
     for v in samples:
         _check_space(space, v)
         lhs, *others = images(v)
         for other in others:
-            if not agrees(lhs, other):
+            if lhs != other:
                 return (v, lhs, other)
     return None
 
@@ -655,32 +653,29 @@ def _factor_bottom(f: SigmaPoly, poset, q):
     return f0, w, SigmaPoly(p, f0p), rest
 
 
-def _window_walk(space, f: SigmaPoly, q, depth, images):
-    """The identities' walk over the degree-2 samples, with images(v, f0p,
-    wbar, g) = (lhs, *others) for f = w f0' + x_q f1 + ...; a residual lhs -
-    other passes when it sits at f's vertex with every coefficient's least
-    slot degree above the exact window, depth - deg_j f."""
+def _identity_walk(space, f: SigmaPoly, q, depth, images):
+    """The identities' walk over the samples of slot degree below depth (at
+    most 2), with images(v, f0p, wbar, g) = (lhs, *others) for f = w f0' +
+    x_q f1 + ...  Only alphabar raises a slot degree, by one, so every
+    inverse meets slot degree at most depth, where its series ends by
+    itself: both sides are exact and compare by equality."""
     P = space.poset
     p = f.vertex
     _, wmono, f0p, rest = _factor_bottom(f, P, q)
+    _require_cover(P, p, q, RepError)
+    _require_count(depth, "depth", AlgebraError)
+    if depth < 1:
+        raise AlgebraError(f"depth {depth} covers no sample; the least depth is 1")
     wbar = [("alphabar", p, var[1]) for var, m in sorted(wmono.items()) for _ in range(m)]
     g = SigmaPoly(p, -sum((part * Poly.var(("x", q), b - 1) for b, part in rest.items()), Poly()))
-    degrees = {j: f.degree_at(("x", c)) for j, c in enumerate(lower_covers(P, p), 1)}
-
-    def above_window(lhs, other):
-        for path, c in (lhs - other).coeffs.items():
-            root, j = path[0]
-            if root != p or c.num.degree_span(zvar(p, j))[0] <= depth - degrees[j]:
-                return False
-        return True
-
-    return _first_disagreement(space, sample_vectors(space, 2), lambda v: images(v, f0p, wbar, g), above_window)
+    samples = sample_vectors(space, min(2, depth - 1))
+    return _first_disagreement(space, samples, lambda v: images(v, f0p, wbar, g))
 
 
 def check_corner_inverse_identity(space, f: SigmaPoly, q, depth):
     """e(p,q) f^{-1} = (f0')^{-1} wbar e(p,q) = e(p,q) (f0')^{-1} wbar,
-    with truncated inverses; the residual must sit above the exact window.
-    Returns None if every sample agrees on the window, else a triple."""
+    with truncated inverses, exact on the samples the depth covers.
+    Returns None if every sample agrees, else a triple."""
     epq = ("epq", f.vertex, q)
 
     def images(v, f0p, wbar, _):
@@ -690,12 +685,12 @@ def check_corner_inverse_identity(space, f: SigmaPoly, q, depth):
             act_word(space, wbar, invert_sigma(space, f0p, act(space, epq, v), depth)),
         )
 
-    return _window_walk(space, f, q, depth, images)
+    return _identity_walk(space, f, q, depth, images)
 
 
 def check_alphabar_inverse_identity(space, f: SigmaPoly, q, depth):
     """alphabar_q f^{-1} = f^{-1} alphabar_q + f^{-1} (f0')^{-1} g wbar e(p,q)
-    with g = -(f1 + x_q f2 + ...), at truncation."""
+    with g = -(f1 + x_q f2 + ...), checked like the corner identity."""
     epq, ab = ("epq", f.vertex, q), ("alphabar", f.vertex, q)
 
     def images(v, f0p, wbar, g):
@@ -704,4 +699,4 @@ def check_alphabar_inverse_identity(space, f: SigmaPoly, q, depth):
         t2 = act_word(space, wbar + [epq], act_sigma(space, g, invert_sigma(space, f0p, inv, depth)))
         return lhs, act(space, ab, inv) + t2
 
-    return _window_walk(space, f, q, depth, images)
+    return _identity_walk(space, f, q, depth, images)

@@ -232,6 +232,15 @@ def test_only_numbers_scale_an_element():
     assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
 
 
+def test_only_elements_add_to_an_element():
+    # a number is not an element of another poset: the sum is undefined, as 1 + x is
+    x = g("alpha", "p", "a")
+    for other in (1, 2, Fraction(1, 2), t_poly(1)):
+        for op in (lambda: x + other, lambda: x - other, lambda: other + x, lambda: other - x):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_associativity_surrogate():
     rng = random.Random(11)
     for _ in range(500):

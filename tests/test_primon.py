@@ -281,6 +281,12 @@ def test_phi_tuples_of_different_monoids_do_not_combine():
             a.add(other)
         with pytest.raises(MonoidError, match="counting tuples of different monoids"):
             b.leq(other)
+    # an element, or anything else, is not a counting tuple, even over the same names
+    for operand in (m1.gen("a"), (1, 0), 1):
+        with pytest.raises(MonoidError, match="expected a PhiTuple"):
+            a.add(operand)
+        with pytest.raises(MonoidError, match="expected a PhiTuple"):
+            b.leq(operand)
     # tuples with the same prime names combine, whichever monoid object made them
     twin = from_poset(make_poset(["a", "b"], []))
     assert a.add(twin.phi(twin.gen("b"))).values == (("a", 1), ("b", 1))
@@ -299,6 +305,19 @@ def test_elements_of_another_monoid_do_not_combine():
             m.add(m.gen("b"), a)
         with pytest.raises(MonoidError, match="element of another monoid"):
             m.phi(a)
+    # a counting tuple of the same monoid, a prime name or a number is no element
+    x = m.gen("a")
+    for operand in (m.phi(m.gen("b")), "a", 1):
+        with pytest.raises(MonoidError, match="expected a MonElem"):
+            m.add(x, operand)
+        with pytest.raises(MonoidError, match="expected a MonElem"):
+            m.add(operand, x)
+        with pytest.raises(MonoidError, match="expected a MonElem"):
+            m.phi(operand)
+        with pytest.raises(MonoidError, match="expected a MonElem"):
+            order_ideal(m, operand)
+        with pytest.raises(MonoidError, match="expected a MonElem"):
+            operand in order_ideal(m, x)
     # an element of a twin monoid (equal names, another object) still adds
     twin = from_poset(make_poset(["a", "b"], []))
     assert m.add(twin.gen("a"), m.gen("b")) == m.reduce({"a": 1, "b": 1}) == twin.reduce({"a": 1, "b": 1})

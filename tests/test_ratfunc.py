@@ -19,6 +19,16 @@ def test_poly_basics():
     assert p.scale(0).is_zero()
 
 
+def test_only_polys_add_to_a_poly():
+    # no silent coercion: a number or a RatFunc is added in its own type
+    p = Poly.var(X)
+    for other in (1, Fraction(1, 2), RatFunc.const(1)):
+        for op in (lambda: p + other, lambda: p - other):
+            with pytest.raises(TypeError):
+                op()
+    assert RatFunc.of(p) + RatFunc.const(1) == RatFunc(p + Poly.const(1))
+
+
 def test_poly_laurent_exponents():
     p = Poly.var(X, -2, coeff=3)
     assert p * Poly.var(X, 2) == Poly.const(3)

@@ -565,6 +565,14 @@ def test_repvector_add_rejects_a_vector_of_another_space():
         v1 - v2
 
 
+def test_only_vectors_add_to_a_vector():
+    v = leaf_vector(SPACE, (("a", 0),))
+    for other in (1, RatFunc.const(1), generator(FIG2, "e", "a")):
+        for op in (lambda: v + other, lambda: v - other, lambda: other + v, lambda: other - v):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_act_element_rejects_foreign_poset():
     other = chain(1)
     with pytest.raises(RepError):
@@ -590,6 +598,10 @@ def test_one_poset_object_is_never_compared_field_by_field(monkeypatch):
     # different posets still raise
     with pytest.raises(AlgebraError, match="different posets"):
         x * one(chain(1))
+    with pytest.raises(AlgebraError, match="different posets"):
+        x + one(chain(1))
+    with pytest.raises(AlgebraError, match="different posets"):
+        x - one(chain(1))
     with pytest.raises(RepError, match="different posets"):
         act_element(SPACE, one(chain(1)), leaf_vector(SPACE, (("a", 0),)))
 
@@ -649,14 +661,14 @@ def test_invert_sigma_identity_poly():
 
 def test_invert_sigma_geometric():
     f = sigma_poly(FIG2, "p", {(): 1, ("a",): -1})
-    for d in range(6):
+    for d in range(7):
         v = leaf_vector(SPACE, (("p", 1), ("a", 0)), Poly.var(zvar("p", 1), d))
         inv = invert_sigma(SPACE, f, v, 6)
-        assert act_sigma(SPACE, f, inv) == v  # window: deg <= 6 - 1
+        assert act_sigma(SPACE, f, inv) == v  # exact up to the depth: slot degree <= 6
 
 
 def test_invert_sigma_window_bound():
-    # beyond the window the truncation is visible
+    # past the depth the truncation is visible: slot degree 6 at depth 3
     f = sigma_poly(FIG2, "p", {(): 1, ("a",): -1})
     v = leaf_vector(SPACE, (("p", 1), ("a", 0)), Poly.var(zvar("p", 1), 6))
     inv = invert_sigma(SPACE, f, v, 3)
@@ -903,7 +915,7 @@ def test_sample_inverses_round_trip():
         sigma_poly(FIG2, "p", {(): 1, ("a",): Fraction(1, 2), ("b", "b"): 1}),
     ]
     for f in fs:
-        degf = max(f.degree_at(("x", q)) for q in ("a", "b"))
+        degf = max(f.poly.degree_span(("x", q))[1] for q in ("a", "b"))
         for d in range(0, 5 - degf):
             for branch, leafpath in ((1, (("p", 1), ("a", 0))), (2, (("p", 2), ("b", 0)))):
                 v = leaf_vector(SPACE, leafpath, Poly.var(zvar("p", branch), d))
@@ -922,7 +934,8 @@ def test_corner_inverse_identity(q):
         sigma_poly(FIG2, "p", {("b",): 1, (): 1}),
     ]
     for f in fs:
-        assert check_corner_inverse_identity(SPACE, f, q, 6) is None
+        for depth in range(1, 7):
+            assert check_corner_inverse_identity(SPACE, f, q, depth) is None
 
 
 @pytest.mark.parametrize("q", ["a", "b"])
@@ -932,7 +945,8 @@ def test_alphabar_inverse_identity(q):
         sigma_poly(FIG2, "p", {(): 1, ("a",): 1, ("b",): 1}),
     ]
     for f in fs:
-        assert check_alphabar_inverse_identity(SPACE, f, q, 6) is None
+        for depth in range(1, 7):
+            assert check_alphabar_inverse_identity(SPACE, f, q, depth) is None
 
 
 def _parent_corner_identity(space, f, q, depth):
@@ -963,7 +977,7 @@ def _parent_above_window(space, f, diff, depth):
         if root != p:
             return False
         covers = lower_covers(P, p)
-        cutoff = depth - f.degree_at(("x", covers[j - 1]))
+        cutoff = depth - f.poly.degree_span(("x", covers[j - 1]))[1]
         if c.num.degree_span(zvar(p, j))[0] <= cutoff:
             return False
     return True
@@ -1009,10 +1023,12 @@ def _identity_cases():
 
 @pytest.mark.hashseed
 def test_identity_walk_matches_the_parent_loops(monkeypatch):
-    # the digest family at depths 0..6, where the alphabar identity fails
-    # at depths 1 and 2 for some covers, then with an invert_sigma that adds
-    # its input, or a leaf off the polynomial's vertex, so that most cases
-    # return a counterexample
+    # the digest family at depths 0..6, with the real invert_sigma and then
+    # one that adds its input, or a leaf off the polynomial's vertex.  At
+    # depths 3..6 the walk reads the parent loops' degree-2 samples, and
+    # verdicts and counterexamples are theirs; at depths 1..2 the parent's
+    # window flagged correct inverses, and the exact walk returns None for
+    # the real inverse and catches each wrong one; depth 0 covers no sample
     pairs = [
         (check_corner_inverse_identity, _parent_corner_identity),
         (check_alphabar_inverse_identity, _parent_alphabar_identity),
@@ -1022,22 +1038,66 @@ def test_identity_walk_matches_the_parent_loops(monkeypatch):
         lambda space, f, v, d: invert_sigma(space, f, v, d) + v,
         lambda space, f, v, d: invert_sigma(space, f, v, d) + leaf_vector(space, space.all_leaves()[0]),
     ]
-    failing = []
     for wrong in wrongs:
         if wrong:
             monkeypatch.setattr(toeplitz, "invert_sigma", wrong)
-        verdicts = []
+        caught = {depth: 0 for depth in range(1, 7)}
         for space, f, q, depth in _identity_cases():
             for check, parent in pairs:
+                if depth == 0:
+                    with pytest.raises(AlgebraError, match="the least depth is 1"):
+                        check(space, f, q, depth)
+                    continue
                 got = _outcome(check, space, f, q, depth)
-                assert got == _outcome(parent, space, f, q, depth), (f, q, depth)
-                verdicts.append(got != "None")
-        failing.append(sum(verdicts))
-    assert 0 < failing[0] < len(verdicts) // 2 < min(failing[1:])
+                if depth >= 3:
+                    assert got == _outcome(parent, space, f, q, depth), (f, q, depth)
+                assert wrong or got == "None", (f, q, depth)
+                caught[depth] += got != "None"
+        assert not wrong or all(caught.values()), caught
     for check, parent in pairs:  # a bad cover and a bad depth, in the parent's order
         for q, depth in (("zz", 3), ("a", -1), ("zz", -1)):
             f = _digest_family()[0][1]
             assert _outcome(check, SPACE, f, q, depth) == _outcome(parent, SPACE, f, q, depth)
+
+
+def test_corner_identity_compares_its_third_side(monkeypatch):
+    # an inverse of f0' that also adds alphabar_q e(p,q) v: that term has no
+    # constant part in the slot, so e(p,q) kills it on the second side, and
+    # only the third side, e(p,q) (f0')^{-1} wbar, tells it apart (an f with
+    # f0' = f gives no case)
+    for space, f, q, depth in _identity_cases():
+        if not depth or _factor_bottom(f, space.poset, q)[2] == f:
+            continue
+        epq, ab = ("epq", f.vertex, q), ("alphabar", f.vertex, q)
+
+        def wrong(space, g, v, d, f=f, epq=epq, ab=ab):
+            out = invert_sigma(space, g, v, d)
+            return out if g == f else out + act(space, ab, act(space, epq, v))
+
+        monkeypatch.setattr(toeplitz, "invert_sigma", wrong)
+        bad = check_corner_inverse_identity(space, f, q, depth)
+        monkeypatch.undo()
+        v, lhs, other = bad
+        assert lhs == toeplitz.invert_sigma(space, f, act(space, epq, v), depth) != other
+
+
+def test_identity_walk_applies_only_untruncated_inverses(monkeypatch):
+    # every inverse the two identities apply at depths 1..6 equals the
+    # full series run well past the depth, so both sides are exact
+    calls = []
+
+    def checked(space, f, v, depth):
+        out = invert_sigma(space, f, v, depth)
+        assert out == _full_series_inverse(space, f, v, depth + 6), (f, v, depth)
+        calls.append(depth)
+        return out
+
+    monkeypatch.setattr(toeplitz, "invert_sigma", checked)
+    for space, f, q, depth in _identity_cases():
+        if depth:
+            assert check_corner_inverse_identity(space, f, q, depth) is None
+            assert check_alphabar_inverse_identity(space, f, q, depth) is None
+    assert len(calls) > 1000
 
 
 def _parent_check_relation(space, lhs, rhs, samples=None):
