@@ -165,7 +165,9 @@ class PhiTuple:
         return tuple(zip(self.names, self.vec))
 
     def __getitem__(self, p):
-        return dict(self.values)[p]
+        if p not in self.names:
+            raise MonoidError(f"unknown prime {p!r}")
+        return self.vec[self.names.index(p)]
 
     def add(self, other):
         w = _aligned(self.names, other, PhiTuple)
@@ -458,7 +460,11 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
     pair (a PrimePair cannot hold one), and raises MonoidError naming the
     equality; no search follows.  Row and column swaps act on refinement
     matrices, so only ordered representatives of each equality are
-    checked.  Sums are memoised for the call only.
+    checked.  Sums are memoised for the call only.  Two pairs that both
+    hold their sum s, (a, s) and (b, s) up to order, are certified
+    without construction: [[0, a], [b, s]], with rows or columns swapped
+    where a pair puts s first, has sums 0 + a = a, 0 + b = b and a + s =
+    b + s = s, the zero identity and sums that placed the pairs in class s.
 
     A pair whose strict relation is disconnected presents the product of
     its components' monoids, and each component is checked on its own, on
@@ -556,9 +562,12 @@ def check_refinement(m: PrimitiveMonoid, size_bound: int):
     def term(x):
         return f"({x})" if len(x.coeffs) > 1 else str(x)
 
-    for pairs in by_sum.values():
+    for s, pairs in by_sum.items():
         for i, (x1, x2) in enumerate(pairs):
+            held = s in (x1, x2)
             for y1, y2 in pairs[i + 1 :]:
+                if held and s in (y1, y2):
+                    continue  # [[0, a], [b, s]] refines it, as above
                 z11, z12, z21, z22 = construct(x1, x2, y1, y2)
                 if (
                     add(z11, z12) != x1
@@ -773,6 +782,7 @@ def enumerate_prime_pairs(max_primes: int) -> list[PrimePair]:
     regular subset, as a bitmask over the indices, is the least of its
     orbit under the automorphisms of that poset.  The pairs come out by
     number of primes, then in poset order, then by regular-subset mask.
+    A strict order plus regular self-pairs is valid, so none is checked.
     """
     out = []
     for n, masks in enumerate(_order_masks(max_primes)):
@@ -787,7 +797,7 @@ def enumerate_prime_pairs(max_primes: int) -> list[PrimePair]:
                     continue
                 seen.update(sum(1 << g[i] for i in range(n) if regmask >> i & 1) for g in autos)
                 full = rel | {(i, i) for i in range(n) if regmask >> i & 1}
-                out.append(PrimePair(tuple(ids), frozenset((ids[a], ids[b]) for a, b in full)))
+                out.append(PrimePair._trusted(tuple(ids), frozenset((ids[a], ids[b]) for a, b in full)))
     return out
 
 

@@ -271,6 +271,15 @@ def test_phi_regular():
     assert m.phi(m.gen("q"))["q"] == INF
 
 
+def test_phi_entry_of_an_unknown_prime_is_a_monoid_error():
+    m = fig2_monoid()
+    t = m.phi(m.gen("p"))
+    assert [t[p] for p in t.names] == list(t.vec)
+    for p in ("zz", 0, None):
+        with pytest.raises(MonoidError, match=f"unknown prime {p!r}"):
+            t[p]
+
+
 def test_phi_tuples_of_different_monoids_do_not_combine():
     m1 = from_poset(make_poset(["a", "b"], []))
     m2 = from_poset(make_poset(["c"], []))
@@ -658,6 +667,60 @@ def test_refinement_construction_certifies_catalogue():
                 groups[s] = groups.get(s, 0) + 1
         equalities += sum(g * (g - 1) // 2 for g in groups.values())
     assert equalities == 65038
+
+
+@pytest.mark.hashseed
+def test_refinement_pairs_that_both_hold_the_sum_need_no_construction():
+    # check_refinement skips the equalities (a, s) ~ (b, s) of a class s
+    # up to order: [[0, a], [b, s]], with the row or column of s moved to
+    # where its pair holds s, is a refinement that add confirms
+    both = constructed = swapped = 0
+    for m in small_catalogue(4):
+        els = m.elements(3)
+        zero = m.reduce({})
+        by_sum = {}
+        for x1, x2 in itertools.product(els, repeat=2):
+            if x1.vec <= x2.vec:
+                by_sum.setdefault(m.add(x1, x2), []).append((x1, x2))
+        for s, pairs in by_sum.items():
+            held = [p for p in pairs if s in p]
+            for i, x in enumerate(held):
+                for y in held[i + 1 :]:
+                    r, c = int(x[1] == s), int(y[1] == s)  # 0 where a pair puts s first only
+                    z = [[zero, x[1 - r]], [y[1 - c], s]]  # [[0, a], [b, s]]
+                    if r == 0:  # the row pair puts s first: swap the rows
+                        z.reverse()
+                    if c == 0:  # the column pair does: swap the columns
+                        z = [row[::-1] for row in z]
+                    swapped += (r, c) != (1, 1)
+                    assert all(m.add(*z[k]) == x[k] for k in (0, 1)), (m.pair, x, y)
+                    assert all(m.add(z[0][k], z[1][k]) == y[k] for k in (0, 1)), (m.pair, x, y)
+            g, h = len(pairs), len(held)
+            both += h * (h - 1) // 2
+            constructed += g * (g - 1) // 2 - h * (h - 1) // 2
+    assert both + constructed == 65038
+    assert (both, constructed, swapped) == (24476, 40562, 21870)
+
+
+@pytest.mark.hashseed
+def test_refinement_corrupted_rel_passes_over_a_sum_held_on_both_sides():
+    # on the cycle a < c < b < a, the construction fails first on
+    # 0 + c = c + a, whose pairs both hold c, one of them first; the
+    # checker certifies it by [[0, 0], [c, a]], the columns of
+    # [[0, 0], [a, c]] swapped, and names the next failing equality
+    m = PrimitiveMonoid(unchecked_pair(["a", "b", "c"], {("a", "a"), ("a", "c"), ("b", "a"), ("c", "b")}))
+    with pytest.raises(MonoidError) as new:
+        check_refinement(m, 2)
+    assert str(new.value) == (
+        "the constructed refinement of 0 + 2*c = c + c fails its check: the prime pair is not valid"
+    )
+    with pytest.raises(MonoidError, match=r"of 0 \+ c = c \+ a fails"):
+        check_refinement_connected(m, 2)
+    zero, a, c = m.reduce({}), m.gen("a"), m.gen("c")
+    assert c.vec < a.vec  # so the ordered pair is (c, a), its sum first
+    (z11, z12), (z21, z22) = (zero, zero), (c, a)
+    assert m.add(z11, z12) == zero and m.add(z21, z22) == c
+    assert m.add(z11, z21) == c and m.add(z12, z22) == a
 
 
 @st.composite
@@ -1218,6 +1281,13 @@ def _brute_force_prime_pairs(max_primes):
 
 def test_enumerate_prime_pairs_matches_brute_force():
     assert enumerate_prime_pairs(4) == _brute_force_prime_pairs(4)
+
+
+def test_enumerate_prime_pairs_are_valid_pairs():
+    # the catalogue builds its pairs unchecked; the checked constructor
+    # accepts each and gives an equal pair
+    for pair in enumerate_prime_pairs(5):
+        assert PrimePair(pair.primes, pair.rel) == pair
 
 
 def test_enumerate_prime_pairs_counts():
