@@ -21,7 +21,6 @@ terminates.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -417,20 +416,20 @@ def _strip_left(cur: AlgElement, path, right_path):
 
 
 def _lemma26_exhaustive(poset: LabelledPoset) -> bool:
-    """Sandwiches betabar . monomial . beta: a scalar multiple of the lower
-    idempotent on the same cover, zero across different covers, for every
-    cover exponent in -2..2.  Each monomial is its one normal-form term (its
-    powers sit on distinct covers, so none mixes); the empty one is e(p)."""
+    """Sandwiches betabar_q . m . beta_q2, m a monomial with every cover
+    exponent in -2..2: a scalar multiple of e(q) when q = q2, else zero.
+    In betabar_q . m, `_mul_terms` migrates m onto the step (p, q): its q
+    exponent sets the step's net exponent, and its other powers become a
+    `_cross_scalar` t-monomial of coefficient 1, a unit that `sigma_p_poly`
+    twists into another.  So a sandwich's term keys, and its verdict, read
+    only m's exponent at q: each q takes m = alpha_q^e (e(p) at e = 0)."""
     for p in poset.elements:
         covers = lower_covers(poset, p)
-        if not covers:
-            continue
-        betabars, betas = ([generator(poset, kind, p, q) for q in covers] for kind in ("betabar", "beta"))
-        for exps in itertools.product(range(-2, 3), repeat=len(covers)):
-            powers = tuple(sorted((q, e) for q, e in zip(covers, exps) if e))
-            m = AlgElement(poset, {TermKey((), p, powers, ()): 1})
-            for q, betabar in zip(covers, betabars):
-                left = betabar * m  # the same product for every q2
+        betas = [generator(poset, "beta", p, q2) for q2 in covers]
+        for q in covers:
+            betabar = generator(poset, "betabar", p, q)
+            for e in range(-2, 3):
+                left = betabar * AlgElement(poset, {TermKey((), p, ((q, e),) if e else (), ()): 1})
                 for q2, beta in zip(covers, betas):
                     res = left * beta
                     if q != q2:

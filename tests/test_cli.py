@@ -248,6 +248,28 @@ def test_verify_algebra_report_on_a_layered_poset_is_pinned(tmp_path, monkeypatc
     assert digest == "1da90bc02f3afee69e4ef250143de2ecb199eb0ed871328235d231b9cb0ce1c6"
 
 
+def test_verify_algebra_on_a_seven_star_is_quick_and_pinned(tmp_path, monkeypatch, capsys):
+    # one vertex over 7 covers: Lemma 2.6 takes 5 * 7^2 sandwiches there,
+    # where every exponent vector would take 5^7 * 7^2
+    name = "star7.poset"
+    (tmp_path / name).write_bytes((INPUTS / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+    def too_slow(signum, frame):
+        raise TooSlow("verify-algebra on the 7-star took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        code = main(["verify-algebra", name])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "20d2ec587bf52452d48269952f1a9fec478735ee039ca5354035562037eab649"
+
+
 def test_golden_inputs_parse_as_before():
     # the DSL inputs of the goldens, against the objects built directly
     assert parse_poset(FIG2_DSL) == make_poset(["p", "a", "b"], [("a", "p"), ("b", "p")], {"p": ("a", "b")})

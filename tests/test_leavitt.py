@@ -3,12 +3,13 @@ import itertools
 import random
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetalg.poset import LowerSet, enumerate_posets, fig2_poset, lower_covers, make_poset
+from posetalg.poset import LowerSet, enumerate_posets, fig2_poset, lower_covers, make_poset, parse_poset
 from posetalg import leavitt as leavitt_module
 from posetalg.ratfunc import Poly, t_poly
 from posetalg.leavitt import (
@@ -31,6 +32,7 @@ from posetalg.leavitt import (
 )
 
 FIG2 = fig2_poset()
+INPUTS = Path(__file__).parent / "inputs"
 
 
 def chain(n):
@@ -738,13 +740,45 @@ def lemma26_per_pair(poset):
 def test_lemma26_matches_the_per_pair_loop(monkeypatch):
     star3 = make_poset(["t", "a", "b", "c"], [("a", "t"), ("b", "t"), ("c", "t")])
     posets = [p for n in range(5) for p in enumerate_posets(n)] + [star3]
-    for poset in posets:
+    # the whole catalogue with 5 elements, and 4 layers of 3 under full covers
+    more = list(enumerate_posets(5)) + [parse_poset((INPUTS / "layered_w3_4.poset").read_text())]
+    for poset in posets + more:
         assert _lemma26_exhaustive(poset) == lemma26_per_pair(poset) is True
     # with beta read as alpha the sandwiches fail, and both loops say so
     real = leavitt_module.generator
     monkeypatch.setattr(leavitt_module, "generator", lambda P, kind, *a: real(P, "alpha" if kind == "beta" else kind, *a))
     for poset in [FIG2, diamond(), star3]:
         assert _lemma26_exhaustive(poset) == lemma26_per_pair(poset) is False
+    # an antichain has no sandwich to fail
+    for poset in more:
+        antichain = not any(lower_covers(poset, p) for p in poset.elements)
+        assert _lemma26_exhaustive(poset) == lemma26_per_pair(poset) is antichain
+
+
+def test_lemma26_sandwiches_read_only_the_exponent_at_q():
+    # the property _lemma26_exhaustive rests on: at a vertex with several
+    # covers, betabar_q . m . beta_q2 has the term keys of the sandwich with
+    # m cut down to its q power, and each coefficient is that sandwich's
+    # times a t-monomial
+    for poset in [p for n in range(6) for p in enumerate_posets(n)]:
+        for p in poset.elements:
+            covers = lower_covers(poset, p)
+            if len(covers) < 2:
+                continue
+            betabars, betas = ([generator(poset, kind, p, q) for q in covers] for kind in ("betabar", "beta"))
+            for exps in itertools.product(range(-2, 3), repeat=len(covers)):
+                powers = tuple(sorted((q, e) for q, e in zip(covers, exps) if e))
+                m = AlgElement(poset, {TermKey((), p, powers, ()): 1})
+                for q, e, betabar in zip(covers, exps, betabars):
+                    cut = AlgElement(poset, {TermKey((), p, ((q, e),) if e else (), ()): 1})
+                    for beta in betas:
+                        full, reduced = betabar * m * beta, betabar * cut * beta
+                        assert full.terms.keys() == reduced.terms.keys()
+                        for key, c in full.terms.items():
+                            c0 = reduced.terms[key]
+                            m0 = next(iter(c0.terms))
+                            units = [Poly({mono + tuple((v, -k) for v, k in m0): 1}) for mono in c.terms]
+                            assert any(c == c0 * u and all(v[0] == "t" for v in u.variables()) for u in units)
 
 
 def star(k):
