@@ -257,7 +257,7 @@ def main(argv=None):
             setattr(args, key, config.get(key, fallback))
 
     try:
-        for key in ("depth", "samples"):
+        for key in ("bound", "depth", "samples"):
             if key in vars(args):
                 _require_count(getattr(args, key), f"--{key}", PosetError)
         return args.handler(args)

@@ -98,8 +98,11 @@ def verify_coequalizer(ideal: OrderIdeal, phi: dict, pushout: CrownedPushout, bo
         pairs (x+i, x+phi(i)), computed by the bounded congruence oracle.
     Returns None if ok, else (i, reason) for (a), or for (b) a pair (x, y),
     x first in element order, that one side joins and the other separates.
+    A phi that is not a relation-preserving bijection from the ideal's primes
+    raises MonoidError, as in crowned_pushout.
     """
     m, pi = ideal.monoid, pushout.project
+    _check_ideal_iso(m, ideal.prime_set, m, frozenset(phi.values()), phi)
     phi_map = {p: phi.get(p, p) for p in m.primes}
     for i in ideal.elements(bound):
         if pi(i) != pi(map_elem(m, phi_map, i)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .poset import PosetError, Quiver, _check_ids, _closed_sets, _reject_bare_string, _require_count, _sections
+from .poset import PosetError, Quiver, _check_ids, _closed_sets, _grow, _reject_bare_string, _require_count, _sections
 from .primon import CongruenceOracle, MonoidError
 
 
@@ -78,31 +78,30 @@ def is_saturated(quiver, subset) -> bool:
 
 
 def saturate(quiver, subset) -> frozenset:
-    out = set(_vertex_subset(quiver, subset))
-    changed = True
-    while changed:
-        changed = False
-        for v in quiver.vertices:
-            outs = quiver.out_arrows(v)
-            if v not in out and outs and {r for _, _, r in outs} <= out:
-                out.add(v)
-                changed = True
-    return frozenset(out)
+    """The least saturated superset: an emitting vertex joins once all its
+    ranges are in.  The rule is monotone, and the last of v's ranges to join
+    is popped after it joins, with v among its in-neighbours, so v is
+    examined once all its ranges are in and no sweep is needed."""
+    outs, ins = _arrow_maps(quiver)
+    found = set(_vertex_subset(quiver, subset))
+    return frozenset(_grow(found, lambda x: {v for v in ins[x] if outs[v] <= found}))
+
+
+def _arrow_maps(quiver):
+    """Each vertex's set of ranges and set of in-neighbours."""
+    outs = {v: {r for _, s, r in quiver.arrows if s == v} for v in quiver.vertices}
+    return outs, {v: {s for _, s, r in quiver.arrows if r == v} for v in quiver.vertices}
 
 
 def hereditary_saturated(quiver: Quiver):
-    """All hereditary saturated vertex subsets, by (size, sorted members).  A
-    vertex joins a saturation only when all its ranges are in, so saturating
-    what a subset reaches gives its least hereditary saturated superset."""
+    """All hereditary saturated vertex subsets, by (size, sorted members).
+    A set's closure adds each member's ranges and saturates, both monotone
+    rules, so one worklist gives its least hereditary saturated superset."""
+    outs, ins = _arrow_maps(quiver)
 
     def close(subset):
-        reached, todo = set(subset), list(subset)
-        while todo:
-            for _, _, r in quiver.out_arrows(todo.pop()):
-                if r not in reached:
-                    reached.add(r)
-                    todo.append(r)
-        return saturate(quiver, reached)
+        found = set(subset)
+        return _grow(found, lambda x: outs[x] | {v for v in ins[x] if outs[v] <= found})
 
     return _closed_sets(quiver.vertices, close)
 

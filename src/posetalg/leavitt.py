@@ -519,6 +519,8 @@ def _parse_factor(poset, toks, i):
 def _invert_scalar(x: AlgElement) -> AlgElement:
     """Inverse of a scalar monomial element (negative powers are only legal
     on Laurent monomial scalars such as t3)."""
+    if x.is_zero():
+        raise AlgebraError("zero has no inverse")
     for key, c in x.terms.items():
         if key.left or key.right or key.powers:
             raise AlgebraError("negative powers are only defined for scalars")
@@ -541,6 +543,8 @@ def _parse_atom(poset, toks, i):
     if tok.lastgroup == "t":
         return generator(poset, "t", int(tok["t"])), i + 1
     if tok.lastgroup == "num":
+        if "/" in tok["num"] and not int(tok["num"].partition("/")[2]):
+            raise AlgebraError(f"{tok['num']!r} has a zero denominator")
         return generator(poset, "scalar", Fraction(tok["num"])), i + 1
     if tok.lastgroup == "gen":
         kind = {"a": "alpha", "A": "alphabar", "b": "beta", "B": "betabar"}[tok["arrow"]]

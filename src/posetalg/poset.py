@@ -262,9 +262,9 @@ def parse_poset(text: str) -> LabelledPoset:
             elements = rest
         elif head == "covers":
             for tok in rest:
-                if "<" not in tok:
+                q, mark, p = tok.partition("<")
+                if not (q and mark and p):
                     raise PosetError(f"bad cover {tok!r}, expected q<p")
-                q, _, p = tok.partition("<")
                 _check_ids((q, p), heads)
                 covers.append((q, p))
         else:  # labels
@@ -323,17 +323,22 @@ class LowerSet:
         return tuple(sorted(self.members))
 
 
+def _grow(found, step):
+    """Grow the set ``found`` in place until it holds the set step(x) for each
+    member x, and return it; ``step`` runs once per member and may read ``found``."""
+    todo = list(found)
+    while todo:
+        new = step(todo.pop()) - found
+        found |= new
+        todo += new
+    return found
+
+
 def _closed_sets(items, close):
     """Every set the closure operator ``close`` fixes, by (size, sorted members).
     Each closed set but close(()) is the closure of a smaller one plus one item,
     so the search never builds an unclosed set and its cost follows its output."""
-    start = frozenset(close(()))
-    found, todo = {start}, [start]
-    while todo:
-        s = todo.pop()
-        for t in {frozenset(close(s | {x})) for x in items if x not in s} - found:
-            found.add(t)
-            todo.append(t)
+    found = _grow({frozenset(close(()))}, lambda s: {frozenset(close(s | {x})) for x in items if x not in s})
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 

@@ -20,11 +20,12 @@ import functools
 import itertools
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb
 
 from .poset import LabelledPoset, compute_lower_covers, relation_iso
-from .poset import _automorphisms, _natural_relation, _order_masks, _reject_bare_string, _require_count
+from .poset import _automorphisms, _grow, _natural_relation, _order_masks, _reject_bare_string, _require_count
 
 INF = float("inf")
 ORACLE_WORD_LIMIT = 200_000  # words a CongruenceOracle may build
@@ -36,6 +37,15 @@ class MonoidError(ValueError):
 
 class OracleLimitError(MonoidError):
     """A congruence oracle would need more words than ORACLE_WORD_LIMIT."""
+
+
+def _pair(item, what):
+    """item unpacked as a pair, or MonoidError naming it."""
+    try:
+        a, b = item
+    except (TypeError, ValueError):
+        raise MonoidError(f"{what} {item!r} is not a pair") from None
+    return a, b
 
 
 def _count(n):
@@ -401,12 +411,7 @@ def _components(m: PrimitiveMonoid) -> list:
     out, seen = [], set()
     for p in m._names:
         if p not in seen:
-            comp, stack = {p}, [p]
-            while stack:
-                q = stack.pop()
-                for r in (m.strictly_above[q] | m.strictly_below[q]) - comp:
-                    comp.add(r)
-                    stack.append(r)
+            comp = _grow({p}, lambda q: m.strictly_above[q] | m.strictly_below[q])
             seen |= comp
             out.append(tuple(sorted(comp)))
     return out
@@ -680,7 +685,9 @@ class CongruenceOracle:
     equal within the bound".  The generators are distinct, and a word, in a
     relation or a query, names only generators and gives each a
     non-negative integer count (not a bool; an integral float or Fraction
-    is read as its int), or MonoidError is raised.  The bound must
+    is read as its int), or MonoidError is raised.  A relation is a pair of
+    words; a word is a mapping or (generator, count) pairs, and the counts
+    of a generator named twice add up.  The bound must
     be a non-negative int, and an oracle that would need more than
     ORACLE_WORD_LIMIT words raises OracleLimitError before it builds any.
     """
@@ -699,7 +706,7 @@ class CongruenceOracle:
             )
         self.bound = bound
         index = {g: i for i, g in enumerate(self.generators)}
-        rels = [(self._vec(u, index), self._vec(v, index)) for u, v in relations]
+        rels = [tuple(self._vec(w, index) for w in _pair(r, "relation")) for r in relations]
         parent = {w: w for w in _bounded_words(len(self.generators), bound)}
 
         def find(w):
@@ -721,7 +728,8 @@ class CongruenceOracle:
     @staticmethod
     def _vec(word, index):
         vec = [0] * len(index)
-        for g, n in dict(word).items():
+        pairs = word.items() if isinstance(word, Mapping) else (_pair(e, "word entry") for e in word)
+        for g, n in pairs:
             try:
                 i = index[g]
             except KeyError:

@@ -270,6 +270,30 @@ def test_verify_algebra_on_a_seven_star_is_quick_and_pinned(tmp_path, monkeypatc
     assert digest == "20d2ec587bf52452d48269952f1a9fec478735ee039ca5354035562037eab649"
 
 
+def test_graphmon_report_on_a_thirteen_vertex_quiver_is_pinned(tmp_path, monkeypatch, capsys):
+    # 13 vertices, 10 arrows: 256 hereditary saturated sets, and saturation
+    # moves 90 of the subsets of up to 3 vertices
+    name = "quiver13.quiver"
+    (tmp_path / name).write_bytes((INPUTS / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+    def too_slow(signum, frame):
+        raise TooSlow("graphmon on the 13-vertex quiver took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        code = main(["graphmon", name])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["hereditary_saturated"]) == 256
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9f15c9cd832157de6443f1476a978ef1bea56c9348e9b94ef7b42b371b7eb144"
+
+
 def test_golden_inputs_parse_as_before():
     # the DSL inputs of the goldens, against the objects built directly
     assert parse_poset(FIG2_DSL) == make_poset(["p", "a", "b"], [("a", "p"), ("b", "p")], {"p": ("a", "b")})
@@ -338,6 +362,11 @@ BAD_INPUTS = {
         {"fig2.poset": FIG2_DSL},
         ["verify-algebra", "fig2.poset", "--depth", "-2"],
         "--depth -2 is not a non-negative int",
+    ),
+    "negative_bound": (
+        {"e1.quiver": E1_DSL},
+        ["graphmon", "e1.quiver", "--bound", "-1"],
+        "--bound -1 is not a non-negative int",
     ),
     "negative_depth_in_config": (
         {"cfg.json": '{"depth": -1}', "fig2.poset": FIG2_DSL},

@@ -228,6 +228,27 @@ def test_crowned_pushout_product_factors():
     assert verify_coequalizer(ix, {"x": "y"}, out, 4) is None
 
 
+def test_verify_coequalizer_rejects_a_phi_off_the_ideal():
+    m = from_poset(fig2_poset())
+    ideal = OrderIdeal(m, {"b"})
+    out = crowned_pushout(ideal, OrderIdeal(m, {"a"}), {"b": "a"})
+    for phi in ({"a": "b"}, {}, {"b": "a", "a": "b"}):
+        with pytest.raises(MonoidError, match="ideal map is not a bijection"):
+            verify_coequalizer(ideal, phi, out, 3)
+    assert verify_coequalizer(ideal, {"b": "a"}, out, 3) is None
+
+
+def test_verify_coequalizer_catches_a_projection_that_does_not_equalize():
+    # the pushout glues a to c and b to d; the swapped bijection sends a to
+    # d, which the projection sends to b
+    m = from_poset(make_poset(["a", "b", "c", "d"], []))
+    ideal, ideal2 = OrderIdeal(m, {"a", "b"}), OrderIdeal(m, {"c", "d"})
+    out = crowned_pushout(ideal, ideal2, {"a": "c", "b": "d"})
+    assert verify_coequalizer(ideal, {"a": "c", "b": "d"}, out, 3) is None
+    i, reason = verify_coequalizer(ideal, {"a": "d", "b": "c"}, out, 3)
+    assert i.coeffs == (("a", 1),) and reason == "projection does not equalize the ideal identification"
+
+
 def test_crowned_pushout_rejects_ideals_of_two_monoids():
     chain = from_poset(make_poset(["a", "p"], [("a", "p")]))
     anti = from_poset(make_poset(["a", "p"], []))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetalg.poset import PosetError, Quiver, fig2_poset, make_poset, quiver_T
+from posetalg import graphmon as graphmon_module
 from posetalg.primon import ORACLE_WORD_LIMIT, CongruenceOracle, MonoidError, from_poset
 from posetalg.graphmon import (
     _chain_order,
@@ -135,6 +136,58 @@ def test_hereditary_saturated_matches_the_subset_scan():
     assert sum(len(q.arrows) > len({a[1:] for a in q.arrows}) for q in quivers[10:]) > 100
     for quiver in quivers:
         assert hereditary_saturated(quiver) == hereditary_saturated_by_subsets(quiver)
+
+
+def saturate_by_sweeps(quiver, subset):
+    """saturate as it was before the worklist: every vertex swept until a
+    sweep adds nothing, kept as the oracle."""
+    out = set(subset)
+    changed = True
+    while changed:
+        changed = False
+        for v in quiver.vertices:
+            outs = quiver.out_arrows(v)
+            if v not in out and outs and {r for _, _, r in outs} <= out:
+                out.add(v)
+                changed = True
+    return frozenset(out)
+
+
+def closure_by_reach_then_saturate(quiver, subset):
+    """hereditary_saturated's closure as it was before the worklist: every
+    vertex the subset reaches, then swept to saturation, kept as the oracle."""
+    reached, todo = set(subset), list(subset)
+    while todo:
+        for _, _, r in quiver.out_arrows(todo.pop()):
+            if r not in reached:
+                reached.add(r)
+                todo.append(r)
+    return saturate_by_sweeps(quiver, reached)
+
+
+@pytest.mark.hashseed
+def test_worklists_match_the_sweeps_on_every_subset(monkeypatch):
+    # the quivers of the subset-scan test above; hereditary_saturated hands
+    # its closure to a _closed_sets that returns it
+    rng = random.Random(23)
+    fig2 = quiver_T(fig2_poset())
+    diamond = quiver_T(make_poset(["b", "q1", "q2", "p"], [("b", "q1"), ("b", "q2"), ("q1", "p"), ("q2", "p")]))
+    quivers = [fig2, diamond] + [build_Er(r) for r in range(8)] + [random_quiver(rng) for _ in range(300)]
+    monkeypatch.setattr(graphmon_module, "_closed_sets", lambda items, close: close)
+    subsets = saturated = reached = 0
+    for quiver in quivers:
+        close = hereditary_saturated(quiver)
+        for k in range(len(quiver.vertices) + 1):
+            for combo in itertools.combinations(quiver.vertices, k):
+                s = frozenset(combo)
+                sat = saturate(quiver, s)
+                assert sat == saturate_by_sweeps(quiver, s), (quiver, s)
+                assert close(s) == closure_by_reach_then_saturate(quiver, s), (quiver, s)
+                subsets += 1
+                saturated += sat != s
+                reached += close(s) != sat
+    # saturation moves 4,125 subsets, and the arrows move the closure of 4,968 past it
+    assert (subsets, saturated, reached) == (11_248, 4_125, 4_968)
 
 
 def test_hereditary_saturated_cost_follows_the_output():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import signal
 from fractions import Fraction
 from pathlib import Path
@@ -667,6 +668,29 @@ def test_parse_errors():
         parse_element(FIG2, "a[p,a] +")
     with pytest.raises(AlgebraError):
         parse_element(FIG2, "a[p,a]^-1")
+    # a zero numerator and a zero power of zero stay legal
+    assert parse_element(FIG2, "0/5").is_zero() and parse_element(FIG2, "0^0") == one(FIG2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a[p,a] a[p,a]", "trailing tokens ['a[p,a]']"),
+        ("e[p])", "trailing tokens [')']"),
+        ("(e[p] + t1", "unbalanced parenthesis"),
+        ("((e[p])", "unbalanced parenthesis"),
+        ("e[p] * )", "unexpected token ')'"),
+        ("+e[p]", "unexpected token '+'"),
+        ("1/0", "'1/0' has a zero denominator"),
+        ("t1*(2/0)", "'2/0' has a zero denominator"),
+        ("3/00 + t1", "'3/00' has a zero denominator"),
+        ("0^-1", "zero has no inverse"),
+        ("(t1 - t1)^-2", "zero has no inverse"),
+    ],
+)
+def test_parse_errors_say_what_is_wrong(text, message):
+    with pytest.raises(AlgebraError, match=re.escape(message)):
+        parse_element(FIG2, text)
 
 
 def test_format_round_trip():

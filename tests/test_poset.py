@@ -85,6 +85,24 @@ def test_parse_errors():
         parse_poset("covers a<b")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elems a; elems b", "duplicate section 'elems'"),
+        ("elems a b; edges a<b", "unknown section 'edges'"),
+        ("elems a b; covers ab", "bad cover 'ab', expected q<p"),
+        ("elems a ; covers a<", "bad cover 'a<', expected q<p"),
+        ("elems a ; covers <a", "bad cover '<a', expected q<p"),
+        ("elems a b; covers a<b; labels b", "bad label entry 'b', expected p:[q,...]"),
+        ("elems a b; covers a<b; labels b:[a", "bad label entry 'b:[a', expected p:[q,...]"),
+        ("elems a b; covers a<b; labels b:a]", "bad label entry 'b:a]'"),
+    ],
+)
+def test_parse_errors_name_the_section_or_token(text, message):
+    with pytest.raises(PosetError, match=re.escape(message)):
+        parse_poset(text)
+
+
 def test_label_entry_for_unknown_element_rejected():
     with pytest.raises(PosetError, match="'zz', which is not an element"):
         parse_poset("elems a b; covers a<b; labels zz:[a]")

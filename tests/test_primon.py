@@ -5,6 +5,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -1148,6 +1149,69 @@ def test_congruence_oracle_rejects_bad_relations():
         CongruenceOracle(["a", "b"], [({"a": 1}, {"b": 0.5})], 3)
     with pytest.raises(MonoidError, match="unknown generator 'zz'"):
         CongruenceOracle(["a", "b"], [({"zz": 1}, {})], 3)
+
+
+def test_congruence_oracle_sums_a_generator_named_twice():
+    # the relation a + a = b, its left side given as two (a, 1) pairs
+    orc = CongruenceOracle(["a", "b"], [([("a", 1), ("a", 1)], {"b": 1})], 2)
+    assert orc.equal({"a": 2}, {"b": 1}) and not orc.equal({"a": 1}, {"b": 1})
+    assert orc.classes() == CongruenceOracle(["a", "b"], [({"a": 2}, {"b": 1})], 2).classes()
+    # a query reads its pairs the same way, and a mapping as before
+    assert orc.equal([("a", 1), ("a", 1)], {"b": 1})
+    assert orc.class_of((("b", 1), ("a", 0), ("b", 1))) == orc.class_of({"b": 2})
+    assert not orc.equal([("a", 1)], [("b", 1)])
+    with pytest.raises(MonoidError, match="word entry \\('a',\\) is not a pair"):
+        orc.class_of([("a",)])
+    with pytest.raises(MonoidError, match="count -1 of generator 'a'"):
+        orc.class_of([("a", 2), ("a", -1)])
+    with pytest.raises(MonoidError, match="word exceeds oracle bound 2"):
+        orc.class_of([("a", 2), ("a", 1)])
+
+
+def test_congruence_oracle_rejects_a_relation_that_is_not_a_pair_of_words():
+    for relation in [({"a": 1},), ({"a": 1}, {"b": 1}, {}), 5]:
+        with pytest.raises(MonoidError, match="is not a pair"):
+            CongruenceOracle(["a", "b"], [relation], 2)
+    with pytest.raises(MonoidError, match="word entry 'a' is not a pair"):
+        CongruenceOracle(["a", "b"], ["ab"], 2)
+
+
+def components_by_union_find(m):
+    """_components by union-find over the relation, kept as the oracle."""
+    parent = {p: p for p in m.primes}
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for q, p in m.pair.rel:
+        parent[find(q)] = find(p)
+    groups = {}
+    for p in m.primes:
+        groups.setdefault(find(p), []).append(p)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+@pytest.mark.hashseed
+def test_components_match_a_union_find_on_catalogue():
+    sizes = Counter()
+    for pair in enumerate_prime_pairs(5):
+        m = PrimitiveMonoid(pair)
+        components = _components(m)
+        assert components == components_by_union_find(m), pair
+        sizes[len(components)] += 1
+    # 1,724 pairs, 514 of them disconnected, by number of components
+    assert sizes == {0: 1, 1: 1209, 2: 391, 3: 96, 4: 21, 5: 6}
+
+
+def test_check_separative_returns_the_first_witness(monkeypatch):
+    # no valid pair on few primes has a witness, so a one-prime free monoid
+    # adds with its counts capped at 2: then p + p = p + 2p = 2p + 2p
+    m = PrimitiveMonoid(PrimePair(("p",), frozenset()))
+    monkeypatch.setattr(m, "_add_vec", lambda u, v: tuple(min(2, a + b) for a, b in zip(u, v)))
+    a, b = check_separative(m, 3)
+    assert (a.vec, b.vec) == ((1,), (2,))
 
 
 # -- iso and JSON -----------------------------------------------------------------

@@ -187,6 +187,21 @@ def test_relation_suite(poset):
     assert not bad
 
 
+def test_relation_suite_reports_a_failing_relation(monkeypatch):
+    # alpha_{p,a} = alpha_{p,b} fails on Fig. 2; every suite relation holds
+    one_ = Fraction(1)
+    wrong = ("wrong[p,a,b]", [(one_, [("alpha", "p", "a")])], [(one_, [("alpha", "p", "b")])])
+    suite = toeplitz.relation_suite
+    monkeypatch.setattr(toeplitz, "relation_suite", lambda poset: suite(poset) + [wrong])
+    results = run_relation_suite(FIG2, maxdeg=1)
+    assert all(r["ok"] and "counterexample" not in r for r in results[:-1])
+    last = results[-1]
+    assert (last["relation"], last["ok"], last["sample_degree"]) == ("wrong[p,a,b]", False, 1)
+    assert sorted(last["counterexample"]) == ["lhs", "rhs", "vector"]
+    assert all(isinstance(v, str) and v for v in last["counterexample"].values())
+    assert last["counterexample"]["lhs"] != last["counterexample"]["rhs"]
+
+
 def test_baby_toeplitz_inequality():
     baby = make_poset(["q", "p"], [("q", "p")])
     space = build_space(baby)
